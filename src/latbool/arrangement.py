@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exact_core import (
+    InternalInvariantError,
     MarginError,
     hit_points,
     trace_cycles,
@@ -321,10 +322,6 @@ def _seg_at_y(a: Pt, b: Pt, y: Scalar) -> list[Scalar]:
 # the overlay itself
 
 
-def _combine_and(in_a: bool, in_b: bool) -> bool:
-    return in_a and in_b
-
-
 def overlay_intersection(a: Region, b: Region) -> ExactRegion:
     """closure(A interior intersect B interior) with provenance and stats."""
     edges = _gather_edges(a, 0) + _gather_edges(b, 1)
@@ -451,6 +448,7 @@ def exact_boolean(a: Region, b: Region, op: str,
     bx1, by1 = box.max
     for ring in result.region.rings:
         for p in ring.pts:
-            assert bx0 < p.x < bx1 and by0 < p.y < by1, \
-                "union result touches the universe box"
+            if not (bx0 < p.x < bx1 and by0 < p.y < by1):
+                raise InternalInvariantError(
+                    "union result touches the universe box")
     return result

@@ -309,6 +309,7 @@ def verify(files: tuple[str, ...], op_name: Optional[str],
     against = _load(against_path) if against_path else None
     ops = [OP_ALIASES[op_name]] if op_name else list(OP_ALIASES.values())
     failures = 0
+    internal = 0
     for case_name, a, b in cases:
         for op in ops:
             try:
@@ -316,7 +317,7 @@ def verify(files: tuple[str, ...], op_name: Optional[str],
                     a, b, op, against=against, against_mode=against_mode)
             except (InternalInvariantError, AssertionError) as e:
                 click.echo(f"[{case_name}/{op}] FAIL internal: {e}")
-                failures += 1
+                internal += 1
                 continue
             except PreconditionError as e:
                 click.echo(f"error: {e}", err=True)
@@ -327,6 +328,8 @@ def verify(files: tuple[str, ...], op_name: Optional[str],
                 click.echo(f"[{case_name}/{op}] {mark} {r.name}{suffix}")
                 if not r.passed:
                     failures += 1
+    if internal:
+        sys.exit(2)
     sys.exit(0 if failures == 0 else 1)
 
 

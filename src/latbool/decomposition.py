@@ -5,10 +5,23 @@ points by the intersection structure); the induced subdivision is a
 partition of the region into convex cells.  The decomposition also records,
 for every boundary edge, the reflex vertices vertically visible from it in
 projection order: exactly the vertices a rounded chain may visit.
+
+Both the walls and the visibility lists come from one sweep over the
+distinct reflex x-coordinates, as in the trapezoidal decomposition (de Berg
+et al., *Computational Geometry*, ch. 6).  For each such vertical line the
+boundary is profiled once: the sorted levels where edges meet the line,
+which of them are transversal crossings, and which gaps between levels lie
+outside the region.  A wall is then the neighbouring level, and a visibility
+test between a reflex vertex and an edge is two prefix-sum range queries.
+With E edges, R reflex vertices and L <= R distinct reflex x-coordinates,
+the profiles cost O(L E log E), the walls O(R), and the lists O(L E) plus
+O(1) per tested (edge, vertex) pair and a sort.  Cutting the edges at wall
+endpoints searches only the endpoints inside each edge's x-range.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -16,6 +29,7 @@ from typing import NamedTuple, Optional
 from .arrangement import REFLEX, ExactRegion
 from .exact_core import (
     EXTERIOR,
+    InternalInvariantError,
     trace_cycles,
     PreconditionError,
     Pt,
@@ -86,11 +100,6 @@ class Decomposition:
         return self.cells[idx]
 
 
-def nvlp_cell_of(v: Pt, decomposition: Decomposition) -> ConvexCell:
-    """An incident convex cell of v; any such cell yields the global NVLP."""
-    return decomposition.cell_of_vertex(v)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -119,45 +128,110 @@ def _dir_in_sector(delta: tuple[int, int], u: tuple[Scalar, Scalar],
     return c_ad > 0 or c_db > 0
 
 
-def _wall_hit(r: Pt, sign: int, edges: list[tuple[Pt, Pt]]) -> Optional[Pt]:
-    """First boundary contact of the vertical ray from r (sign=+1 up).
+class _LineProfile:
+    """The region boundary along the vertical line x = X.
 
-    Contacts at edge endpoints count (walls stop at reflex vertices above
-    them).  Returns None when the ray is blocked immediately.
+    `levels` are the sorted distinct y-values where edges meet the line.
+    Prefix sums over the levels count transversal crossings
+    (lo.x < X < hi.x); prefix sums over the gaps between consecutive levels
+    count the gaps outside the region.  A gap covered by a vertical edge on
+    the line is boundary.  Any other gap is classified by the parity of the
+    edges below it under the half-open rule lo.x <= X < hi.x (a downward
+    ray shifted right by an infinitesimal); rings are closed cycles, so
+    this parity agrees with the rightward ray of `point_in_region`.
     """
-    best: Optional[Scalar] = None
 
-    def consider(y: Scalar) -> None:
-        nonlocal best
-        if sign * (y - r.y) > 0 and (best is None or sign * (y - best) < 0):
-            best = y
+    def __init__(self, x: int, edges: list[tuple[Pt, Pt]]):
+        self.x = x
+        ys: list[Optional[Scalar]] = []
+        crossing: list[Scalar] = []
+        half_open: list[Scalar] = []
+        verticals: list[tuple[Scalar, Scalar]] = []
+        for a, b in edges:
+            lo, hi = (a, b) if a.x <= b.x else (b, a)
+            if not (lo.x <= x <= hi.x):
+                ys.append(None)
+                continue
+            if lo.x == hi.x:
+                ys.append(None)
+                verticals.append((lo.y, hi.y) if lo.y <= hi.y
+                                 else (hi.y, lo.y))
+                continue
+            if x == lo.x:
+                y = lo.y
+            elif x == hi.x:
+                y = hi.y
+            else:
+                q = lo.y + Fraction((x - lo.x) * (hi.y - lo.y), hi.x - lo.x)
+                y = int(q) if q.denominator == 1 else q
+                crossing.append(y)
+            ys.append(y)
+            if x < hi.x:
+                half_open.append(y)
+        self.ys = ys
+        levels = sorted({y for y in ys if y is not None}
+                        | {y for v in verticals for y in v})
+        self.levels = levels
+        index = {y: i for i, y in enumerate(levels)}
+        self.index = index
+        n = len(levels)
 
-    blocked = False
-    for a, b in edges:
-        if a.x == b.x:
-            if a.x != r.x:
-                continue
-            ylo, yhi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            if ylo < r.y < yhi:
-                blocked = True
-                break
-            consider(ylo if sign > 0 else yhi)
-            consider(yhi if sign > 0 else ylo)
-        else:
-            lo, hi = (a, b) if a.x < b.x else (b, a)
-            if not (lo.x <= r.x <= hi.x):
-                continue
-            y = lo.y + Fraction(r.x - lo.x, hi.x - lo.x) * (hi.y - lo.y)
-            consider(y)
-    if blocked or best is None:
-        return None
-    return pt(r.x, best)
+        crossings_at = [0] * n
+        for y in crossing:
+            crossings_at[index[y]] = 1
+        below_at = [0] * n
+        for y in half_open:
+            below_at[index[y]] += 1
+        covered = [0] * (n + 1)     # per gap: vertical edges covering it
+        inside = [0] * (n + 1)      # per level: vertical edges strictly around
+        for ylo, yhi in verticals:
+            i0, i1 = index[ylo], index[yhi]
+            covered[i0] += 1
+            covered[i1] -= 1
+            inside[i0 + 1] += 1
+            inside[i1] -= 1
+
+        self.cross_prefix = [0] * (n + 1)
+        self.exterior_prefix = [0] * (n + 1)
+        self.blocked = [False] * n
+        below = cover = around = 0
+        for i in range(n):
+            cover += covered[i]
+            around += inside[i]
+            below += below_at[i]
+            self.blocked[i] = around > 0
+            exterior = cover == 0 and below % 2 == 0
+            self.cross_prefix[i + 1] = self.cross_prefix[i] + crossings_at[i]
+            self.exterior_prefix[i + 1] = self.exterior_prefix[i] + exterior
+
+    def wall_hit(self, y: int, sign: int) -> Optional[Pt]:
+        """First boundary contact of the vertical ray from (X, y), sign=+1 up.
+
+        Contacts at edge endpoints count (walls stop at reflex vertices
+        above them).  None when the ray is blocked immediately: (X, y) lies
+        strictly inside a vertical edge, or no level lies beyond it.
+        """
+        i = self.index[y]
+        j = i + sign
+        if self.blocked[i] or not 0 <= j < len(self.levels):
+            return None
+        return pt(self.x, self.levels[j])
+
+    def clear(self, i: int, j: int) -> bool:
+        """Is the open vertical segment between levels i and j in the
+        closed region, crossed transversally by no edge?"""
+        if i > j:
+            i, j = j, i
+        if i == j:
+            return True
+        return (self.cross_prefix[j] == self.cross_prefix[i + 1]
+                and self.exterior_prefix[j] == self.exterior_prefix[i])
 
 
 def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
     """Build walls, cells, the vertex->cell map and per-edge visibility lists."""
     if region.is_empty:
-        return Decomposition(region, (), (), {}, {})
+        return Decomposition(region, (), (), {}, {}, {})
     for ring in region.rings:
         for v in ring:
             if v.convexity == REFLEX and not v.pos.is_lattice:
@@ -166,6 +240,11 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
 
     edges = [(a, b) for ring in region.region.rings for a, b in ring.edges()
              if a != b]
+    reflex_pos = sorted(region.reflex_positions())
+    lines: dict[int, _LineProfile] = {}
+    for r in reflex_pos:
+        if r.x not in lines:
+            lines[r.x] = _LineProfile(r.x, edges)
 
     walls: list[Wall] = []
     seen_walls: set[tuple[Pt, Pt]] = set()
@@ -181,7 +260,7 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
             for sign, name in ((1, UP), (-1, DOWN)):
                 if not _dir_in_sector((0, sign), u, w):
                     continue
-                hit = _wall_hit(v.pos, sign, edges)
+                hit = lines[v.pos.x].wall_hit(v.pos.y, sign)
                 if hit is None:
                     continue
                 key = (v.pos, hit) if v.pos < hit else (hit, v.pos)
@@ -208,23 +287,26 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                     cell_index[p] = ci
                     break
 
-    visible = _visible_reflex_lists(region, edges)
+    visible = _visible_reflex_lists(edges, reflex_pos, lines)
     return Decomposition(region, tuple(cells), tuple(walls), cell_index,
                          visible, edge_cell)
 
 
 def _build_cells(region: ExactRegion, walls: list[Wall]
                  ) -> tuple[list[ConvexCell], list[set[Pt]], dict]:
-    wall_pts = [w.hit for w in walls] + [w.source for w in walls]
+    wall_pts = sorted({w.hit for w in walls} | {w.source for w in walls})
+    wall_xs = [p.x for p in wall_pts]
     directed: list[tuple[Pt, Pt]] = []
     first_piece: dict[tuple[Pt, Pt], tuple[Pt, Pt]] = {}
     for ring in region.region.rings:
         for a, b in ring.edges():
             if a == b:
                 continue
-            cuts = [p for p in wall_pts
-                    if p != a and p != b and _on_open_segment(p, a, b)]
-            chain = [a] + sorted(set(cuts), key=lambda p: _param(a, b, p)) + [b]
+            lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+            near = wall_pts[bisect_left(wall_xs, lo_x):
+                            bisect_right(wall_xs, hi_x)]
+            cuts = [p for p in near if _on_open_segment(p, a, b)]
+            chain = [a] + sorted(cuts, key=lambda p: _param(a, b, p)) + [b]
             first_piece[(a, b)] = (chain[0], chain[1])
             for u, v in zip(chain, chain[1:]):
                 directed.append((u, v))
@@ -241,7 +323,8 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
         ring = Ring(tuple(cyc)).canonical()
         if len(ring.pts) < 3 or ring.is_degenerate:
             continue
-        assert ring.is_ccw, "decomposition cell traced clockwise"
+        if not ring.is_ccw:
+            raise InternalInvariantError("decomposition cell traced clockwise")
         idx = len(cells)
         cells.append(ConvexCell(ring, tuple(sorted(set(cyc) & positions))))
         cell_sets.append(set(cyc))
@@ -267,66 +350,58 @@ def _param(a: Pt, b: Pt, p: Pt) -> Fraction:
     return Fraction(p.y - a.y, b.y - a.y)
 
 
-def _visible_reflex_lists(region: ExactRegion, edges: list[tuple[Pt, Pt]]
-                          ) -> dict:
+def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
+                          lines: dict[int, _LineProfile]) -> dict:
     """Per DIRECTED edge: vertically visible reflex vertices, interior side.
 
-    The side filter (strictly left of the directed edge, or on it) matters
-    where a crack edge carries faces on both sides: each direction owns the
-    obstacles of its own face only.  In crack-free regions every visible
-    reflex vertex is on the interior side anyway.
+    Each list is in projection order: by the foot's parameter along the
+    edge, then by the distance to the foot.  The side filter (strictly left
+    of the directed edge, or on it) matters where a crack edge carries faces
+    on both sides: each direction owns the obstacles of its own face only.
+    In crack-free regions every visible reflex vertex is on the interior
+    side anyway.  Vertical edges see nothing.
     """
-    reflex_pos = sorted(region.reflex_positions())
-    out: dict = {}
-    reg = region.region
-    for a, b in edges:
-        if (a, b) in out:
-            continue
-        if a.x == b.x:
-            out[(a, b)] = ()
-            continue
-        entries = []
-        for r in reflex_pos:
-            if r == a or r == b:
-                continue
+    found: dict[tuple[Pt, Pt], list] = {}
+    first: list[int] = []
+    for k, e in enumerate(edges):
+        if e not in found:
+            found[e] = []
+            first.append(k)
+    columns: dict[int, list[Pt]] = {}
+    for r in reflex_pos:
+        columns.setdefault(r.x, []).append(r)
+    for x, column in columns.items():
+        line = lines[x]
+        for k in first:
+            a, b = edges[k]
+            fy = line.ys[k]
             # feet at the edge endpoints belong to the neighbor edges
-            if not (min(a.x, b.x) < r.x < max(a.x, b.x)):
+            if fy is None or a.x == x or b.x == x:
                 continue
-            side = (b.x - a.x) * (r.y - a.y) - (b.y - a.y) * (r.x - a.x)
-            if side < 0:
-                continue
-            lo, hi = (a, b) if a.x < b.x else (b, a)
-            fy = lo.y + Fraction(r.x - lo.x, hi.x - lo.x) * (hi.y - lo.y)
-            foot = pt(r.x, fy)
-            if foot != r and not _vertical_segment_inside(r, foot, reg, edges):
-                continue
-            t = _param(a, b, foot)
-            dist = abs(r.y - fy)
-            entries.append((t, dist, r))
+            foot_level = line.index[fy]
+            t = Fraction(x - a.x, b.x - a.x)
+            entries = found[(a, b)]
+            for r in column:
+                # side = (b.x - a.x) * (r.y - fy): r left of a->b, or on it
+                if (r.y - fy) * (b.x - a.x) < 0:
+                    continue
+                if line.clear(line.index[r.y], foot_level):
+                    entries.append((t, abs(r.y - fy), r))
+    out: dict = {}
+    for e, entries in found.items():
         entries.sort()
-        out[(a, b)] = tuple(r for _, _, r in entries)
+        out[e] = tuple(r for _, _, r in entries)
     return out
 
 
-def _vertical_segment_inside(r: Pt, foot: Pt, reg: Region,
-                             edges: list[tuple[Pt, Pt]]) -> bool:
-    """Exact: open vertical segment r-foot contained in the closed region.
-
-    Transversal crossings of any boundary edge block visibility; this also
-    makes zero-width cracks opaque, as they must be.
-    """
-    seg = (r, foot)
-    for e in edges:
-        if segments_cross_properly(seg, e):
-            return False
-    for m in boundary_gap_midpoints(r, foot, reg):
-        if point_in_region(m, reg) == EXTERIOR:
-            return False
-    return True
-
-
 def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
-    """Public exact test: is r vertically visible from the edge?"""
+    """Public exact test: is r vertically visible from the edge?
+
+    An independent per-pair check: the open vertical segment from r to its
+    foot on the edge must lie in the closed region.  Transversal crossings
+    of any boundary edge block visibility; this also makes zero-width cracks
+    opaque, as they must be.
+    """
     a, b = edge
     if a.x == b.x:
         return False
@@ -337,5 +412,11 @@ def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
     foot = pt(r.x, fy)
     if foot == r:
         return True
-    edges = [(c, d) for c, d in region.edges() if c != d]
-    return _vertical_segment_inside(r, foot, region, edges)
+    seg = (r, foot)
+    for e in region.edges():
+        if e[0] != e[1] and segments_cross_properly(seg, e):
+            return False
+    for m in boundary_gap_midpoints(r, foot, region):
+        if point_in_region(m, region) == EXTERIOR:
+            return False
+    return True

@@ -31,6 +31,10 @@ class MarginError(PreconditionError):
     """Region does not fit the universe box with the required margin."""
 
 
+class InternalInvariantError(AssertionError):
+    """A verified guarantee failed: an implementation bug, never data."""
+
+
 def _norm(v: Scalar) -> Scalar:
     """Canonicalize a scalar: integral Fractions become plain ints."""
     if isinstance(v, Fraction):
@@ -55,12 +59,6 @@ class Pt(NamedTuple):
 
 def pt(x: Scalar, y: Scalar) -> Pt:
     return Pt(_norm(x), _norm(y))
-
-
-def lattice_pt(x: int, y: int) -> Pt:
-    if not (isinstance(x, int) and isinstance(y, int)):
-        raise TypeError("lattice point requires int coordinates")
-    return Pt(x, y)
 
 
 def cross(o: Pt, a: Pt, b: Pt) -> Scalar:
@@ -391,7 +389,8 @@ def _next_out(v: Pt, back: tuple[Scalar, Scalar],
         bx, by_ = best[0].x - v.x, best[0].y - v.y
         if bx * wy - by_ * wx > 0:  # same half: w is CCW of the current best
             best, best_cls = (w, eid), cls
-    assert best is not None, "dangling vertex during boundary tracing"
+    if best is None:
+        raise InternalInvariantError("dangling vertex during boundary tracing")
     return best
 
 
@@ -416,7 +415,9 @@ def trace_cycles(directed: list[tuple[Pt, Pt]]) -> list[list[Pt]]:
             cycle.append(u)
             back = (u.x - v.x, u.y - v.y)
             _, eid = _next_out(v, back, outs[v])
-        assert eid == start, "boundary tracing did not close a cycle"
+        if eid != start:
+            raise InternalInvariantError(
+                "boundary tracing did not close a cycle")
         cycles.append(cycle)
     return cycles
 
@@ -438,7 +439,7 @@ def _retrace_rings(rings: list[Ring]) -> list[Ring]:
         return rings
     try:
         cycles = trace_cycles(directed)
-    except AssertionError:
+    except InternalInvariantError:
         return rings
     out = [Ring(tuple(c)).canonical() for c in cycles]
     return [r for r in out if len(r.pts) >= 2]
@@ -477,10 +478,6 @@ def _ring_nesting_depth(region: Region, idx: int) -> int:
     return depth
 
 
-def region_from_rings(rings: Iterable[Ring]) -> Region:
-    return Region(tuple(rings)).canonical()
-
-
 def _point_in_ring(p: Pt, ring: Ring) -> str:
     """Closed membership of p w.r.t. the area enclosed by one ring.
 
@@ -503,38 +500,6 @@ def _point_in_ring(p: Pt, ring: Ring) -> str:
             if cross(b, a, p) > 0:
                 inside = not inside
     return INTERIOR if inside else EXTERIOR
-
-
-def _ring_probe_point(ring: Ring) -> Optional[Pt]:
-    """A point of the closed area of the ring, strictly interior when the
-    ring has area; for degenerate rings, a mid-edge point.
-
-    Built from a mid-edge point and a vertical shot to the nearest other
-    boundary hit: the half-way point lies strictly inside one adjacent face.
-    """
-    if len(ring.pts) < 2:
-        return None
-    a, b = ring.pts[0], ring.pts[1]
-    if ring.is_degenerate:
-        return pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-    for a, b in ring.edges():
-        if a.x == b.x:
-            continue
-        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        others = [e for e in ring.edges() if e != (a, b)]
-        above = [y for c, d in others for y in _vertical_line_hits(m.x, c, d)
-                 if y > m.y]
-        cand = (pt(m.x, Fraction(m.y + min(above), 2)) if above
-                else pt(m.x, m.y + 1))
-        if _point_in_ring(cand, ring) == INTERIOR:
-            return cand
-        below = [y for c, d in others for y in _vertical_line_hits(m.x, c, d)
-                 if y < m.y]
-        cand = (pt(m.x, Fraction(m.y + max(below), 2)) if below
-                else pt(m.x, m.y - 1))
-        if _point_in_ring(cand, ring) == INTERIOR:
-            return cand
-    return None
 
 
 def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:

@@ -15,7 +15,6 @@ approximation is ever introduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -106,19 +105,6 @@ def _sq_dist_lt(edge: tuple[int, int, int, int, int, int],
         return bound_den * (bpx * bpx + bpy * bpy) < bound_num * (s * d2) ** 2
     c = apx * dy - apy * dx         # scaled by s*d1^2*d2
     return bound_den * c * c < bound_num * (s * d1) ** 2 * len2
-
-
-def dist_sq_lt_to_boundary(q: Pt, region: Region, bound: Scalar = 2) -> bool:
-    """Exact: is the squared distance from q to the region boundary < bound?"""
-    fb = Fraction(bound)
-    a, b, s = _point_ints(q)
-    for e0, e1 in region.edges():
-        if e0 == e1:
-            continue
-        if _sq_dist_lt(_edge_ints(e0, e1), a, b, s,
-                       fb.numerator, fb.denominator):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

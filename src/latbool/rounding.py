@@ -29,6 +29,7 @@ from .decomposition import (
     reflex_vertical_decomposition,
 )
 from .exact_core import (
+    InternalInvariantError,
     MarginError,
     PreconditionError,
     Pt,
@@ -222,8 +223,9 @@ def inner_round(region: ExactRegion,
                 snap.append(nvlp(v.pos, cell))
         if any(s is None for s in snap):
             # lattice-point-free convex component: no rounded counterpart
-            assert all(s is None for s in snap), \
-                "mixed NVLP failures within one component"
+            if not all(s is None for s in snap):
+                raise InternalInvariantError(
+                    "mixed NVLP failures within one component")
             if report is not None:
                 report.dropped_components += 1
             continue
@@ -234,7 +236,9 @@ def inner_round(region: ExactRegion,
             nxt = ring[(i + 1) % m]
             chain = build_chain(v.pos, nxt.pos, decomposition,
                                 snap[i], snap[(i + 1) % m])
-            assert chain is not None
+            if chain is None:
+                raise InternalInvariantError(
+                    f"no rounded chain for edge {v.pos}->{nxt.pos}")
             pts.append(chain[0])
             prot.append(v.convexity == REFLEX)
             rk.append(RANK_ORIGINAL if v.pos.is_lattice else RANK_SNAPPED)
@@ -337,7 +341,9 @@ def outer_round(region: ExactRegion, box: UniverseBox,
     out = remove_zero_area(simplified)
     for ring in out.rings:
         for p in ring.pts:
-            assert p.is_lattice, "outer rounding produced a non-lattice vertex"
+            if not p.is_lattice:
+                raise InternalInvariantError(
+                    "outer rounding produced a non-lattice vertex")
     return out.canonical()
 
 

@@ -25,6 +25,7 @@ from .arrangement import (
     exact_intersection,
 )
 from .exact_core import (
+    InternalInvariantError,
     PreconditionError,
     Region,
     UniverseBox,
@@ -38,10 +39,6 @@ from .rounding import RoundingReport, inner_round, outer_round
 
 MODES = ("exact", "inner", "outer")
 OPS = ("intersection", "union", "difference")
-
-
-class InternalInvariantError(AssertionError):
-    """A verified guarantee failed: an implementation bug, never data."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,9 @@ def sandwich(a: Region, b: Region, op: str
     exact = _apply_in_box(op, "exact", a, b, box)
     inner = _apply_in_box(op, "inner", a, b, box)
     outer = _apply_in_box(op, "outer", a, b, box)
-    assert isinstance(exact, ExactRegion)
-    assert isinstance(inner, Region) and isinstance(outer, Region)
+    if not (isinstance(exact, ExactRegion) and isinstance(inner, Region)
+            and isinstance(outer, Region)):
+        raise InternalInvariantError("sandwich modes returned wrong types")
     w = check_inclusion(inner, exact.region)
     if w is not None:
         raise InternalInvariantError(f"inner not included in exact: {w}")

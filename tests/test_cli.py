@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from latbool import cli
 from latbool.cli import main, run_property_checklist
-from latbool.exact_core import Pt, Region, Ring
+from latbool.exact_core import InternalInvariantError, Pt, Region, Ring
 from latbool.lpr import LprError, parse_region, write_region
 
 from conftest import square
@@ -118,6 +119,29 @@ def test_verify_against_corrupted_fails(tmp_path):
                                        "--against", bad, "--mode", "inner"])
     assert result.exit_code == 1
     assert "FAIL inclusion inner<=exact" in result.output
+
+
+def test_verify_internal_failure_exit_2(tmp_path, monkeypatch):
+    _write(tmp_path, "case1.A.lpr", E2_A)
+    _write(tmp_path, "case1.B.lpr", E2_B)
+    _write(tmp_path, "case2.A.lpr", E2_A)
+    _write(tmp_path, "case2.B.lpr", E2_B)
+    calls = []
+
+    def broken(a, b, op, **kwargs):
+        calls.append(op)
+        if len(calls) == 1:
+            raise InternalInvariantError("planted bug")
+        return run_property_checklist(a, b, op, **kwargs)
+
+    monkeypatch.setattr(cli, "run_property_checklist", broken)
+    result = CliRunner().invoke(main, ["verify", "--batch", str(tmp_path),
+                                       "--op", "intersect"])
+    assert result.exit_code == 2, result.output
+    assert "[case1/intersection] FAIL internal: planted bug" in result.output
+    # the other cases still run and report
+    assert "[case2/intersection] PASS" in result.output
+    assert len(calls) == 2
 
 
 def test_verify_batch(tmp_path):

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
+from latbool import exact_core, rounding, setops
 from latbool.arrangement import exact_intersection
 from latbool.exact_core import (
+    InternalInvariantError,
     Pt,
     Region,
     Ring,
     complement_in_universe,
+    pt,
     universe_for,
 )
 from latbool.oracle import check_inclusion
@@ -104,3 +109,34 @@ def test_bad_request_rejected():
         OpRequest("xor", "inner", a, a)
     with pytest.raises(ValueError):
         OpRequest("union", "fast", a, a)
+
+
+# invariant checks are explicit raises: they hold under python -O too
+
+
+def test_internal_invariant_error_reexported():
+    assert setops.InternalInvariantError is exact_core.InternalInvariantError
+    assert issubclass(InternalInvariantError, AssertionError)
+
+
+def test_sandwich_rejects_wrong_result_types(monkeypatch):
+    a = Region((square(0, 0, 4, 4),))
+    real = setops._apply_in_box
+
+    def exact_as_plain_region(op, mode, *args):
+        out = real(op, mode, *args)
+        return out.region if mode == "exact" else out
+
+    monkeypatch.setattr(setops, "_apply_in_box", exact_as_plain_region)
+    with pytest.raises(InternalInvariantError):
+        sandwich(a, a, "intersection")
+
+
+def test_outer_round_rejects_non_lattice_vertex(monkeypatch):
+    a = Region((Ring((Pt(0, 0), Pt(5, 0), Pt(0, 5))),))
+    b = Region((Ring((Pt(0, 0), Pt(5, 0), Pt(5, 5))),))
+    off_grid = Region((Ring((Pt(0, 0), Pt(5, 0),
+                             pt(Fraction(5, 2), Fraction(5, 2)))),))
+    monkeypatch.setattr(rounding, "remove_zero_area", lambda r: off_grid)
+    with pytest.raises(InternalInvariantError, match="non-lattice"):
+        sandwich(a, b, "intersection")
