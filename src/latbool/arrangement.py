@@ -41,10 +41,6 @@ from .exact_core import (
     validate_region,
 )
 
-ORIGINAL_A = "originalA"
-ORIGINAL_B = "originalB"
-CROSSING = "crossing"
-
 CONVEX = "convex"
 REFLEX = "reflex"
 FLAT = "flat"
@@ -60,13 +56,12 @@ class OverlayStats(NamedTuple):
 
 class ExactVertex(NamedTuple):
     pos: Pt
-    kind: str
     convexity: str
 
 
 @dataclass(frozen=True)
 class ExactRegion:
-    """Boolean-op result with provenance-tagged rational vertices."""
+    """Boolean-op result with convexity-tagged rational vertices."""
 
     rings: tuple[tuple[ExactVertex, ...], ...]
     stats: OverlayStats
@@ -323,7 +318,7 @@ def _seg_at_y(a: Pt, b: Pt, y: Scalar) -> list[Scalar]:
 
 
 def overlay_intersection(a: Region, b: Region) -> ExactRegion:
-    """closure(A interior intersect B interior) with provenance and stats."""
+    """closure(A interior intersect B interior) with its stats."""
     edges = _gather_edges(a, 0) + _gather_edges(b, 1)
     hits = find_segment_intersections([(e.a, e.b) for e in edges])
     h = 0
@@ -350,13 +345,8 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
 
     cycles = trace_cycles(directed)
     rings = _cycles_to_rings(cycles)
-    n = len(edges)
-    kinds = (_position_set(a), _position_set(b))
-    return _build_exact(rings, kinds, n, h)
-
-
-def _position_set(region: Region) -> set[Pt]:
-    return region.vertex_positions()
+    k = len({v for ring in rings for v in ring.pts if not v.is_lattice})
+    return ExactRegion(_tag_rings(rings), OverlayStats(n=len(edges), k=k, h=h))
 
 
 def _cycles_to_rings(cycles: list[list[Pt]]) -> list[Ring]:
@@ -369,30 +359,15 @@ def _cycles_to_rings(cycles: list[list[Pt]]) -> list[Ring]:
     return rings
 
 
-def _build_exact(rings: Sequence[Ring], kind_sets: tuple[set[Pt], set[Pt]],
-                 n: int, h: int) -> ExactRegion:
-    a_pos, b_pos = kind_sets
-    ex_rings = []
-    nonlattice: set[Pt] = set()
+def _tag_rings(rings: Iterable[Ring]) -> tuple[tuple[ExactVertex, ...], ...]:
+    out = []
     for ring in rings:
         m = len(ring.pts)
-        occ = []
-        for i, v in enumerate(ring.pts):
-            prev = ring.pts[i - 1]
-            nxt = ring.pts[(i + 1) % m]
-            conv = vertex_convexity(prev, v, nxt)
-            if v in a_pos:
-                kind = ORIGINAL_A
-            elif v in b_pos:
-                kind = ORIGINAL_B
-            else:
-                kind = CROSSING
-            occ.append(ExactVertex(v, kind, conv))
-            if not v.is_lattice:
-                nonlattice.add(v)
-        ex_rings.append(tuple(occ))
-    stats = OverlayStats(n=n, k=len(nonlattice), h=h)
-    return ExactRegion(tuple(ex_rings), stats)
+        out.append(tuple(
+            ExactVertex(v, vertex_convexity(ring.pts[i - 1], v,
+                                            ring.pts[(i + 1) % m]))
+            for i, v in enumerate(ring.pts)))
+    return tuple(out)
 
 
 def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
@@ -405,31 +380,22 @@ def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
 
 
 def complement_exact(x: ExactRegion, box: UniverseBox) -> ExactRegion:
-    """Complement of an exact result inside the box, provenance preserved.
+    """Complement of an exact result inside the box, stats preserved.
 
     The intermediate may legitimately fill the box up to its boundary, so
     no margin is required here (unlike operand complements).
     """
     comp = complement_in_universe(x.region, box, margin=0)
-    kind_map = {v.pos: v.kind for ring in x.rings for v in ring}
-    box_pts = set(box.ring().pts)
-    ex_rings = []
-    for ring in comp.rings:
-        m = len(ring.pts)
-        occ = []
-        for i, v in enumerate(ring.pts):
-            prev = ring.pts[i - 1]
-            nxt = ring.pts[(i + 1) % m]
-            conv = vertex_convexity(prev, v, nxt)
-            kind = kind_map.get(v, ORIGINAL_A if v in box_pts else CROSSING)
-            occ.append(ExactVertex(v, kind, conv))
-        ex_rings.append(tuple(occ))
-    return ExactRegion(tuple(ex_rings), x.stats)
+    return ExactRegion(_tag_rings(comp.rings), x.stats)
 
 
-def exact_boolean(a: Region, b: Region, op: str,
+def exact_overlay(a: Region, b: Region, op: str,
                   box: UniverseBox) -> ExactRegion:
-    """Any of the three set operations via De Morgan reductions."""
+    """The one exact intersection every result of `op` is derived from.
+
+    De Morgan reductions inside the box: intersection overlays A * B,
+    difference A * Bc, and union Ac * Bc, whose complement is A + B.
+    """
     if op not in OPS:
         raise ValueError(f"op must be one of {OPS}")
     for name, r in (("A", a), ("B", b)):
@@ -438,12 +404,17 @@ def exact_boolean(a: Region, b: Region, op: str,
     if op == "intersection":
         return exact_intersection(a, b)
     if op == "difference":
-        bc = complement_in_universe(b, box)
-        return exact_intersection(a, bc)
-    ac = complement_in_universe(a, box)
-    bc = complement_in_universe(b, box)
-    inter = exact_intersection(ac, bc)
-    result = complement_exact(inter, box)
+        return exact_intersection(a, complement_in_universe(b, box))
+    return exact_intersection(complement_in_universe(a, box),
+                              complement_in_universe(b, box))
+
+
+def exact_from_overlay(overlay: ExactRegion, op: str,
+                       box: UniverseBox) -> ExactRegion:
+    """The exact result of `op` from its `exact_overlay`."""
+    if op != "union":
+        return overlay
+    result = complement_exact(overlay, box)
     bx0, by0 = box.min
     bx1, by1 = box.max
     for ring in result.region.rings:
@@ -452,3 +423,9 @@ def exact_boolean(a: Region, b: Region, op: str,
                 raise InternalInvariantError(
                     "union result touches the universe box")
     return result
+
+
+def exact_boolean(a: Region, b: Region, op: str,
+                  box: UniverseBox) -> ExactRegion:
+    """Any of the three set operations via De Morgan reductions."""
+    return exact_from_overlay(exact_overlay(a, b, op, box), op, box)

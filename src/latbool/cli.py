@@ -13,14 +13,21 @@ from typing import NamedTuple, Optional
 
 import click
 
-from .arrangement import CONVEX, REFLEX, ExactRegion, exact_intersection
+from .arrangement import (
+    CONVEX,
+    REFLEX,
+    ExactRegion,
+    exact_from_overlay,
+    exact_intersection,  # noqa: F401  perfbench's tracer test reads it here
+    vertex_convexity,
+)
 from .exact_core import (
+    INTERIOR,
     PreconditionError,
     Region,
-    complement_in_universe,
+    point_in_region,
+    region_interior_sample,
     region_ok,
-    universe_for,
-    validate_region,
 )
 from .lpr import LprError, parse_region, write_region
 from .oracle import (
@@ -30,7 +37,12 @@ from .oracle import (
     intersecting_pairs,
 )
 from .rounding import pixel_set
-from .setops import InternalInvariantError, OpRequest, apply, sandwich
+from .setops import (
+    InternalInvariantError,
+    _apply_in_box,
+    _operand_overlay,
+    _sandwich,
+)
 from .svg import render_svg
 
 OP_ALIASES = {"intersect": "intersection", "union": "union",
@@ -53,21 +65,24 @@ def run_property_checklist(a: Region, b: Region, op: str,
     result for the given mode before checking (negative testing support).
     """
     results: list[PropertyResult] = []
-    inner, exact, outer = sandwich(a, b, op)
+    # _sandwich raises unless inner <= exact <= outer, so only a side that
+    # `against` replaces needs its inclusion checked again
+    inner, exact, outer, overlay = _sandwich(a, b, op)
+    exact_r = exact.region
+    w_inner = w_outer = None
     if against is not None:
         if against_mode == "inner":
             inner = against
+            w_inner = check_inclusion(inner, exact_r)
         else:
             outer = against
-    exact_r = exact.region
+            w_outer = check_inclusion(exact_r, outer)
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         results.append(PropertyResult(name, passed, detail))
 
-    w = check_inclusion(inner, exact_r)
-    add("inclusion inner<=exact", w is None, _wtxt(w))
-    w = check_inclusion(exact_r, outer)
-    add("inclusion exact<=outer", w is None, _wtxt(w))
+    add("inclusion inner<=exact", w_inner is None, _wtxt(w_inner))
+    add("inclusion exact<=outer", w_outer is None, _wtxt(w_outer))
 
     try:
         w = check_hausdorff(inner, exact_r, Fraction(1, 8), mode="inner",
@@ -88,7 +103,7 @@ def run_property_checklist(a: Region, b: Region, op: str,
         add(f"lattice vertices {name}", lattice)
         add(f"validate_region {name}", region_ok(rounded))
 
-    _vertex_bound_checks(add, a, b, op, exact, inner, outer)
+    _vertex_bound_checks(add, op, overlay, exact, inner, outer)
     _convexity_checks(add, op, exact, inner, outer)
     return results
 
@@ -97,18 +112,17 @@ def _wtxt(w: Optional[Witness]) -> str:
     return "" if w is None else f"{w.kind} at {w.point}: {w.context}"
 
 
-def _vertex_bound_checks(add, a: Region, b: Region, op: str,
+def _vertex_bound_checks(add, op: str, overlay: ExactRegion,
                          exact: ExactRegion, inner: Region,
                          outer: Region) -> None:
+    # k and h are counted on the rounded overlay: the exact result itself,
+    # or for union the complement-side intersection the bounds transfer
+    # through
     n_exact = exact.region.vertex_count()
+    k = len(overlay.non_lattice_positions())
+    pix = pixel_set(overlay)
+    h = intersecting_pairs(overlay.region.edge_list(), pix.edge_list())
     if op == "union":
-        # size bounds transfer through the complement-side intersection
-        box = universe_for([a, b])
-        comp = exact_intersection(complement_in_universe(a, box),
-                                  complement_in_universe(b, box))
-        k = len(comp.non_lattice_positions())
-        pix = pixel_set(comp)
-        h = intersecting_pairs(comp.region.edge_list(), pix.edge_list())
         add("union outer size |U~| <= |U|",
             outer.vertex_count() <= n_exact,
             f"{outer.vertex_count()} vs {n_exact}")
@@ -118,9 +132,6 @@ def _vertex_bound_checks(add, a: Region, b: Region, op: str,
         return
     add("inner size |P_| <= |P|", inner.vertex_count() <= n_exact,
         f"{inner.vertex_count()} vs {n_exact}")
-    k = len(exact.non_lattice_positions())
-    pix = pixel_set(exact)
-    h = intersecting_pairs(exact.region.edge_list(), pix.edge_list())
     if k == 0:
         # identity pipeline: the strict paper bound degenerates
         ok = outer.vertex_count() <= n_exact
@@ -145,7 +156,6 @@ def _convexity_checks(add, op: str, exact: ExactRegion, inner: Region,
         for ring in outer.rings:
             m = len(ring.pts)
             for i, p in enumerate(ring.pts):
-                from .arrangement import vertex_convexity
                 turn = vertex_convexity(ring.pts[i - 1], p,
                                         ring.pts[(i + 1) % m])
                 if turn == CONVEX and p not in exact_convex:
@@ -157,7 +167,6 @@ def _convexity_checks(add, op: str, exact: ExactRegion, inner: Region,
                       if v.convexity == REFLEX and v.pos.is_lattice}
     ok = True
     detail = ""
-    from .arrangement import vertex_convexity
     for ring in inner.rings:
         m = len(ring.pts)
         for i, p in enumerate(ring.pts):
@@ -171,9 +180,6 @@ def _convexity_checks(add, op: str, exact: ExactRegion, inner: Region,
 
 def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
     """A convex component with a nonempty inner image stays convex."""
-    from .arrangement import vertex_convexity
-    from .exact_core import INTERIOR, point_in_region, region_interior_sample
-
     convex_components = []
     for ri, ring in enumerate(exact.rings):
         if any(v.convexity == REFLEX for v in ring):
@@ -229,13 +235,15 @@ def _run_op(op: str, mode: str, file_a: str, file_b: str, out: str) -> None:
     a = _load(file_a)
     b = _load(file_b)
     try:
-        exact = apply(OpRequest(op, "exact", a, b))
-        assert isinstance(exact, ExactRegion)
+        overlay, box = _operand_overlay(a, b, op)
+        exact = exact_from_overlay(overlay, op, box)
         if mode == "exact":
             result_region = exact.region
         else:
-            result = apply(OpRequest(op, mode, a, b))
-            assert isinstance(result, Region)
+            result = _apply_in_box(op, mode, overlay, box)
+            if not isinstance(result, Region):
+                raise InternalInvariantError(
+                    f"{mode} mode returned {type(result).__name__}")
             result_region = result
     except (PreconditionError, LprError) as e:
         click.echo(f"error: {e}", err=True)

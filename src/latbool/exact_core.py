@@ -7,6 +7,7 @@ no float ever enters a predicate.  Closed-set semantics throughout: a point
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -661,8 +662,6 @@ class UniverseBox(NamedTuple):
 
 def universe_for(regions: Iterable[Region], margin: int = 3) -> UniverseBox:
     """Smallest integer box covering the operands with the given margin."""
-    import math
-
     xs: list[Scalar] = []
     ys: list[Scalar] = []
     for r in regions:

@@ -35,6 +35,7 @@ from .exact_core import (
     is_visible,
     point_in_region,
     pt,
+    region_interior_sample,
     segment_intersection,
     segments_cross_properly,
     squared_point_distance,
@@ -403,7 +404,6 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
             if point_in_region(m, inner) == INTERIOR:
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
-    from .exact_core import region_interior_sample
     for ri, ring in enumerate(inner.rings):
         if ring.is_degenerate or not ring.is_ccw:
             continue

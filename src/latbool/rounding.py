@@ -13,7 +13,7 @@ then drop extraneous reflex vertices and zero-area debris.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,10 +38,10 @@ from .exact_core import (
     Scalar,
     UniverseBox,
     complement_in_universe,
-    pt,
     segments_cross_properly,
     squared_distance,
     squared_point_distance,
+    trace_cycles,
 )
 
 
@@ -51,7 +51,6 @@ class RoundingReport:
 
     dropped_components: int = 0
     removed_reflex: int = 0
-    notes: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +298,6 @@ def _slit_covered(a: Pt, b: Pt, cells: set[tuple[int, int]]) -> bool:
 def _unit_cell_union_rings(cells: set[tuple[int, int]]) -> list[Ring]:
     if not cells:
         return []
-    from .exact_core import trace_cycles
-
     directed: list[tuple[Pt, Pt]] = []
     for (cx, cy) in cells:
         if (cx, cy - 1) not in cells:

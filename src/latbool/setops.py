@@ -1,15 +1,19 @@
 """Public surface: the six rounded operations and their exact counterparts.
 
-De Morgan reductions (all inside an automatically derived universe box):
+Every operation builds one exact overlay, `arrangement.exact_overlay`, which
+holds the De Morgan reduction inside an automatically derived universe box:
 
-    exact:  A*B direct, A+B = (Ac * Bc)^c, A-B = A * Bc
-    inner intersection / difference: inner-round the exact result
-    outer intersection / difference: outer-round the exact result
+    intersection: A * B      difference: A * Bc      union: Ac * Bc
+
+where `*` is exact intersection and `c` complement in the universe.  All
+three modes are derived from that one overlay:
+
+    exact: the overlay itself; for union its complement
+    inner / outer intersection and difference: inner-/outer-round it
     outer union: (inner-round(Ac * Bc))^c
     inner union: (outer-round(Ac * Bc))^c
 
-where `*` is exact intersection and `c` complement in the universe.  The
-rounded-union reductions cannot be replaced by rounding the union itself:
+The rounded-union reductions cannot be replaced by rounding the union itself:
 a union's non-representable vertices are reflex, and only the complement
 side presents them as convex crossings to the rounding pipelines.
 """
@@ -21,8 +25,9 @@ from typing import Optional, Union
 
 from .arrangement import (
     ExactRegion,
-    exact_boolean,
-    exact_intersection,
+    exact_from_overlay,
+    exact_intersection,  # noqa: F401  perfbench's tracer test reads it here
+    exact_overlay,
 )
 from .exact_core import (
     InternalInvariantError,
@@ -59,49 +64,53 @@ def apply(req: OpRequest,
           report: Optional[RoundingReport] = None
           ) -> Union[Region, ExactRegion]:
     """Run one operation in one mode; rounded modes return lattice regions."""
-    for name, r in (("A", req.a), ("B", req.b)):
-        if not region_ok(r):
-            raise PreconditionError(
-                f"operand {name} invalid: {validate_region(r)}")
-    box = universe_for([req.a, req.b])
-    return _apply_in_box(req.op, req.mode, req.a, req.b, box, report)
+    overlay, box = _operand_overlay(req.a, req.b, req.op)
+    return _apply_in_box(req.op, req.mode, overlay, box, report)
 
 
-def _apply_in_box(op: str, mode: str, a: Region, b: Region,
-                  box: UniverseBox,
-                  report: Optional[RoundingReport] = None
-                  ) -> Union[Region, ExactRegion]:
-    if mode == "exact":
-        return exact_boolean(a, b, op, box)
-    if op == "union":
-        ac = complement_in_universe(a, box)
-        bc = complement_in_universe(b, box)
-        inter = exact_intersection(ac, bc)
-        if mode == "outer":
-            rounded = inner_round(inter, report)
-        else:
-            rounded = outer_round(inter, box, report)
-        return complement_in_universe(rounded, box, margin=0)
-    if op == "difference":
-        exact = exact_intersection(a, complement_in_universe(b, box))
-    else:
-        exact = exact_intersection(a, b)
-    if mode == "inner":
-        return inner_round(exact, report)
-    return outer_round(exact, box, report)
-
-
-def sandwich(a: Region, b: Region, op: str
-             ) -> tuple[Region, ExactRegion, Region]:
-    """(inner, exact, outer) with the inclusion chain verified before return."""
+def _operand_overlay(a: Region, b: Region, op: str
+                     ) -> tuple[ExactRegion, UniverseBox]:
+    """Validated operands -> (the exact overlay of `op`, its universe)."""
     for name, r in (("A", a), ("B", b)):
         if not region_ok(r):
             raise PreconditionError(
                 f"operand {name} invalid: {validate_region(r)}")
     box = universe_for([a, b])
-    exact = _apply_in_box(op, "exact", a, b, box)
-    inner = _apply_in_box(op, "inner", a, b, box)
-    outer = _apply_in_box(op, "outer", a, b, box)
+    return exact_overlay(a, b, op, box), box
+
+
+def _apply_in_box(op: str, mode: str, overlay: ExactRegion,
+                  box: UniverseBox,
+                  report: Optional[RoundingReport] = None
+                  ) -> Union[Region, ExactRegion]:
+    """One mode of `op`, derived from its overlay."""
+    if mode == "exact":
+        return exact_from_overlay(overlay, op, box)
+    if op == "union":
+        # the overlay is the complement side: its rounding modes swap
+        if mode == "outer":
+            rounded = inner_round(overlay, report)
+        else:
+            rounded = outer_round(overlay, box, report)
+        return complement_in_universe(rounded, box, margin=0)
+    if mode == "inner":
+        return inner_round(overlay, report)
+    return outer_round(overlay, box, report)
+
+
+def sandwich(a: Region, b: Region, op: str
+             ) -> tuple[Region, ExactRegion, Region]:
+    """(inner, exact, outer) with the inclusion chain verified before return."""
+    return _sandwich(a, b, op)[:3]
+
+
+def _sandwich(a: Region, b: Region, op: str
+              ) -> tuple[Region, ExactRegion, Region, ExactRegion]:
+    """`sandwich` plus the overlay all three results were derived from."""
+    overlay, box = _operand_overlay(a, b, op)
+    exact = _apply_in_box(op, "exact", overlay, box)
+    inner = _apply_in_box(op, "inner", overlay, box)
+    outer = _apply_in_box(op, "outer", overlay, box)
     if not (isinstance(exact, ExactRegion) and isinstance(inner, Region)
             and isinstance(outer, Region)):
         raise InternalInvariantError("sandwich modes returned wrong types")
@@ -111,4 +120,4 @@ def sandwich(a: Region, b: Region, op: str
     w = check_inclusion(exact.region, outer)
     if w is not None:
         raise InternalInvariantError(f"exact not included in outer: {w}")
-    return inner, exact, outer
+    return inner, exact, outer, overlay

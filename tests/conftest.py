@@ -1,13 +1,42 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from latbool import arrangement
 from latbool.exact_core import Pt, Region, Ring
 from latbool.fixtures import hand_fixture_pairs
 
 
+# the seed of the acceptance corpus (tests/test_acceptance.py)
+CORPUS_SEED = 20050317
+
+
 def square(x0: int, y0: int, x1: int, y1: int) -> Ring:
     return Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
+
+
+def shifted(region: Region, dx: int, dy: int) -> Region:
+    return Region(tuple(Ring(tuple(Pt(p.x + dx, p.y + dy) for p in r.pts))
+                        for r in region.rings))
+
+
+def count_overlays(monkeypatch) -> list[str]:
+    """Count exact_intersection calls at every latbool binding: each call
+    appends the name of the module whose binding its caller looked up
+    ("latbool.arrangement" for the operand-side overlay)."""
+    real = arrangement.exact_intersection
+    calls: list[str] = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latbool") and (
+                vars(module).get("exact_intersection") is real):
+            def counted(*args, _name=name, **kwargs):
+                calls.append(_name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "exact_intersection", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

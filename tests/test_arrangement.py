@@ -5,7 +5,6 @@ import pytest
 
 from latbool.arrangement import (
     CONVEX,
-    CROSSING,
     REFLEX,
     exact_boolean,
     exact_intersection,
@@ -42,8 +41,8 @@ def test_e2_triangles(e2_pair):
     expected = Region((Ring((Pt(0, 0), Pt(5, 0), apex)),)).canonical()
     assert x.region.canonical() == expected
     assert x.stats.k == 1
-    tags = {v.pos: (v.kind, v.convexity) for ring in x.rings for v in ring}
-    assert tags[apex] == (CROSSING, CONVEX)
+    tags = {v.pos: v.convexity for ring in x.rings for v in ring}
+    assert tags[apex] == CONVEX
 
 
 def test_disjoint_empty():

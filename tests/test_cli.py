@@ -3,12 +3,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from latbool import cli
+from latbool import cli, setops
 from latbool.cli import main, run_property_checklist
 from latbool.exact_core import InternalInvariantError, Pt, Region, Ring
 from latbool.lpr import LprError, parse_region, write_region
 
-from conftest import square
+from conftest import count_overlays, square
 
 E2_A = "region\npoly 3 0 0 5 0 0 5\nend\n"
 E2_B = "region\npoly 3 0 0 5 0 5 5\nend\n"
@@ -121,6 +121,18 @@ def test_verify_against_corrupted_fails(tmp_path):
     assert "FAIL inclusion inner<=exact" in result.output
 
 
+def test_verify_against_outer_not_covering_fails(tmp_path):
+    a = _write(tmp_path, "A.lpr", E2_A)
+    b = _write(tmp_path, "B.lpr", E2_B)
+    # a deliberately wrong "outer" result: misses the apex (5/2, 5/2)
+    bad = _write(tmp_path, "bad.lpr", "region\npoly 4 0 0 5 0 5 1 0 1\nend\n")
+    result = CliRunner().invoke(main, ["verify", a, b, "--op", "intersect",
+                                       "--against", bad, "--mode", "outer"])
+    assert result.exit_code == 1
+    assert "FAIL inclusion exact<=outer" in result.output
+    assert "PASS inclusion inner<=exact" in result.output
+
+
 def test_verify_internal_failure_exit_2(tmp_path, monkeypatch):
     _write(tmp_path, "case1.A.lpr", E2_A)
     _write(tmp_path, "case1.B.lpr", E2_B)
@@ -203,6 +215,27 @@ def test_checklist_all_pass_on_e2(e2_pair):
         results = run_property_checklist(a, b, op)
         assert all(r.passed for r in results), [r for r in results
                                                 if not r.passed]
+
+
+def test_checklist_builds_one_operand_overlay(hand_pairs, monkeypatch):
+    overlays = count_overlays(monkeypatch)
+    inclusions = []
+    real = cli.check_inclusion
+
+    def counted(*args, **kwargs):
+        inclusions.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_inclusion", counted)
+    monkeypatch.setattr(setops, "check_inclusion", counted)
+    for name, a, b in hand_pairs[:6]:
+        for op in ("intersection", "union", "difference"):
+            overlays.clear()
+            inclusions.clear()
+            run_property_checklist(a, b, op)
+            assert overlays.count("latbool.arrangement") == 1, (name, op)
+            assert len(overlays) <= 2, (name, op, overlays)
+            assert len(inclusions) == 2, (name, op)
 
 
 def test_seed_env_var(monkeypatch):

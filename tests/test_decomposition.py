@@ -5,7 +5,6 @@ import pytest
 
 from latbool import rounding
 from latbool.arrangement import (
-    ORIGINAL_A,
     ExactRegion,
     ExactVertex,
     OverlayStats,
@@ -28,7 +27,7 @@ from latbool.fixtures import random_pairs
 from latbool.oracle import brute_nvlp, brute_nvlp_region
 from latbool.setops import sandwich
 
-from conftest import square
+from conftest import CORPUS_SEED, shifted, square
 
 
 def _identity_exact(region):
@@ -145,14 +144,6 @@ def test_empty_region_decomposition():
 # visibility lists against the independent per-pair test
 
 
-CORPUS_SEED = 20050317
-
-
-def _shifted(region, dx, dy):
-    return Region(tuple(Ring(tuple(Pt(p.x + dx, p.y + dy) for p in r.pts))
-                        for r in region.rings))
-
-
 def _pipeline_regions(monkeypatch, pairs, dx=0, dy=0):
     """Every region the rounding pipeline decomposes while building the
     sandwiches of the pairs: exact results, complement-side intersections
@@ -168,7 +159,7 @@ def _pipeline_regions(monkeypatch, pairs, dx=0, dy=0):
         m.setattr(rounding, "reflex_vertical_decomposition", spy)
         for _, a, b in pairs:
             for op in ("intersection", "union", "difference"):
-                sandwich(_shifted(a, dx, dy), _shifted(b, dx, dy), op)
+                sandwich(shifted(a, dx, dy), shifted(b, dx, dy), op)
     return seen
 
 
@@ -242,7 +233,7 @@ def test_visibility_through_vertical_edge_on_reflex_line():
     assert _check_visibility_lists(x) > 0
     for dx, dy in ((-37, -101), (10**9 + 7, -10**12)):
         assert _check_visibility_lists(
-            _identity_exact(_shifted(l_holed, dx, dy))) > 0
+            _identity_exact(shifted(l_holed, dx, dy))) > 0
 
 
 def _exact_as_given(region):
@@ -252,9 +243,8 @@ def _exact_as_given(region):
     for ring in region.rings:
         m = len(ring.pts)
         rings.append(tuple(
-            ExactVertex(p, ORIGINAL_A,
-                        vertex_convexity(ring.pts[i - 1], p,
-                                         ring.pts[(i + 1) % m]))
+            ExactVertex(p, vertex_convexity(ring.pts[i - 1], p,
+                                            ring.pts[(i + 1) % m]))
             for i, p in enumerate(ring.pts)))
     return ExactRegion(tuple(rings), OverlayStats(0, 0, 0))
 
@@ -266,7 +256,7 @@ def test_visibility_blocked_by_crack_and_owned_by_one_side():
         Pt(0, 0), Pt(6, 0), Pt(6, 2), Pt(8, 2), Pt(8, 0), Pt(10, 0),
         Pt(10, 5), Pt(4, 5), Pt(10, 5), Pt(10, 10), Pt(0, 10))),))
     for dx, dy in ((0, 0), (-37, -101), (10**9 + 7, -10**12)):
-        x = _exact_as_given(_shifted(cracked, dx, dy))
+        x = _exact_as_given(shifted(cracked, dx, dy))
         d = reflex_vertical_decomposition(x)
         notch = Pt(6 + dx, 2 + dy)
         top = (Pt(10 + dx, 10 + dy), Pt(dx, 10 + dy))

@@ -13,11 +13,13 @@ from latbool.exact_core import (
     pt,
     universe_for,
 )
+from latbool.fixtures import random_pairs
+from latbool.lpr import write_region
 from latbool.oracle import check_inclusion
 from latbool.rounding import inner_round
 from latbool.setops import OpRequest, apply, sandwich
 
-from conftest import square
+from conftest import CORPUS_SEED, count_overlays, shifted, square
 
 
 def test_apply_inner_intersection_trivial():
@@ -103,6 +105,40 @@ def test_all_lattice_results_equal_across_modes(hand_pairs):
             assert outer.canonical() == exact.region.canonical(), (name, op)
 
 
+def test_sandwich_equals_separate_applies(hand_pairs):
+    pairs = hand_pairs[::3] + random_pairs(12, seed=CORPUS_SEED)[::2]
+    for name, a, b in pairs:
+        for op in ("intersection", "union", "difference"):
+            inner, exact, outer = sandwich(a, b, op)
+            assert exact == apply(OpRequest(op, "exact", a, b)), (name, op)
+            assert inner == apply(OpRequest(op, "inner", a, b)), (name, op)
+            assert outer == apply(OpRequest(op, "outer", a, b)), (name, op)
+
+
+def test_operand_swap(hand_pairs):
+    name, a, b = hand_pairs[0]
+    far = (f"{name}-far", shifted(a, 10**9 + 7, -10**12),
+           shifted(b, 10**9 + 7, -10**12))
+    pairs = hand_pairs + random_pairs(16, seed=CORPUS_SEED) + [far]
+    for name, a, b in pairs:
+        for op in ("intersection", "union"):
+            i1, x1, o1 = sandwich(a, b, op)
+            i2, x2, o2 = sandwich(b, a, op)
+            assert x1 == x2, (name, op)
+            for r1, r2 in ((i1, i2), (x1.region, x2.region), (o1, o2)):
+                assert write_region(r1) == write_region(r2), (name, op)
+
+
+def test_sandwich_builds_one_operand_overlay(hand_pairs, monkeypatch):
+    calls = count_overlays(monkeypatch)
+    for name, a, b in hand_pairs:
+        for op in ("intersection", "union", "difference"):
+            calls.clear()
+            sandwich(a, b, op)
+            assert calls.count("latbool.arrangement") == 1, (name, op, calls)
+            assert len(calls) <= 2, (name, op, calls)
+
+
 def test_bad_request_rejected():
     a = Region((square(0, 0, 1, 1),))
     with pytest.raises(ValueError):
@@ -123,8 +159,8 @@ def test_sandwich_rejects_wrong_result_types(monkeypatch):
     a = Region((square(0, 0, 4, 4),))
     real = setops._apply_in_box
 
-    def exact_as_plain_region(op, mode, *args):
-        out = real(op, mode, *args)
+    def exact_as_plain_region(op, mode, overlay, box):
+        out = real(op, mode, overlay, box)
         return out.region if mode == "exact" else out
 
     monkeypatch.setattr(setops, "_apply_in_box", exact_as_plain_region)
