@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exact_core import (
+    EXTERIOR,
     InternalInvariantError,
     MarginError,
     hit_points,
@@ -33,10 +34,12 @@ from .exact_core import (
     Scalar,
     UniverseBox,
     complement_in_universe,
-    cross,
+    point_in_region,
     pt,
     region_ok,
+    segment_at,
     segment_intersection,
+    segment_param,
     segments_cross_properly,
     validate_region,
 )
@@ -174,18 +177,12 @@ def _atomize(edges: Sequence[_InputEdge],
             cuts[j].add(h)
     buckets: dict[tuple[Pt, Pt], bool] = {}
     for e, cut in zip(edges, cuts):
-        pts_sorted = sorted(cut, key=lambda p: _edge_param(e.a, e.b, p))
+        pts_sorted = sorted(cut, key=lambda p: segment_param(e.a, e.b, p))
         for p, q in zip(pts_sorted, pts_sorted[1:]):
             key = (p, q) if p < q else (q, p)
             prev = buckets.get(key)
             buckets[key] = e.slit if prev is None else (prev and e.slit)
     return [_Atomic(k[0], k[1], slit) for k, slit in sorted(buckets.items())]
-
-
-def _edge_param(a: Pt, b: Pt, p: Pt) -> Fraction:
-    if b.x != a.x:
-        return Fraction(p.x - a.x, b.x - a.x)
-    return Fraction(p.y - a.y, b.y - a.y)
 
 
 # ---------------------------------------------------------------------------
@@ -198,52 +195,18 @@ class _SegIndex:
     def __init__(self, segs: Sequence[tuple[Pt, Pt]]):
         self.segs = list(segs)
         if self.segs:
-            self.xlo = np.array([math.floor(min(a.x, b.x)) for a, b in segs])
-            self.xhi = np.array([math.ceil(max(a.x, b.x)) for a, b in segs])
-            self.ylo = np.array([math.floor(min(a.y, b.y)) for a, b in segs])
-            self.yhi = np.array([math.ceil(max(a.y, b.y)) for a, b in segs])
+            self.lo = [np.array([math.floor(min(a[k], b[k])) for a, b in segs])
+                       for k in (0, 1)]
+            self.hi = [np.array([math.ceil(max(a[k], b[k])) for a, b in segs])
+                       for k in (0, 1)]
 
-    def covering_x(self, x: Scalar) -> list[int]:
+    def covering(self, v: Scalar, axis: int) -> list[int]:
+        """Segments whose bbox may meet the line p[axis] == v."""
         if not self.segs:
             return []
-        fx = math.floor(x)
-        cx = math.ceil(x)
-        mask = (self.xlo <= cx) & (self.xhi >= fx)
+        mask = ((self.lo[axis] <= math.ceil(v))
+                & (self.hi[axis] >= math.floor(v)))
         return np.nonzero(mask)[0].tolist()
-
-    def covering_y(self, y: Scalar) -> list[int]:
-        if not self.segs:
-            return []
-        fy = math.floor(y)
-        cy = math.ceil(y)
-        mask = (self.ylo <= cy) & (self.yhi >= fy)
-        return np.nonzero(mask)[0].tolist()
-
-
-class _MemberTester:
-    """Exact point classification against one operand with bbox prescreens."""
-
-    def __init__(self, region: Region):
-        self.edges = [(a, b) for a, b in region.edges() if a != b]
-        self.index = _SegIndex(self.edges)
-
-    def contains(self, q: Pt) -> bool:
-        inside = False
-        for i in self.index.covering_y(q.y):
-            a, b = self.edges[i]
-            if a.y <= q.y < b.y:
-                if cross(a, b, q) > 0:
-                    inside = not inside
-            elif b.y <= q.y < a.y:
-                if cross(b, a, q) > 0:
-                    inside = not inside
-            elif a.y == q.y == b.y:
-                if min(a.x, b.x) <= q.x <= max(a.x, b.x):
-                    return True  # on a horizontal edge: closed membership
-            if cross(a, b, q) == 0 and (min(a.x, b.x) <= q.x <= max(a.x, b.x)
-                                        and min(a.y, b.y) <= q.y <= max(a.y, b.y)):
-                return True  # on boundary counts as inside (closed)
-        return inside
 
 
 class _FaceSampler:
@@ -263,54 +226,26 @@ class _FaceSampler:
         a, b = e.a, e.b
         m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
         if a.x != b.x:
-            up = self._shoot_vertical(m, +1)
-            down = self._shoot_vertical(m, -1)
+            up = self._shoot(m, 0, +1)
+            down = self._shoot(m, 0, -1)
             return (up, down) if b.x > a.x else (down, up)
-        left = self._shoot_horizontal(m, -1)
-        right = self._shoot_horizontal(m, +1)
+        left = self._shoot(m, 1, -1)
+        right = self._shoot(m, 1, +1)
         return (left, right) if b.y > a.y else (right, left)
 
-    def _shoot_vertical(self, m: Pt, sign: int) -> Pt:
+    def _shoot(self, m: Pt, axis: int, sign: int) -> Pt:
+        """Half way from m to the first piece along the line p[axis] ==
+        m[axis], in direction `sign` (one unit when nothing is hit)."""
+        u = 1 - axis
         best: Optional[Scalar] = None
-        for i in self.index.covering_x(m.x):
-            sa, sb = self.atomics[i].a, self.atomics[i].b
-            for y in _seg_at_x(sa, sb, m.x):
-                if sign * (y - m.y) > 0 and (best is None
-                                             or sign * (y - best) < 0):
-                    best = y
-        if best is None:
-            return pt(m.x, m.y + sign)
-        return pt(m.x, Fraction(m.y + best, 2))
-
-    def _shoot_horizontal(self, m: Pt, sign: int) -> Pt:
-        best: Optional[Scalar] = None
-        for i in self.index.covering_y(m.y):
-            sa, sb = self.atomics[i].a, self.atomics[i].b
-            for x in _seg_at_y(sa, sb, m.y):
-                if sign * (x - m.x) > 0 and (best is None
-                                             or sign * (x - best) < 0):
-                    best = x
-        if best is None:
-            return pt(m.x + sign, m.y)
-        return pt(Fraction(m.x + best, 2), m.y)
-
-
-def _seg_at_x(a: Pt, b: Pt, x: Scalar) -> list[Scalar]:
-    if a.x == b.x:
-        return [a.y, b.y] if a.x == x else []
-    lo, hi = (a, b) if a.x < b.x else (b, a)
-    if not (lo.x <= x <= hi.x):
-        return []
-    return [lo.y + Fraction(x - lo.x, hi.x - lo.x) * (hi.y - lo.y)]
-
-
-def _seg_at_y(a: Pt, b: Pt, y: Scalar) -> list[Scalar]:
-    if a.y == b.y:
-        return [a.x, b.x] if a.y == y else []
-    lo, hi = (a, b) if a.y < b.y else (b, a)
-    if not (lo.y <= y <= hi.y):
-        return []
-    return [lo.x + Fraction(y - lo.y, hi.y - lo.y) * (hi.x - lo.x)]
+        for i in self.index.covering(m[axis], axis):
+            e = self.atomics[i]
+            for v in segment_at(e.a, e.b, m[axis], axis):
+                if sign * (v - m[u]) > 0 and (best is None
+                                              or sign * (v - best) < 0):
+                    best = v
+        end = m[u] + sign if best is None else Fraction(m[u] + best, 2)
+        return pt(m.x, end) if axis == 0 else pt(end, m.y)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +264,16 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
                 h += 1
     atomics = _atomize(edges, hits)
     sampler = _FaceSampler(atomics)
-    ta = _MemberTester(a)
-    tb = _MemberTester(b)
+
+    def inside(q: Pt) -> bool:
+        return (point_in_region(q, a) != EXTERIOR
+                and point_in_region(q, b) != EXTERIOR)
 
     directed: list[tuple[Pt, Pt]] = []
     for e in atomics:
         left_pt, right_pt = sampler.side_samples(e)
-        in_l = ta.contains(left_pt) and tb.contains(left_pt)
-        in_r = ta.contains(right_pt) and tb.contains(right_pt)
+        in_l = inside(left_pt)
+        in_r = inside(right_pt)
         if in_l != in_r:
             directed.append((e.a, e.b) if in_l else (e.b, e.a))
         elif in_l and e.slit_only:
@@ -370,12 +307,16 @@ def _tag_rings(rings: Iterable[Ring]) -> tuple[tuple[ExactVertex, ...], ...]:
     return tuple(out)
 
 
+def _require_valid(**operands: Region) -> None:
+    for name, r in operands.items():
+        if not region_ok(r):
+            raise PreconditionError(
+                f"operand {name} is not a valid region: {validate_region(r)}")
+
+
 def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
     if check:
-        for name, r in (("A", a), ("B", b)):
-            if not region_ok(r):
-                raise PreconditionError(
-                    f"operand {name} is not a valid region: {validate_region(r)}")
+        _require_valid(A=a, B=b)
     return overlay_intersection(a, b)
 
 
@@ -395,18 +336,24 @@ def exact_overlay(a: Region, b: Region, op: str,
 
     De Morgan reductions inside the box: intersection overlays A * B,
     difference A * Bc, and union Ac * Bc, whose complement is A + B.
+    Each operand and each complement taken is validated once.
     """
     if op not in OPS:
         raise ValueError(f"op must be one of {OPS}")
+    _require_valid(A=a, B=b)
     for name, r in (("A", a), ("B", b)):
         if not box.contains_with_margin(r):
             raise MarginError(f"operand {name} violates the universe margin")
     if op == "intersection":
-        return exact_intersection(a, b)
+        return exact_intersection(a, b, check=False)
     if op == "difference":
-        return exact_intersection(a, complement_in_universe(b, box))
-    return exact_intersection(complement_in_universe(a, box),
-                              complement_in_universe(b, box))
+        bc = complement_in_universe(b, box)
+        _require_valid(Bc=bc)
+        return exact_intersection(a, bc, check=False)
+    ac = complement_in_universe(a, box)
+    bc = complement_in_universe(b, box)
+    _require_valid(Ac=ac, Bc=bc)
+    return exact_intersection(ac, bc, check=False)
 
 
 def exact_from_overlay(overlay: ExactRegion, op: str,

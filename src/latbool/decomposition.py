@@ -38,7 +38,10 @@ from .exact_core import (
     Scalar,
     boundary_gap_midpoints,
     point_in_region,
+    point_on_segment,
     pt,
+    segment_at,
+    segment_param,
     segments_cross_properly,
 )
 
@@ -305,8 +308,10 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
             lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
             near = wall_pts[bisect_left(wall_xs, lo_x):
                             bisect_right(wall_xs, hi_x)]
-            cuts = [p for p in near if _on_open_segment(p, a, b)]
-            chain = [a] + sorted(cuts, key=lambda p: _param(a, b, p)) + [b]
+            cuts = [p for p in near
+                    if p != a and p != b and point_on_segment(p, a, b)]
+            cuts.sort(key=lambda p: segment_param(a, b, p))
+            chain = [a] + cuts + [b]
             first_piece[(a, b)] = (chain[0], chain[1])
             for u, v in zip(chain, chain[1:]):
                 directed.append((u, v))
@@ -334,20 +339,6 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
     edge_cell = {edge: piece_cell[piece]
                  for edge, piece in first_piece.items() if piece in piece_cell}
     return cells, cell_sets, edge_cell
-
-
-def _on_open_segment(p: Pt, a: Pt, b: Pt) -> bool:
-    if (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) != 0:
-        return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-            and p != a and p != b)
-
-
-def _param(a: Pt, b: Pt, p: Pt) -> Fraction:
-    if b.x != a.x:
-        return Fraction(p.x - a.x, b.x - a.x)
-    return Fraction(p.y - a.y, b.y - a.y)
 
 
 def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
@@ -379,7 +370,7 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
             if fy is None or a.x == x or b.x == x:
                 continue
             foot_level = line.index[fy]
-            t = Fraction(x - a.x, b.x - a.x)
+            t = segment_param(a, b, Pt(x, fy))
             entries = found[(a, b)]
             for r in column:
                 # side = (b.x - a.x) * (r.y - fy): r left of a->b, or on it
@@ -405,11 +396,10 @@ def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
     a, b = edge
     if a.x == b.x:
         return False
-    if not (min(a.x, b.x) <= r.x <= max(a.x, b.x)):
+    hits = segment_at(a, b, r.x)
+    if not hits:
         return False
-    lo, hi = (a, b) if a.x < b.x else (b, a)
-    fy = lo.y + Fraction(r.x - lo.x, hi.x - lo.x) * (hi.y - lo.y)
-    foot = pt(r.x, fy)
+    foot = pt(r.x, hits[0])
     if foot == r:
         return True
     seg = (r, foot)

@@ -123,27 +123,17 @@ def segment_intersection(
             return lo
         return (lo, hi)
 
-    if o1 != o2 and o3 != o4:
-        # includes proper crossings and endpoint-on-interior touches
-        if o1 == 0 and _on_collinear_segment(a, b, c):
-            return c
-        if o2 == 0 and _on_collinear_segment(a, b, d):
-            return d
-        if o3 == 0 and _on_collinear_segment(c, d, a):
-            return a
-        if o4 == 0 and _on_collinear_segment(c, d, b):
-            return b
-        if o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-            r = (b.x - a.x, b.y - a.y)
-            sdir = (d.x - c.x, d.y - c.y)
-            den = r[0] * sdir[1] - r[1] * sdir[0]
-            u = ((c.x - a.x) * sdir[1] - (c.y - a.y) * sdir[0])
-            x = a.x + Fraction(u, den) * r[0]
-            y = a.y + Fraction(u, den) * r[1]
-            return pt(x, y)
-        return None
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        # proper crossing: one point interior to both segments
+        r = (b.x - a.x, b.y - a.y)
+        sdir = (d.x - c.x, d.y - c.y)
+        den = r[0] * sdir[1] - r[1] * sdir[0]
+        u = ((c.x - a.x) * sdir[1] - (c.y - a.y) * sdir[0])
+        x = a.x + Fraction(u, den) * r[0]
+        y = a.y + Fraction(u, den) * r[1]
+        return pt(x, y)
 
-    # touch at an endpoint without sign change on one side
+    # an endpoint of one segment on the other, with or without a sign change
     if o1 == 0 and _on_collinear_segment(a, b, c):
         return c
     if o2 == 0 and _on_collinear_segment(a, b, d):
@@ -201,6 +191,31 @@ def squared_point_distance(p: Pt, q: Pt) -> Scalar:
     return _norm(dx * dx + dy * dy)
 
 
+def segment_at(a: Pt, b: Pt, v: Scalar, axis: int = 0) -> tuple[Scalar, ...]:
+    """Where the closed segment a-b meets the line p[axis] == v.
+
+    With axis 0 the line is x = v and the result holds y-values; with
+    axis 1 it is y = v and the result holds x-values.  A segment lying on
+    the line gives both endpoints, one meeting it gives one value, one
+    missing it gives none.
+    """
+    u = 1 - axis
+    if a[axis] == b[axis]:
+        return (a[u], b[u]) if a[axis] == v else ()
+    lo, hi = (a, b) if a[axis] < b[axis] else (b, a)
+    if not lo[axis] <= v <= hi[axis]:
+        return ()
+    return (_norm(lo[u] + Fraction((v - lo[axis]) * (hi[u] - lo[u]),
+                                   hi[axis] - lo[axis])),)
+
+
+def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
+    """The t with p = a + t (b - a), for p on the line through a-b."""
+    if b.x != a.x:
+        return Fraction(p.x - a.x, b.x - a.x)
+    return Fraction(p.y - a.y, b.y - a.y)
+
+
 # ---------------------------------------------------------------------------
 # rings and regions
 
@@ -234,14 +249,14 @@ class Ring:
 
     @cached_property
     def bbox(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        if not self.pts:
+            raise PreconditionError("an empty ring has no bounding box")
         xs = [p.x for p in self.pts]
         ys = [p.y for p in self.pts]
         return (min(xs), min(ys), max(xs), max(ys))
 
     def edges(self) -> Iterator[tuple[Pt, Pt]]:
-        n = len(self.pts)
-        for i in range(n):
-            yield self.pts[i], self.pts[(i + 1) % n]
+        return zip(self.pts, self.pts[1:] + self.pts[:1])
 
     def reversed_(self) -> "Ring":
         return Ring(tuple(reversed(self.pts)))
@@ -454,15 +469,16 @@ def _ring_encloses(outer: Ring, inner: Ring) -> bool:
     """
     if outer.is_degenerate:
         return False
+    region = Region((outer,))
     for v in inner.pts:
-        c = _point_in_ring(v, outer)
+        c = point_in_region(v, region)
         if c != BOUNDARY:
             return c == INTERIOR
     for a, b in inner.edges():
         if a == b:
             continue
         m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        c = _point_in_ring(m, outer)
+        c = point_in_region(m, region)
         if c != BOUNDARY:
             return c == INTERIOR
     return False
@@ -477,30 +493,6 @@ def _ring_nesting_depth(region: Region, idx: int) -> int:
         if _ring_encloses(other, ring):
             depth += 1
     return depth
-
-
-def _point_in_ring(p: Pt, ring: Ring) -> str:
-    """Closed membership of p w.r.t. the area enclosed by one ring.
-
-    Even-odd crossing parity with the half-open rule; doubled (crack)
-    edges cancel, which is the intended reading for degenerate rings.
-    """
-    for a, b in ring.edges():
-        if a == b:
-            continue
-        if point_on_segment(p, a, b):
-            return BOUNDARY
-    inside = False
-    for a, b in ring.edges():
-        if a == b:
-            continue
-        if a.y <= p.y < b.y:
-            if cross(a, b, p) > 0:
-                inside = not inside
-        elif b.y <= p.y < a.y:
-            if cross(b, a, p) > 0:
-                inside = not inside
-    return INTERIOR if inside else EXTERIOR
 
 
 def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
@@ -518,7 +510,7 @@ def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
         m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
         others = [e for e in all_edges if e != (a, b) and e != (b, a)]
         for side in (1, -1):
-            hits = [y for c, d in others for y in _vertical_line_hits(m.x, c, d)
+            hits = [y for c, d in others for y in segment_at(c, d, m.x)
                     if side * (y - m.y) > 0]
             if hits:
                 yy = min(hits) if side > 0 else max(hits)
@@ -530,40 +522,34 @@ def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
     return None
 
 
-def _vertical_line_hits(x: Scalar, a: Pt, b: Pt) -> list[Scalar]:
-    """y-values where the closed segment a-b meets the vertical line X=x."""
-    if a.x == b.x:
-        if a.x == x:
-            return [a.y, b.y]
-        return []
-    lo, hi = (a, b) if a.x < b.x else (b, a)
-    if not (lo.x <= x <= hi.x):
-        return []
-    t = Fraction(x - lo.x, hi.x - lo.x)
-    return [_norm(lo.y + t * (hi.y - lo.y))]
-
-
 def point_in_region(p: Pt, region: Region) -> str:
     """Exact closed-set classification of p against a region.
 
-    Even-odd parity over all ring edges; valid nested regions make this
-    equivalent to the winding rule (the oracle cross-checks that).
+    One pass over the edges: an edge whose closed y-range misses p.y is
+    skipped before any multiplication, a horizontal edge at p.y is an
+    interval test, and every other edge gets one cross product that decides
+    both whether p is on it and whether the rightward ray from p crosses it
+    (half-open rule lo.y <= p.y < hi.y).  Even-odd parity; valid nested
+    regions make this equivalent to the winding rule (the oracle
+    cross-checks that).  Doubled (crack) edges cancel, which is the
+    intended reading for degenerate rings.
     """
-    for a, b in region.edges():
-        if a == b:
-            continue
-        if point_on_segment(p, a, b):
-            return BOUNDARY
+    px, py = p
     inside = False
-    for a, b in region.edges():
-        if a == b:
+    for (ax, ay), (bx, by) in region.edges():
+        if ay > by:
+            ax, ay, bx, by = bx, by, ax, ay
+        if not ay <= py <= by:
             continue
-        if a.y <= p.y < b.y:
-            if cross(a, b, p) > 0:
-                inside = not inside
-        elif b.y <= p.y < a.y:
-            if cross(b, a, p) > 0:
-                inside = not inside
+        if ay == by:
+            if ax != bx and min(ax, bx) <= px <= max(ax, bx):
+                return BOUNDARY
+            continue
+        c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if c == 0:
+            return BOUNDARY
+        if c > 0 and py < by:
+            inside = not inside
     return INTERIOR if inside else EXTERIOR
 
 
@@ -619,16 +605,10 @@ def _segment_events(p: Pt, q: Pt, region: Region) -> list[Fraction]:
         if hit is None:
             continue
         for h in hit_points(hit):
-            t = _param_on_segment(p, q, h)
+            t = segment_param(p, q, h)
             if 0 < t < 1:
                 ts.add(t)
     return sorted(ts)
-
-
-def _param_on_segment(p: Pt, q: Pt, h: Pt) -> Fraction:
-    if q.x != p.x:
-        return Fraction(h.x - p.x, q.x - p.x)
-    return Fraction(h.y - p.y, q.y - p.y)
 
 
 def _gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
@@ -687,12 +667,17 @@ def complement_in_universe(region: Region, box: UniverseBox, margin: int = 3) ->
     if not box.contains_with_margin(region, margin):
         raise MarginError(f"region must keep a margin of {margin} inside the box")
     rings = [box.ring()] + [r.reversed_() for r in region.rings]
-    canon = [r.canonical() for r in rings]
-    # cancel exact filled/hole duplicates (zero area between them)
+    return cancel_reversed_pairs(r.canonical() for r in rings)
+
+
+def cancel_reversed_pairs(rings: Iterable[Ring]) -> Region:
+    """The canonical region of `rings` after each ring that repeats an
+    earlier one reversed (a filled/hole pair with zero area between them)
+    cancels it.  Degenerate rings never cancel."""
     out: list[Ring] = []
-    for r in canon:
-        rev = r.reversed_().canonical()
+    for r in rings:
         if not r.is_degenerate:
+            rev = r.reversed_().canonical()
             for i, existing in enumerate(out):
                 if existing.pts == rev.pts:
                     del out[i]

@@ -12,7 +12,7 @@ import random
 from math import gcd
 from typing import Optional
 
-from .exact_core import Pt, Region, Ring, region_ok
+from .exact_core import INTERIOR, Pt, Region, Ring, point_in_region, region_ok
 
 DEFAULT_SEED = 20050317
 
@@ -186,8 +186,6 @@ def _star_ring(pts: list[Pt]) -> Optional[Ring]:
 
 
 def _hole_inside(rng: random.Random, outer: Ring) -> Optional[Ring]:
-    from .exact_core import INTERIOR, _point_in_ring
-
     x0, y0, x1, y1 = outer.bbox
     for _ in range(40):
         hx0 = rng.randint(int(x0) + 1, max(int(x0) + 1, int(x1) - 2))
@@ -197,7 +195,8 @@ def _hole_inside(rng: random.Random, outer: Ring) -> Optional[Ring]:
         if hx1 >= x1 or hy1 >= y1:
             continue
         corners = [Pt(hx0, hy0), Pt(hx1, hy0), Pt(hx1, hy1), Pt(hx0, hy1)]
-        if all(_point_in_ring(c, outer) == INTERIOR for c in corners):
+        if all(point_in_region(c, Region((outer,))) == INTERIOR
+               for c in corners):
             hole = rect(hx0, hy0, hx1, hy1).reversed_()
             probe = Region((outer, hole))
             if region_ok(probe):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -37,7 +36,9 @@ from .exact_core import (
     Ring,
     Scalar,
     UniverseBox,
+    cancel_reversed_pairs,
     complement_in_universe,
+    segment_at,
     segments_cross_properly,
     squared_distance,
     squared_point_distance,
@@ -95,15 +96,7 @@ def _on_cell(p: Pt, cell: ConvexCell) -> bool:
 
 
 def _column_interval(ring: Ring, x: int) -> Optional[tuple[Scalar, Scalar]]:
-    ys: list[Scalar] = []
-    for a, b in ring.edges():
-        if a.x == b.x:
-            if a.x == x:
-                ys.extend((a.y, b.y))
-            continue
-        lo, hi = (a, b) if a.x < b.x else (b, a)
-        if lo.x <= x <= hi.x:
-            ys.append(lo.y + Fraction(x - lo.x, hi.x - lo.x) * (hi.y - lo.y))
+    ys = [y for a, b in ring.edges() for y in segment_at(a, b, x)]
     if not ys:
         return None
     return min(ys), max(ys)
@@ -465,15 +458,5 @@ def _strictly_in_triangle(w: Pt, a: Pt, b: Pt, c: Pt) -> bool:
 
 def remove_zero_area(region: Region) -> Region:
     """Drop rings and ring pairs that enclose no interior."""
-    rings = [r for r in region.rings if not r.is_degenerate]
-    # exact filled/hole duplicates cancel pairwise
-    out: list[Ring] = []
-    for r in rings:
-        rev = r.reversed_().canonical()
-        for i, existing in enumerate(out):
-            if existing.pts == rev.pts:
-                del out[i]
-                break
-        else:
-            out.append(r)
-    return Region(tuple(out)).canonical()
+    return cancel_reversed_pairs(r for r in region.rings
+                                 if not r.is_degenerate)

@@ -31,13 +31,10 @@ from .arrangement import (
 )
 from .exact_core import (
     InternalInvariantError,
-    PreconditionError,
     Region,
     UniverseBox,
     complement_in_universe,
-    region_ok,
     universe_for,
-    validate_region,
 )
 from .oracle import check_inclusion
 from .rounding import RoundingReport, inner_round, outer_round
@@ -70,11 +67,7 @@ def apply(req: OpRequest,
 
 def _operand_overlay(a: Region, b: Region, op: str
                      ) -> tuple[ExactRegion, UniverseBox]:
-    """Validated operands -> (the exact overlay of `op`, its universe)."""
-    for name, r in (("A", a), ("B", b)):
-        if not region_ok(r):
-            raise PreconditionError(
-                f"operand {name} invalid: {validate_region(r)}")
+    """Operands -> (the exact overlay of `op`, its universe)."""
     box = universe_for([a, b])
     return exact_overlay(a, b, op, box), box
 

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
     BOUNDARY,
     COLLINEAR,
@@ -21,14 +24,19 @@ from latbool.exact_core import (
     point_in_region,
     pt,
     region_ok,
+    segment_at,
     segment_intersection,
+    segment_param,
     squared_distance,
     universe_for,
     validate_region,
     winding_number,
 )
+from latbool.fixtures import random_pairs
+from latbool.oracle import RegionKernel
+from latbool.rounding import pixel_set
 
-from conftest import square
+from conftest import CORPUS_SEED, shifted, square
 
 
 def test_orientation_basis():
@@ -62,6 +70,71 @@ def test_segment_intersection_collinear_overlap():
 def test_segment_intersection_endpoint_touch():
     hit = segment_intersection((Pt(0, 0), Pt(2, 0)), (Pt(2, 0), Pt(2, 5)))
     assert hit == Pt(2, 0)
+
+
+def test_segment_intersection_t_junction():
+    # the endpoint (2, 0) lies inside the other segment, whose endpoints
+    # are strictly on opposite sides of the touching one
+    bar, stem = (Pt(0, 0), Pt(4, 0)), (Pt(2, 0), Pt(2, 3))
+    assert segment_intersection(bar, stem) == Pt(2, 0)
+    assert segment_intersection(stem, bar) == Pt(2, 0)
+
+
+def test_segment_intersection_shared_endpoint_without_crossing():
+    # a corner: no endpoint is strictly on either side of the other line
+    # pair, and a near miss on the supporting line is no touch
+    assert segment_intersection((Pt(0, 0), Pt(2, 2)),
+                                (Pt(4, 0), Pt(2, 2))) == Pt(2, 2)
+    assert segment_intersection((Pt(0, 0), Pt(2, 2)),
+                                (Pt(3, 3), Pt(5, 0))) is None
+
+
+def test_segment_intersection_collinear_endpoint():
+    hit = segment_intersection((Pt(0, 0), Pt(2, 1)), (Pt(4, 2), Pt(2, 1)))
+    assert hit == Pt(2, 1)
+    assert segment_intersection((Pt(0, 0), Pt(2, 1)),
+                                (Pt(4, 2), Pt(6, 3))) is None
+
+
+def test_segment_at_vertical_segment():
+    assert segment_at(Pt(2, 5), Pt(2, 1), 2) == (5, 1)
+    assert segment_at(Pt(2, 5), Pt(2, 1), 3) == ()
+
+
+def test_segment_at_endpoint_and_range():
+    a, b = Pt(0, 0), Pt(4, 2)
+    assert segment_at(a, b, 4) == (2,)
+    assert segment_at(b, a, 0) == (0,)
+    assert segment_at(a, b, 5) == ()
+    assert segment_at(a, b, Fraction(-1, 3)) == ()
+
+
+def test_segment_at_rational_line():
+    a, b = Pt(0, 0), Pt(3, 1)
+    assert segment_at(a, b, Fraction(3, 2)) == (Fraction(1, 2),)
+    assert segment_at(a, b, 2) == (Fraction(2, 3),)
+    (y,) = segment_at(a, pt(Fraction(3, 2), Fraction(1, 2)), Fraction(3, 2))
+    assert y == Fraction(1, 2)
+    (y,) = segment_at(Pt(0, 0), Pt(4, 2), 2)
+    assert y == 1 and isinstance(y, int)
+
+
+def test_segment_at_both_axes():
+    a, b = Pt(0, 0), Pt(4, 2)
+    assert segment_at(a, b, 1, axis=1) == (2,)
+    assert segment_at(a, b, Fraction(1, 2), axis=1) == (1,)
+    assert segment_at(a, b, 3, axis=1) == ()
+    assert segment_at(Pt(0, 3), Pt(4, 3), 3, axis=1) == (0, 4)
+    assert segment_at(Pt(0, 3), Pt(4, 3), 2, axis=1) == ()
+    assert segment_at(Pt(0, 3), Pt(4, 3), 1) == (3,)
+
+
+def test_segment_param():
+    assert segment_param(Pt(2, 1), Pt(2, 5), Pt(2, 4)) == Fraction(3, 4)
+    assert segment_param(Pt(2, 5), Pt(2, 1), Pt(2, 4)) == Fraction(1, 4)
+    assert segment_param(Pt(0, 0), Pt(4, 2),
+                         pt(1, Fraction(1, 2))) == Fraction(1, 4)
+    assert segment_param(Pt(0, 0), Pt(4, 2), Pt(8, 4)) == 2
 
 
 def test_point_in_region(unit_square):
@@ -191,3 +264,85 @@ def test_ring_canonical_keeps_reversal_spur():
     assert Pt(6, 2) in r.pts
     assert r.collapse_spurs().pts == Ring(
         (Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4))).canonical().pts
+
+
+# ---------------------------------------------------------------------------
+# point_in_region against the oracle's independent integer kernel
+
+FAR = (10 ** 9 + 7, -10 ** 12)
+
+
+def _probe_points(region: Region) -> tuple[list[Pt], list[Pt]]:
+    """(a 1/4-spaced grid one step beyond the bbox, every vertex and every
+    edge midpoint)."""
+    x0, y0, x1, y1 = region.bbox
+    grid = [pt(Fraction(i, 4), Fraction(j, 4))
+            for i in range(4 * math.floor(x0) - 1, 4 * math.ceil(x1) + 2)
+            for j in range(4 * math.floor(y0) - 1, 4 * math.ceil(y1) + 2)]
+    mids = [pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+            for a, b in region.edges() if a != b]
+    return grid, sorted(region.vertex_positions()) + mids
+
+
+def _membership_regions(hand_pairs) -> list[tuple[str, Region]]:
+    regions = [(f"{name}.{side}", r) for name, a, b in hand_pairs
+               for side, r in (("A", a), ("B", b))]
+    ops = ("intersection", "union", "difference")
+    for i, (name, a, b) in enumerate(random_pairs(16, seed=CORPUS_SEED)):
+        op = ops[i % 3]
+        exact = exact_boolean(a, b, op, universe_for([a, b])).region
+        regions += [(f"{name}.A", a), (f"{name}.B", b),
+                    (f"{name}.{op}", exact)]
+    # outer_round's middle overlay of a difference with a half-lattice
+    # vertex: its slit pixel leaves a doubled crack edge
+    name, a, b = random_pairs(16, seed=CORPUS_SEED)[15]
+    box = universe_for([a, b])
+    exact = exact_boolean(a, b, "difference", box)
+    comp = complement_in_universe(exact.region, box, margin=0)
+    pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
+    middle = exact_intersection(comp, pixels_comp, check=False).region
+    edges = set(middle.edges())
+    assert any((b, a) in edges for a, b in edges), "no crack"
+    regions.append((f"{name}.middle", middle))
+    return regions
+
+
+def _kernel_classes(region: Region, points: list[Pt]) -> list[str]:
+    """The oracle's int64 classification, one batch per denominator."""
+    kern = RegionKernel(region)
+    batches: dict[int, list[int]] = {}
+    for i, q in enumerate(points):
+        d = math.lcm(Fraction(q.x).denominator, Fraction(q.y).denominator)
+        batches.setdefault(d, []).append(i)
+    out = [""] * len(points)
+    for d, idx in batches.items():
+        ax = np.array([int(points[i].x * d) for i in idx], dtype=np.int64)
+        by = np.array([int(points[i].y * d) for i in idx], dtype=np.int64)
+        assert kern._fits(int(max(abs(ax).max(), abs(by).max())), d)
+        ins, onb = kern.classify(ax, by, d)
+        for k, i in enumerate(idx):
+            out[i] = BOUNDARY if onb[k] else INTERIOR if ins[k] else EXTERIOR
+    return out
+
+
+def test_point_in_region_matches_kernel_and_winding(hand_pairs):
+    """Every probe against the kernel; the vertices, the midpoints and the
+    lattice points also against the winding number's parity and after a
+    far translation (where the kernel takes the scalar path)."""
+    for name, region in _membership_regions(hand_pairs):
+        if region.is_empty:
+            continue
+        grid, vertices_and_mids = _probe_points(region)
+        points = grid + vertices_and_mids
+        got = [point_in_region(q, region) for q in points]
+        assert got == _kernel_classes(region, points), name
+        assert set(got) == {INTERIOR, BOUNDARY, EXTERIOR}, name
+        far = shifted(region, *FAR)
+        rest = len(grid)
+        for i, (q, c) in enumerate(zip(points, got)):
+            if i < rest and not q.is_lattice:
+                continue
+            if c != BOUNDARY:
+                assert (winding_number(q, region) % 2 == 1) == (c == INTERIOR)
+            moved = pt(q.x + FAR[0], q.y + FAR[1])
+            assert point_in_region(moved, far) == c, (name, q)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from latbool import exact_core, rounding, setops
+from latbool import arrangement, exact_core, rounding, setops
 from latbool.arrangement import exact_intersection
 from latbool.exact_core import (
     InternalInvariantError,
+    PreconditionError,
     Pt,
     Region,
     Ring,
@@ -137,6 +138,40 @@ def test_sandwich_builds_one_operand_overlay(hand_pairs, monkeypatch):
             sandwich(a, b, op)
             assert calls.count("latbool.arrangement") == 1, (name, op, calls)
             assert len(calls) <= 2, (name, op, calls)
+
+
+def test_each_operand_and_complement_validated_once(hand_pairs, monkeypatch):
+    checked: list[Region] = []
+    real = arrangement.region_ok
+
+    def counted(region):
+        checked.append(region)
+        return real(region)
+
+    monkeypatch.setattr(arrangement, "region_ok", counted)
+    for name, a, b in hand_pairs:
+        box = universe_for([a, b])
+        for op, operands in (
+                ("intersection", [a, b]),
+                ("difference", [a, b, complement_in_universe(b, box)]),
+                ("union", [a, b, complement_in_universe(a, box),
+                           complement_in_universe(b, box)])):
+            checked.clear()
+            sandwich(a, b, op)
+            assert checked == operands, (name, op)
+
+
+def test_invalid_operand_rejected_for_every_op():
+    good = Region((square(0, 0, 4, 4),))
+    bow = Region((Ring((Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2))),))
+    empty_ring = Region((square(0, 0, 4, 4), Ring(())))
+    for bad in (bow, empty_ring):
+        for op in ("intersection", "union", "difference"):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(PreconditionError):
+                    sandwich(a, b, op)
+                with pytest.raises(PreconditionError):
+                    apply(OpRequest(op, "exact", a, b))
 
 
 def test_bad_request_rejected():
