@@ -580,7 +580,7 @@ def is_visible(p: Pt, q: Pt, region: Region) -> bool:
     if p == q:
         return True
     events = _segment_events(p, q, region)
-    for m in _gap_midpoints(p, q, events):
+    for m in gap_midpoints(p, q, events):
         if point_in_region(m, region) == EXTERIOR:
             return False
     return True
@@ -592,14 +592,23 @@ def boundary_gap_midpoints(p: Pt, q: Pt, region: Region) -> list[Pt]:
     Classifying these points classifies the whole open segment: between two
     consecutive boundary events the segment stays on one side.
     """
-    return list(_gap_midpoints(p, q, _segment_events(p, q, region)))
+    return list(gap_midpoints(p, q, _segment_events(p, q, region)))
 
 
 def _segment_events(p: Pt, q: Pt, region: Region) -> list[Fraction]:
-    """Parameters t in (0,1) where pq meets the region boundary."""
+    """Parameters t in (0,1) where pq meets the region boundary.
+
+    An edge whose closed bounding box misses pq's cannot meet pq and is
+    skipped before any exact predicate runs.
+    """
+    xlo, xhi = min(p.x, q.x), max(p.x, q.x)
+    ylo, yhi = min(p.y, q.y), max(p.y, q.y)
     ts: set[Fraction] = set()
     for a, b in region.edges():
         if a == b:
+            continue
+        if ((a.x < xlo and b.x < xlo) or (a.x > xhi and b.x > xhi)
+                or (a.y < ylo and b.y < ylo) or (a.y > yhi and b.y > yhi)):
             continue
         hit = segment_intersection((p, q), (a, b))
         if hit is None:
@@ -611,7 +620,8 @@ def _segment_events(p: Pt, q: Pt, region: Region) -> list[Fraction]:
     return sorted(ts)
 
 
-def _gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
+def gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
+    """Midpoints of the pieces of pq cut at the sorted parameters `events`."""
     ts = [Fraction(0)] + list(events) + [Fraction(1)]
     for t0, t1 in zip(ts, ts[1:]):
         tm = (t0 + t1) / 2

@@ -1,15 +1,18 @@
 """Independent brute-force ground truth.
 
-Everything here is deliberately exhaustive and simple: quadratic scans,
-full lattice enumerations, dense grid sampling.  The pipeline is judged
-against this module, never the other way round.  Exhaustive scans are
-capped at coordinates <= 256; acceptance fixtures respect the cap.
+Everything here is deliberately exhaustive and simple: full lattice
+enumerations, dense grid sampling, per-candidate scans.  The pipeline is
+judged against this module, never the other way round.  Exhaustive scans
+are capped at coordinates <= 256; acceptance fixtures respect the cap.
 
-The only concession to speed is a vectorized integer kernel (numpy int64)
-for mass point classification.  It evaluates the same exact predicates as
-`exact_core` on denominator-cleared integers; a magnitude guard falls back
-to scalar exact arithmetic whenever int64 cannot hold the products, so no
-approximation is ever introduced.
+Two concessions to speed, neither of which approximates anything.  The
+inclusion check finds the inner x outer boundary events in one
+bounding-box sweep instead of testing every edge pair twice; the sweep only
+skips pairs whose boxes miss, and every predicate it runs stays exact.  A
+vectorized integer kernel (numpy int64) does mass point classification.  It
+evaluates the same exact predicates as `exact_core` on denominator-cleared
+integers; a magnitude guard falls back to scalar exact arithmetic whenever
+int64 cannot hold the products.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from .exact_core import (
     Region,
     Ring,
     Scalar,
-    boundary_gap_midpoints,
     cross,
+    gap_midpoints,
     is_visible,
     point_in_region,
     pt,
     region_interior_sample,
     segment_intersection,
+    segment_param,
     segments_cross_properly,
     squared_point_distance,
 )
@@ -386,21 +390,25 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
     boundary and each gap midpoint must not be exterior; symmetrically no
     outer boundary piece may run through the interior of `inner`; finally
     one interior probe per filled inner ring must land inside `outer`.
+    The events of both sides come from one sweep (`_sweep_events`).
     """
-    for a, b in inner.edges():
-        if a == b:
-            continue
+    inner_rows = _edge_rows(inner)
+    outer_rows = _edge_rows(outer)
+    inner_events, outer_events = _sweep_events(inner_rows, outer_rows)
+    inside: set[Pt] = set()
+    for (a, b, *_), events in zip(inner_rows, inner_events):
         for v in (a, b):
+            if v in inside:
+                continue
             if point_in_region(v, outer) == EXTERIOR:
                 return Witness("vertex-outside", v, "inner vertex outside outer")
-        for m in boundary_gap_midpoints(a, b, outer):
+            inside.add(v)
+        for m in gap_midpoints(a, b, events):
             if point_in_region(m, outer) == EXTERIOR:
                 return Witness("edge-outside", m,
                                f"inner edge {a}-{b} leaves outer")
-    for a, b in outer.edges():
-        if a == b:
-            continue
-        for m in boundary_gap_midpoints(a, b, inner):
+    for (a, b, *_), events in zip(outer_rows, outer_events):
+        for m in gap_midpoints(a, b, events):
             if point_in_region(m, inner) == INTERIOR:
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
@@ -412,6 +420,58 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
     return None
+
+
+EdgeRow = tuple[Pt, Pt, Scalar, Scalar, Scalar, Scalar]
+
+
+def _edge_rows(region: Region) -> list[EdgeRow]:
+    """(a, b, xlo, xhi, ylo, yhi) per non-degenerate edge, in edges() order."""
+    return [(a, b, min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
+            for a, b in region.edges() if a != b]
+
+
+def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
+                  ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Sorted parameters in (0, 1) where each edge meets the other side.
+
+    Both edge lists are swept together by low x with one active list per
+    side, as `arrangement.find_segment_intersections` sweeps the overlay's
+    edges: each edge is tested only against the other side's active edges
+    whose closed y-range overlaps its own, and every such pair is
+    intersected once.  A common point of two closed segments lies in both
+    closed bounding boxes, so no event is lost.
+    """
+    rows = (rows_p, rows_q)
+    events: tuple[list[set[Fraction]], ...] = (
+        [set() for _ in rows_p], [set() for _ in rows_q])
+    active: list[list[int]] = [[], []]
+    order = sorted([(r[2], 0, i) for i, r in enumerate(rows_p)]
+                   + [(r[2], 1, i) for i, r in enumerate(rows_q)])
+    for x, side, i in order:
+        ylo, yhi = rows[side][i][4:]
+        other = rows[1 - side]
+        still: list[int] = []
+        for k in active[1 - side]:
+            o = other[k]
+            if o[3] < x:
+                continue
+            still.append(k)
+            if o[4] > yhi or o[5] < ylo:
+                continue
+            ip, iq = (i, k) if side == 0 else (k, i)
+            a, b = rows_p[ip][:2]
+            c, d = rows_q[iq][:2]
+            for h in hit_points(segment_intersection((a, b), (c, d))):
+                t = segment_param(a, b, h)
+                if 0 < t < 1:
+                    events[0][ip].add(t)
+                u = segment_param(c, d, h)
+                if 0 < u < 1:
+                    events[1][iq].add(u)
+        active[1 - side] = still
+        active[side].append(i)
+    return ([sorted(ts) for ts in events[0]], [sorted(ts) for ts in events[1]])
 
 
 # ---------------------------------------------------------------------------

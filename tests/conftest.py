@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from latbool import arrangement
-from latbool.exact_core import Pt, Region, Ring
+from latbool.exact_core import Pt, Region, Ring, Scalar, pt
 from latbool.fixtures import hand_fixture_pairs
 
 
@@ -17,8 +17,8 @@ def square(x0: int, y0: int, x1: int, y1: int) -> Ring:
     return Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
 
 
-def shifted(region: Region, dx: int, dy: int) -> Region:
-    return Region(tuple(Ring(tuple(Pt(p.x + dx, p.y + dy) for p in r.pts))
+def shifted(region: Region, dx: Scalar, dy: Scalar) -> Region:
+    return Region(tuple(Ring(tuple(pt(p.x + dx, p.y + dy) for p in r.pts))
                         for r in region.rings))
 
 

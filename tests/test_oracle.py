@@ -4,21 +4,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latbool.arrangement import exact_intersection
+from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
     EXTERIOR,
+    INTERIOR,
     PreconditionError,
     Pt,
     Region,
     Ring,
+    _segment_events,
+    boundary_gap_midpoints,
     complement_in_universe,
+    hit_points,
     point_in_region,
     pt,
+    region_interior_sample,
+    segment_intersection,
+    segment_param,
     universe_for,
 )
+from latbool.fixtures import random_pairs
 from latbool.oracle import (
     RegionKernel,
     Witness,
+    _edge_rows,
+    _sweep_events,
     brute_boolean,
     brute_nvlp,
     check_hausdorff,
@@ -29,7 +39,12 @@ from latbool.oracle import (
     snap_segment_hits_closure_interior,
 )
 
-from conftest import square
+from latbool.rounding import pixel_set
+from latbool.setops import sandwich
+
+from conftest import CORPUS_SEED, shifted, square
+
+FAR = (10 ** 9 + 7, -10 ** 12)
 
 
 def test_brute_nvlp_examples(e2_pair):
@@ -71,13 +86,25 @@ def test_check_inclusion_disjoint_witness(unit_square):
     other = Region((square(5, 5, 6, 6),))
     w = check_inclusion(unit_square, other)
     assert isinstance(w, Witness)
+    assert w.kind == "vertex-outside" and w.point == Pt(0, 0)
 
 
 def test_check_inclusion_hole_swallow():
     inner = Region((square(0, 0, 6, 6),))
     outer = Region((square(-1, -1, 7, 7), square(2, 2, 3, 3).reversed_()))
     w = check_inclusion(inner, outer)
-    assert w is not None
+    assert w is not None and w.kind == "boundary-swallowed"
+
+
+def test_check_inclusion_component_outside():
+    """A unit square that exactly fills a hole of outer: its boundary lies
+    on outer's, so only the interior probe can see it is outside."""
+    inner = Region((square(2, 2, 3, 3),))
+    outer = Region((square(0, 0, 5, 5), square(2, 2, 3, 3).reversed_()))
+    w = check_inclusion(inner, outer)
+    assert w is not None and w.kind == "component-outside"
+    assert point_in_region(w.point, inner) == INTERIOR
+    assert point_in_region(w.point, outer) == EXTERIOR
 
 
 def test_check_hausdorff_equal_ok(unit_square):
@@ -158,3 +185,134 @@ def test_snap_segment_avoids_closure_interior(e2_pair):
     # a deliberately bad snap that dives through the closure interior
     bad = snap_segment_hits_closure_interior(apex, Pt(1, 0), closure)
     assert bad is not None
+
+
+# ---------------------------------------------------------------------------
+# check_inclusion's sweep against the per-edge double loop
+
+
+def _check_inclusion_reference(inner: Region, outer: Region):
+    """check_inclusion as a per-edge double loop: every inner edge is cut
+    against every outer edge, then every outer edge against every inner
+    edge again."""
+    for a, b in inner.edges():
+        if a == b:
+            continue
+        for v in (a, b):
+            if point_in_region(v, outer) == EXTERIOR:
+                return Witness("vertex-outside", v, "inner vertex outside outer")
+        for m in boundary_gap_midpoints(a, b, outer):
+            if point_in_region(m, outer) == EXTERIOR:
+                return Witness("edge-outside", m,
+                               f"inner edge {a}-{b} leaves outer")
+    for a, b in outer.edges():
+        if a == b:
+            continue
+        for m in boundary_gap_midpoints(a, b, inner):
+            if point_in_region(m, inner) == INTERIOR:
+                return Witness("boundary-swallowed", m,
+                               f"outer edge {a}-{b} runs through inner interior")
+    for ri, ring in enumerate(inner.rings):
+        if ring.is_degenerate or not ring.is_ccw:
+            continue
+        probe = region_interior_sample(inner, ri)
+        if probe is not None and point_in_region(probe, outer) == EXTERIOR:
+            return Witness("component-outside", probe,
+                           "inner component sample outside outer")
+    return None
+
+
+def test_check_inclusion_matches_reference():
+    """Same Witness (kind, point, context) or None on the inclusion pairs
+    of 16 acceptance-corpus sandwich results, swapped, with the inner
+    argument translated, and with one pair moved far from the origin."""
+    ops = ("intersection", "union", "difference")
+    cases = []
+    for i, (name, a, b) in enumerate(random_pairs(16, seed=CORPUS_SEED)):
+        op = ops[i % 3]
+        inner, exact, outer = sandwich(a, b, op)
+        for small, big in ((inner, exact.region), (exact.region, outer)):
+            cases += [(name, small, big), (name, big, small)]
+            cases += [(name, shifted(small, dx, dy), big) for dx, dy in
+                      ((1, 0), (0, -1), (Fraction(1, 2), Fraction(1, 3)))]
+    name, small, big = cases[0]
+    cases.append((f"{name}-far", shifted(small, *FAR), shifted(big, *FAR)))
+    kinds = set()
+    for name, small, big in cases:
+        w = check_inclusion(small, big)
+        assert w == _check_inclusion_reference(small, big), name
+        kinds.add(None if w is None else w.kind)
+    assert {None, "vertex-outside", "edge-outside"} <= kinds
+
+
+def _brute_events(a: Pt, b: Pt, region: Region) -> list[Fraction]:
+    """Every parameter in (0, 1) where a-b meets an edge of the region."""
+    ts = set()
+    for c, d in region.edges():
+        if c != d:
+            for h in hit_points(segment_intersection((a, b), (c, d))):
+                t = segment_param(a, b, h)
+                if 0 < t < 1:
+                    ts.add(t)
+    return sorted(ts)
+
+
+def _assert_sweep_is_brute_force(p: Region, q: Region, name: str) -> None:
+    rows_p, rows_q = _edge_rows(p), _edge_rows(q)
+    events_p, events_q = _sweep_events(rows_p, rows_q)
+    for rows, events, other in ((rows_p, events_p, q), (rows_q, events_q, p)):
+        assert len(events) == len(rows), name
+        for (a, b, *_), got in zip(rows, events):
+            want = _brute_events(a, b, other)
+            assert got == want == _segment_events(a, b, other), (name, a, b)
+
+
+def _crack_middle() -> tuple[Region, Region]:
+    """outer_round's middle overlay of rand-015's difference, whose slit
+    pixel leaves a doubled crack edge, and that difference."""
+    name, a, b = random_pairs(16, seed=CORPUS_SEED)[15]
+    box = universe_for([a, b])
+    exact = exact_boolean(a, b, "difference", box)
+    comp = complement_in_universe(exact.region, box, margin=0)
+    pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
+    middle = exact_intersection(comp, pixels_comp, check=False).region
+    edges = set(middle.edges())
+    assert any((d, c) in edges for c, d in edges), "no crack"
+    return middle, exact.region
+
+
+def test_sweep_events_match_brute_force():
+    tri = Region((Ring((Pt(0, 0), Pt(3, 1), Pt(0, 2))),))
+    cases = {
+        # axis-parallel edges crossing in a plus
+        "vertical-horizontal": (Region((square(0, 0, 4, 4),)),
+                                Region((square(2, -1, 6, 3),))),
+        "plus": (Region((square(0, 2, 6, 3),)), Region((square(2, 0, 3, 6),))),
+        # shared horizontal lines and a shared diagonal
+        "collinear": (Region((square(0, 0, 4, 4),)),
+                      Region((square(2, 0, 6, 4),))),
+        "collinear-diagonal": (
+            Region((Ring((Pt(0, 0), Pt(4, 4), Pt(0, 4))),)),
+            Region((Ring((Pt(2, 2), Pt(6, 2), Pt(6, 6))),))),
+        "same": (Region((square(0, 0, 4, 4),)), Region((square(0, 0, 4, 4),))),
+        # a shared edge, a shared corner, a vertex on an edge
+        "touch": (Region((square(0, 0, 2, 2),)), Region((square(2, 0, 4, 2),))),
+        "corner": (Region((square(0, 0, 2, 2),)),
+                   Region((square(2, 2, 4, 4),))),
+        "t-junction": (Region((square(0, 0, 4, 4),)),
+                       Region((Ring((Pt(2, 4), Pt(3, 6), Pt(1, 6))),))),
+        # many edges starting at x = 0 on both sides
+        "shared-xlo": (Region((square(0, 0, 4, 4), square(0, 5, 2, 7))),
+                       Region((square(0, 1, 3, 3), tri.rings[0]))),
+        "empty": (Region(()), Region((square(0, 0, 1, 1),))),
+    }
+    middle, diff = _crack_middle()
+    cases["crack-vs-exact"] = (middle, diff)
+    cases["crack-vs-crack"] = (middle, middle)
+    for name, a, b in random_pairs(8, seed=CORPUS_SEED):
+        cases[name] = (a, b)
+    for name, (p, q) in cases.items():
+        _assert_sweep_is_brute_force(p, q, name)
+        _assert_sweep_is_brute_force(q, p, f"{name}-swapped")
+    _assert_sweep_is_brute_force(shifted(middle, *FAR), shifted(diff, *FAR),
+                                 "crack-far")
