@@ -1,9 +1,13 @@
 """Exact overlay of two lattice regions.
 
-The implementation splits every input edge at every intersection, samples
-face membership on both sides of each atomic piece and keeps the pieces
-where the result flips.  A plain pair overlay with interval pruning stands
-in for a full event-queue sweep; complexity is a soft goal only.
+The implementation splits every input edge at every intersection and
+classifies each atomic piece from its own edges (Martinez-Rueda-Feito
+2009, Greiner-Hormann 1998): one winding query per operand at the piece's
+midpoint gives that operand's parity on one side, and the parity of the
+operand's edges lying along the piece gives the other side.  The pieces
+where the result flips are traced into rings.  A plain pair overlay with
+interval pruning stands in for a full event-queue sweep; complexity is a
+soft goal only.
 
 Zero-area (degenerate) rings of an operand act as slits: where both sides
 of a slit piece land inside the result, the piece is kept as a doubled
@@ -13,16 +17,12 @@ which is exactly what the outer rounding pipeline needs them for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact_core import (
-    EXTERIOR,
     InternalInvariantError,
     MarginError,
     hit_points,
@@ -31,17 +31,15 @@ from .exact_core import (
     Pt,
     Region,
     Ring,
-    Scalar,
     UniverseBox,
     complement_in_universe,
-    point_in_region,
     pt,
     region_ok,
-    segment_at,
     segment_intersection,
     segment_param,
     segments_cross_properly,
     validate_region,
+    winding_number,
 )
 
 CONVEX = "convex"
@@ -166,6 +164,7 @@ class _Atomic(NamedTuple):
     a: Pt
     b: Pt
     slit_only: bool
+    odd: tuple[bool, bool]  # per operand: an odd number of its edges lie along
 
 
 def _atomize(edges: Sequence[_InputEdge],
@@ -175,77 +174,16 @@ def _atomize(edges: Sequence[_InputEdge],
         for h in hit_points(hit):
             cuts[i].add(h)
             cuts[j].add(h)
-    buckets: dict[tuple[Pt, Pt], bool] = {}
+    buckets: dict[tuple[Pt, Pt], tuple[bool, list[bool]]] = {}
     for e, cut in zip(edges, cuts):
         pts_sorted = sorted(cut, key=lambda p: segment_param(e.a, e.b, p))
         for p, q in zip(pts_sorted, pts_sorted[1:]):
             key = (p, q) if p < q else (q, p)
-            prev = buckets.get(key)
-            buckets[key] = e.slit if prev is None else (prev and e.slit)
-    return [_Atomic(k[0], k[1], slit) for k, slit in sorted(buckets.items())]
-
-
-# ---------------------------------------------------------------------------
-# face sampling
-
-
-class _SegIndex:
-    """Integer-bbox prescreen over a set of segments (exact, conservative)."""
-
-    def __init__(self, segs: Sequence[tuple[Pt, Pt]]):
-        self.segs = list(segs)
-        if self.segs:
-            self.lo = [np.array([math.floor(min(a[k], b[k])) for a, b in segs])
-                       for k in (0, 1)]
-            self.hi = [np.array([math.ceil(max(a[k], b[k])) for a, b in segs])
-                       for k in (0, 1)]
-
-    def covering(self, v: Scalar, axis: int) -> list[int]:
-        """Segments whose bbox may meet the line p[axis] == v."""
-        if not self.segs:
-            return []
-        mask = ((self.lo[axis] <= math.ceil(v))
-                & (self.hi[axis] >= math.floor(v)))
-        return np.nonzero(mask)[0].tolist()
-
-
-class _FaceSampler:
-    """Points strictly inside the faces adjacent to an atomic edge.
-
-    From the midpoint of the piece, shoot axis rays; half way to the first
-    hit lies strictly inside the adjacent face because atomic pieces meet
-    only at endpoints.
-    """
-
-    def __init__(self, atomics: Sequence[_Atomic]):
-        self.atomics = atomics
-        self.index = _SegIndex([(e.a, e.b) for e in atomics])
-
-    def side_samples(self, e: _Atomic) -> tuple[Pt, Pt]:
-        """(left_sample, right_sample) for the directed piece a->b."""
-        a, b = e.a, e.b
-        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        if a.x != b.x:
-            up = self._shoot(m, 0, +1)
-            down = self._shoot(m, 0, -1)
-            return (up, down) if b.x > a.x else (down, up)
-        left = self._shoot(m, 1, -1)
-        right = self._shoot(m, 1, +1)
-        return (left, right) if b.y > a.y else (right, left)
-
-    def _shoot(self, m: Pt, axis: int, sign: int) -> Pt:
-        """Half way from m to the first piece along the line p[axis] ==
-        m[axis], in direction `sign` (one unit when nothing is hit)."""
-        u = 1 - axis
-        best: Optional[Scalar] = None
-        for i in self.index.covering(m[axis], axis):
-            e = self.atomics[i]
-            for v in segment_at(e.a, e.b, m[axis], axis):
-                if sign * (v - m[u]) > 0 and (best is None
-                                              or sign * (v - best) < 0):
-                    best = v
-        end = m[u] + sign if best is None else Fraction(m[u] + best, 2)
-        return pt(m.x, end) if axis == 0 else pt(end, m.y)
+            slit, odd = buckets.get(key, (True, [False, False]))
+            odd[e.operand] = not odd[e.operand]
+            buckets[key] = (slit and e.slit, odd)
+    return [_Atomic(k[0], k[1], slit, tuple(odd))
+            for k, (slit, odd) in sorted(buckets.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +200,24 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
             if segments_cross_properly((edges[i].a, edges[i].b),
                                        (edges[j].a, edges[j].b)):
                 h += 1
-    atomics = _atomize(edges, hits)
-    sampler = _FaceSampler(atomics)
-
-    def inside(q: Pt) -> bool:
-        return (point_in_region(q, a) != EXTERIOR
-                and point_in_region(q, b) != EXTERIOR)
-
     directed: list[tuple[Pt, Pt]] = []
-    for e in atomics:
-        left_pt, right_pt = sampler.side_samples(e)
-        in_l = inside(left_pt)
-        in_r = inside(right_pt)
+    for e in _atomize(edges, hits):
+        # winding_number skips the edges through m and counts with the
+        # half-open rule, so its parity is the operand's just to the +x
+        # side of the piece (just above it when horizontal); the far side
+        # differs iff an odd number of the operand's edges lie along the
+        # piece.  With a < b, the +x side is the left side iff the piece
+        # is horizontal or descends.
+        m = pt(Fraction(e.a.x + e.b.x, 2), Fraction(e.a.y + e.b.y, 2))
+        in_plus = in_minus = True
+        for operand, odd in zip((a, b), e.odd):
+            plus = winding_number(m, operand) % 2 == 1
+            in_plus = in_plus and plus
+            in_minus = in_minus and plus != odd
+            if not (in_plus or in_minus):
+                break
+        plus_left = e.a.y == e.b.y or (e.a.x != e.b.x and e.b.y < e.a.y)
+        in_l, in_r = (in_plus, in_minus) if plus_left else (in_minus, in_plus)
         if in_l != in_r:
             directed.append((e.a, e.b) if in_l else (e.b, e.a))
         elif in_l and e.slit_only:

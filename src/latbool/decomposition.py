@@ -54,10 +54,6 @@ class Wall(NamedTuple):
     direction: str
     hit: Pt
 
-    @property
-    def segment(self) -> tuple[Pt, Pt]:
-        return (self.source, self.hit)
-
 
 @dataclass(frozen=True)
 class ConvexCell:
@@ -77,7 +73,6 @@ class ConvexCell:
 
 @dataclass(frozen=True)
 class Decomposition:
-    source: ExactRegion
     cells: tuple[ConvexCell, ...]
     walls: tuple[Wall, ...]
     cell_index_of_vertex: dict
@@ -234,7 +229,7 @@ class _LineProfile:
 def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
     """Build walls, cells, the vertex->cell map and per-edge visibility lists."""
     if region.is_empty:
-        return Decomposition(region, (), (), {}, {}, {})
+        return Decomposition((), (), {}, {}, {})
     for ring in region.rings:
         for v in ring:
             if v.convexity == REFLEX and not v.pos.is_lattice:
@@ -291,8 +286,8 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                     break
 
     visible = _visible_reflex_lists(edges, reflex_pos, lines)
-    return Decomposition(region, tuple(cells), tuple(walls), cell_index,
-                         visible, edge_cell)
+    return Decomposition(tuple(cells), tuple(walls), cell_index, visible,
+                         edge_cell)
 
 
 def _build_cells(region: ExactRegion, walls: list[Wall]

@@ -554,7 +554,15 @@ def point_in_region(p: Pt, region: Region) -> str:
 
 
 def winding_number(p: Pt, region: Region) -> int:
-    """Signed winding number; independent recomputation path for tests."""
+    """Signed winding number of the region's boundary around p.
+
+    Edges through p are skipped (cross = 0) and the rest are counted with
+    `point_in_region`'s half-open rule, so off the boundary the parity is
+    p's membership, and on the boundary it is the membership just to the
+    +x side of p (just above p along a horizontal edge).  The overlay
+    classifies its pieces with this; the tests compare it against
+    `point_in_region`.
+    """
     w = 0
     for a, b in region.edges():
         if a == b:

@@ -13,7 +13,6 @@ then drop extraneous reflex vertices and zero-area debris.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arrangement import (
@@ -44,14 +43,6 @@ from .exact_core import (
     squared_point_distance,
     trace_cycles,
 )
-
-
-@dataclass
-class RoundingReport:
-    """Side channel for pipeline events worth surfacing."""
-
-    dropped_components: int = 0
-    removed_reflex: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +183,7 @@ def _dedupe(pts: list[Pt], prot: list[bool], rk: list[int]) -> None:
 # inner rounding
 
 
-def inner_round(region: ExactRegion,
-                report: Optional[RoundingReport] = None) -> Region:
+def inner_round(region: ExactRegion) -> Region:
     """The inner lattice approximation: contained, lattice, within sqrt(2)."""
     if region.is_empty:
         return Region(())
@@ -218,8 +208,6 @@ def inner_round(region: ExactRegion,
             if not all(s is None for s in snap):
                 raise InternalInvariantError(
                     "mixed NVLP failures within one component")
-            if report is not None:
-                report.dropped_components += 1
             continue
         pts: list[Pt] = []
         prot: list[bool] = []
@@ -241,8 +229,6 @@ def inner_round(region: ExactRegion,
         cleaned, _ = convexify_cleanup(pts, prot, rk)
         result = Ring(tuple(cleaned)).canonical()
         if len(set(result.pts)) < 3:
-            if report is not None:
-                report.dropped_components += 1
             continue
         out_rings.append(result)
     return Region(tuple(out_rings)).canonical()
@@ -308,8 +294,7 @@ def _unit_cell_union_rings(cells: set[tuple[int, int]]) -> list[Ring]:
 # outer rounding
 
 
-def outer_round(region: ExactRegion, box: UniverseBox,
-                report: Optional[RoundingReport] = None) -> Region:
+def outer_round(region: ExactRegion, box: UniverseBox) -> Region:
     """The outer lattice approximation: covering, lattice, within sqrt(2).
 
     Pipeline: complement against the pixel set, inner-round, complement
@@ -323,11 +308,11 @@ def outer_round(region: ExactRegion, box: UniverseBox,
     comp = complement_in_universe(region.region, box, margin=0)
     pixels_comp = complement_in_universe(pixels, box, margin=0)
     middle = exact_intersection(comp, pixels_comp, check=False)
-    middle_inner = inner_round(middle, report)
+    middle_inner = inner_round(middle)
     raw = complement_in_universe(middle_inner, box, margin=0)
     despurred = Region(tuple(r.collapse_spurs() for r in raw.rings)).canonical()
     despurred = Region(tuple(r for r in despurred.rings if len(r.pts) >= 3))
-    simplified = simplify_reflex(despurred, region, report)
+    simplified = simplify_reflex(despurred, region)
     out = remove_zero_area(simplified)
     for ring in out.rings:
         for p in ring.pts:
@@ -359,8 +344,7 @@ def _check_outer_margin(region: ExactRegion, box: UniverseBox,
 # reflex simplification
 
 
-def simplify_reflex(pbar: Region, exact: ExactRegion,
-                    report: Optional[RoundingReport] = None) -> Region:
+def simplify_reflex(pbar: Region, exact: ExactRegion) -> Region:
     """Remove extraneous reflex vertices of the outer rounding.
 
     A reflex occurrence with no counterpart vertex of the exact region is
@@ -394,8 +378,6 @@ def simplify_reflex(pbar: Region, exact: ExactRegion,
                 if not _removal_topology_ok(rings, ri, i):
                     continue
                 del pts[i]
-                if report is not None:
-                    report.removed_reflex += 1
                 changed = True
                 break
             if changed:

@@ -21,7 +21,7 @@ side presents them as convex crossings to the rounding pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .arrangement import (
     ExactRegion,
@@ -37,7 +37,7 @@ from .exact_core import (
     universe_for,
 )
 from .oracle import check_inclusion
-from .rounding import RoundingReport, inner_round, outer_round
+from .rounding import inner_round, outer_round
 
 MODES = ("exact", "inner", "outer")
 OPS = ("intersection", "union", "difference")
@@ -57,12 +57,10 @@ class OpRequest:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-def apply(req: OpRequest,
-          report: Optional[RoundingReport] = None
-          ) -> Union[Region, ExactRegion]:
+def apply(req: OpRequest) -> Union[Region, ExactRegion]:
     """Run one operation in one mode; rounded modes return lattice regions."""
     overlay, box = _operand_overlay(req.a, req.b, req.op)
-    return _apply_in_box(req.op, req.mode, overlay, box, report)
+    return _apply_in_box(req.op, req.mode, overlay, box)
 
 
 def _operand_overlay(a: Region, b: Region, op: str
@@ -73,22 +71,20 @@ def _operand_overlay(a: Region, b: Region, op: str
 
 
 def _apply_in_box(op: str, mode: str, overlay: ExactRegion,
-                  box: UniverseBox,
-                  report: Optional[RoundingReport] = None
-                  ) -> Union[Region, ExactRegion]:
+                  box: UniverseBox) -> Union[Region, ExactRegion]:
     """One mode of `op`, derived from its overlay."""
     if mode == "exact":
         return exact_from_overlay(overlay, op, box)
     if op == "union":
         # the overlay is the complement side: its rounding modes swap
         if mode == "outer":
-            rounded = inner_round(overlay, report)
+            rounded = inner_round(overlay)
         else:
-            rounded = outer_round(overlay, box, report)
+            rounded = outer_round(overlay, box)
         return complement_in_universe(rounded, box, margin=0)
     if mode == "inner":
-        return inner_round(overlay, report)
-    return outer_round(overlay, box, report)
+        return inner_round(overlay)
+    return outer_round(overlay, box)
 
 
 def sandwich(a: Region, b: Region, op: str

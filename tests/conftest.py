@@ -5,8 +5,18 @@ import sys
 import pytest
 
 from latbool import arrangement
-from latbool.exact_core import Pt, Region, Ring, Scalar, pt
-from latbool.fixtures import hand_fixture_pairs
+from latbool.arrangement import exact_boolean
+from latbool.exact_core import (
+    Pt,
+    Region,
+    Ring,
+    Scalar,
+    complement_in_universe,
+    pt,
+    universe_for,
+)
+from latbool.fixtures import hand_fixture_pairs, random_pairs
+from latbool.rounding import pixel_set
 
 
 # the seed of the acceptance corpus (tests/test_acceptance.py)
@@ -20,6 +30,18 @@ def square(x0: int, y0: int, x1: int, y1: int) -> Ring:
 def shifted(region: Region, dx: Scalar, dy: Scalar) -> Region:
     return Region(tuple(Ring(tuple(pt(p.x + dx, p.y + dy) for p in r.pts))
                         for r in region.rings))
+
+
+def crack_middle_operands() -> tuple[Region, Region, Region]:
+    """(comp, pixels_comp, exact) for rand-015's difference: the operands of
+    outer_round's middle overlay, whose slit pixel leaves a doubled crack
+    edge, and the exact difference."""
+    _, a, b = random_pairs(16, seed=CORPUS_SEED)[15]
+    box = universe_for([a, b])
+    exact = exact_boolean(a, b, "difference", box)
+    comp = complement_in_universe(exact.region, box, margin=0)
+    pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
+    return comp, pixels_comp, exact.region
 
 
 def count_overlays(monkeypatch) -> list[str]:

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from latbool import arrangement
 from latbool.arrangement import (
     CONVEX,
     REFLEX,
@@ -12,17 +14,21 @@ from latbool.arrangement import (
 )
 from latbool.exact_core import (
     BOUNDARY,
+    INTERIOR,
     PreconditionError,
     Pt,
     Region,
     Ring,
+    complement_in_universe,
     point_in_region,
     pt,
+    squared_distance,
     universe_for,
 )
+from latbool.fixtures import random_pairs
 from latbool.oracle import brute_boolean, properly_crossing_pairs
 
-from conftest import square
+from conftest import CORPUS_SEED, crack_middle_operands, square
 
 
 def test_axis_aligned_overlap():
@@ -144,3 +150,74 @@ def test_find_segment_intersections_counts():
     hits = find_segment_intersections(segs)
     pairs = {(i, j) for i, j, _ in hits}
     assert pairs == {(0, 1), (0, 2), (1, 2)}
+
+
+def _overlay_inputs(name: str, a: Region, b: Region):
+    """The operand pairs `exact_overlay` intersects: A*B, A*Bc and Ac*Bc."""
+    box = universe_for([a, b])
+    ac = complement_in_universe(a, box)
+    bc = complement_in_universe(b, box)
+    return [(f"{name}.AB", a, b), (f"{name}.ABc", a, bc),
+            (f"{name}.AcBc", ac, bc)]
+
+
+def _offset_points(piece, pieces) -> tuple[Pt, Pt]:
+    """m + eps*n and m - eps*n for the piece's midpoint m and left normal n,
+    with eps = 2^-k so small that the offset meets no other piece."""
+    a, b = piece.a, piece.b
+    m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+    nx, ny = a.y - b.y, b.x - a.x
+    clearance = min((squared_distance(m, (q.a, q.b)) for q in pieces
+                     if q is not piece), default=1)
+    eps = Fraction(1, 2)
+    while eps * eps * (nx * nx + ny * ny) >= clearance:
+        eps /= 2
+    return (pt(m.x + eps * nx, m.y + eps * ny),
+            pt(m.x - eps * nx, m.y - eps * ny))
+
+
+def test_piece_sides_match_offset_points(hand_pairs, monkeypatch):
+    """Each atomic piece's sides, derived from its own edges and one
+    winding query per operand, agree with point membership just off the
+    piece: the overlay emits the piece toward the side inside both
+    operands, and a slit piece inside on both sides as a doubled crack."""
+    cases = []
+    for name, a, b in hand_pairs:
+        cases += _overlay_inputs(name, a, b)
+    for name, a, b in random_pairs(16, seed=CORPUS_SEED):
+        cases += _overlay_inputs(name, a, b)
+    comp, pixels_comp, _ = crack_middle_operands()
+    cases.append(("rand-015.middle", comp, pixels_comp))
+
+    seen: dict[str, list] = {}
+    real_atomize = arrangement._atomize
+
+    def atomize(*args):
+        seen["pieces"] = real_atomize(*args)
+        return seen["pieces"]
+
+    def trace(directed):
+        seen["directed"] = list(directed)
+        return []  # only the classification is checked, not the rings
+
+    monkeypatch.setattr(arrangement, "_atomize", atomize)
+    monkeypatch.setattr(arrangement, "trace_cycles", trace)
+    cracks = 0
+    for name, a, b in cases:
+        exact_intersection(a, b, check=False)
+        pieces = seen["pieces"]
+        want: list[tuple[Pt, Pt]] = []
+        for e in pieces:
+            sides = []
+            for q in _offset_points(e, pieces):
+                where = (point_in_region(q, a), point_in_region(q, b))
+                assert BOUNDARY not in where, (name, e, q)
+                sides.append(where == (INTERIOR, INTERIOR))
+            in_l, in_r = sides
+            if in_l != in_r:
+                want.append((e.a, e.b) if in_l else (e.b, e.a))
+            elif in_l and e.slit_only:
+                want += [(e.a, e.b), (e.b, e.a)]
+                cracks += 1
+        assert Counter(seen["directed"]) == Counter(want), name
+    assert cracks > 0

@@ -132,7 +132,6 @@ def test_empty_region_decomposition():
                            Region((square(5, 5, 7, 7),)))
     assert x.is_empty
     d = reflex_vertical_decomposition(x)
-    assert d.source is x
     assert d.cells == () and d.walls == ()
     assert d.cell_index_of_vertex == {} and d.visible_reflex == {}
     assert d.cell_of_edge_start == {}

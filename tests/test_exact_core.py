@@ -34,9 +34,8 @@ from latbool.exact_core import (
 )
 from latbool.fixtures import random_pairs
 from latbool.oracle import RegionKernel
-from latbool.rounding import pixel_set
 
-from conftest import CORPUS_SEED, shifted, square
+from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
 
 
 def test_orientation_basis():
@@ -295,15 +294,11 @@ def _membership_regions(hand_pairs) -> list[tuple[str, Region]]:
                     (f"{name}.{op}", exact)]
     # outer_round's middle overlay of a difference with a half-lattice
     # vertex: its slit pixel leaves a doubled crack edge
-    name, a, b = random_pairs(16, seed=CORPUS_SEED)[15]
-    box = universe_for([a, b])
-    exact = exact_boolean(a, b, "difference", box)
-    comp = complement_in_universe(exact.region, box, margin=0)
-    pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
+    comp, pixels_comp, _ = crack_middle_operands()
     middle = exact_intersection(comp, pixels_comp, check=False).region
     edges = set(middle.edges())
     assert any((b, a) in edges for a, b in edges), "no crack"
-    regions.append((f"{name}.middle", middle))
+    regions.append(("rand-015.middle", middle))
     return regions
 
 

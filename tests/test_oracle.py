@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latbool.arrangement import exact_boolean, exact_intersection
+from latbool.arrangement import exact_intersection
 from latbool.exact_core import (
     EXTERIOR,
     INTERIOR,
@@ -39,10 +39,9 @@ from latbool.oracle import (
     snap_segment_hits_closure_interior,
 )
 
-from latbool.rounding import pixel_set
 from latbool.setops import sandwich
 
-from conftest import CORPUS_SEED, shifted, square
+from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
 
 FAR = (10 ** 9 + 7, -10 ** 12)
 
@@ -270,15 +269,11 @@ def _assert_sweep_is_brute_force(p: Region, q: Region, name: str) -> None:
 def _crack_middle() -> tuple[Region, Region]:
     """outer_round's middle overlay of rand-015's difference, whose slit
     pixel leaves a doubled crack edge, and that difference."""
-    name, a, b = random_pairs(16, seed=CORPUS_SEED)[15]
-    box = universe_for([a, b])
-    exact = exact_boolean(a, b, "difference", box)
-    comp = complement_in_universe(exact.region, box, margin=0)
-    pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
+    comp, pixels_comp, diff = crack_middle_operands()
     middle = exact_intersection(comp, pixels_comp, check=False).region
     edges = set(middle.edges())
     assert any((d, c) in edges for c, d in edges), "no crack"
-    return middle, exact.region
+    return middle, diff
 
 
 def test_sweep_events_match_brute_force():

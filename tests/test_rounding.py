@@ -18,7 +18,6 @@ from latbool.oracle import (
     check_inclusion,
 )
 from latbool.rounding import (
-    RoundingReport,
     build_chain,
     convexify_cleanup,
     inner_round,
@@ -162,9 +161,8 @@ def test_inner_drops_lattice_free_sliver(hand_pairs):
     a, b = pairs["lattice-free-sliver"]
     x = exact_intersection(a, b)
     assert not x.is_empty
-    report = RoundingReport()
-    assert inner_round(x, report).is_empty
-    assert report.dropped_components == 1
+    assert len(x.rings) == 1
+    assert inner_round(x).is_empty
 
 
 # --- pixel_set -----------------------------------------------------------------
