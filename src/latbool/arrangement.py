@@ -2,12 +2,13 @@
 
 The implementation splits every input edge at every intersection and
 classifies each atomic piece from its own edges (Martinez-Rueda-Feito
-2009, Greiner-Hormann 1998): one winding query per operand at the piece's
-midpoint gives that operand's parity on one side, and the parity of the
-operand's edges lying along the piece gives the other side.  The pieces
-where the result flips are traced into rings.  A plain pair overlay with
-interval pruning stands in for a full event-queue sweep; complexity is a
-soft goal only.
+2009): one x-sweep over the pieces, which never cross, hands each piece
+its operands' parities on one side from its predecessor on the sweep line,
+and the parity of each operand's edges lying along the piece gives the
+other side.  No point is queried against an operand.  The pieces where
+the result flips are traced into rings.  A plain pair overlay with
+interval pruning stands in for a full event-queue intersection sweep;
+complexity is a soft goal only.
 
 Zero-area (degenerate) rings of an operand act as slits: where both sides
 of a slit piece land inside the result, the piece is kept as a doubled
@@ -17,6 +18,7 @@ which is exactly what the outer rounding pipeline needs them for.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,15 +33,15 @@ from .exact_core import (
     Pt,
     Region,
     Ring,
+    Scalar,
     UniverseBox,
     complement_in_universe,
-    pt,
     region_ok,
+    segment_at,
     segment_intersection,
     segment_param,
     segments_cross_properly,
     validate_region,
-    winding_number,
 )
 
 CONVEX = "convex"
@@ -186,6 +188,59 @@ def _atomize(edges: Sequence[_InputEdge],
             for k, (slit, odd) in sorted(buckets.items())]
 
 
+def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
+    """Per atom, each operand's parity just right of it (a to b).
+
+    One sweep in x.  Atoms never cross, so the bottom-to-top order of the
+    atoms spanning the sweep line changes only where one starts or ends.
+    A non-vertical atom's right side is below it, where the parity is the
+    one above its predecessor on the line.  A vertical atom's right side is
+    east of it, where the parity is the one above the predecessor of its
+    midpoint once the atoms starting at its x are in.  Below every atom
+    both operands are out, and an operand's parity flips across an atom
+    where an odd number of its edges lie along it.  The atoms starting at
+    one x go in bottom to top, by y and then by slope, so that each finds
+    its final predecessor, also within a fan sharing its left endpoint.
+    """
+    right: list[tuple[bool, bool]] = [(False, False)] * len(atoms)
+    slope: dict[int, Fraction] = {}
+    status: list[int] = []  # non-vertical atoms spanning x, bottom to top
+    x: Scalar = 0
+
+    def level(j: int) -> tuple[Scalar, Fraction]:
+        e = atoms[j]
+        y = e.a.y if e.a.x == x else segment_at(e.a, e.b, x)[0]
+        return y, slope[j]
+
+    def above(pos: int) -> tuple[bool, bool]:
+        """The parity just above status[pos - 1], or out below everything."""
+        if pos == 0:
+            return False, False
+        j = status[pos - 1]
+        return tuple(p != odd for p, odd in zip(right[j], atoms[j].odd))
+
+    i = 0
+    while i < len(atoms):
+        x = atoms[i].a.x
+        start = i
+        while i < len(atoms) and atoms[i].a.x == x:
+            i += 1
+        status = [j for j in status if atoms[j].b.x > x]
+        vertical = [j for j in range(start, i) if atoms[j].b.x == x]
+        rising = [j for j in range(start, i) if atoms[j].b.x != x]
+        for j in rising:
+            e = atoms[j]
+            slope[j] = Fraction(e.b.y - e.a.y, e.b.x - e.a.x)
+        for key, j in sorted((level(j), j) for j in rising):
+            pos = bisect_left(status, key, key=level)
+            right[j] = above(pos)
+            status.insert(pos, j)
+        for j in vertical:
+            mid = Fraction(atoms[j].a.y + atoms[j].b.y, 2)
+            right[j] = above(bisect_left(status, (mid,), key=level))
+    return right
+
+
 # ---------------------------------------------------------------------------
 # the overlay itself
 
@@ -201,23 +256,10 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
                                        (edges[j].a, edges[j].b)):
                 h += 1
     directed: list[tuple[Pt, Pt]] = []
-    for e in _atomize(edges, hits):
-        # winding_number skips the edges through m and counts with the
-        # half-open rule, so its parity is the operand's just to the +x
-        # side of the piece (just above it when horizontal); the far side
-        # differs iff an odd number of the operand's edges lie along the
-        # piece.  With a < b, the +x side is the left side iff the piece
-        # is horizontal or descends.
-        m = pt(Fraction(e.a.x + e.b.x, 2), Fraction(e.a.y + e.b.y, 2))
-        in_plus = in_minus = True
-        for operand, odd in zip((a, b), e.odd):
-            plus = winding_number(m, operand) % 2 == 1
-            in_plus = in_plus and plus
-            in_minus = in_minus and plus != odd
-            if not (in_plus or in_minus):
-                break
-        plus_left = e.a.y == e.b.y or (e.a.x != e.b.x and e.b.y < e.a.y)
-        in_l, in_r = (in_plus, in_minus) if plus_left else (in_minus, in_plus)
+    atoms = _atomize(edges, hits)
+    for e, right in zip(atoms, _right_parities(atoms)):
+        in_r = all(right)
+        in_l = all(p != odd for p, odd in zip(right, e.odd))
         if in_l != in_r:
             directed.append((e.a, e.b) if in_l else (e.b, e.a))
         elif in_l and e.slit_only:

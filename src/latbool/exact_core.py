@@ -530,9 +530,8 @@ def point_in_region(p: Pt, region: Region) -> str:
     interval test, and every other edge gets one cross product that decides
     both whether p is on it and whether the rightward ray from p crosses it
     (half-open rule lo.y <= p.y < hi.y).  Even-odd parity; valid nested
-    regions make this equivalent to the winding rule (the oracle
-    cross-checks that).  Doubled (crack) edges cancel, which is the
-    intended reading for degenerate rings.
+    regions make this equivalent to the winding rule.  Doubled (crack)
+    edges cancel, which is the intended reading for degenerate rings.
     """
     px, py = p
     inside = False
@@ -551,27 +550,6 @@ def point_in_region(p: Pt, region: Region) -> str:
         if c > 0 and py < by:
             inside = not inside
     return INTERIOR if inside else EXTERIOR
-
-
-def winding_number(p: Pt, region: Region) -> int:
-    """Signed winding number of the region's boundary around p.
-
-    Edges through p are skipped (cross = 0) and the rest are counted with
-    `point_in_region`'s half-open rule, so off the boundary the parity is
-    p's membership, and on the boundary it is the membership just to the
-    +x side of p (just above p along a horizontal edge).  The overlay
-    classifies its pieces with this; the tests compare it against
-    `point_in_region`.
-    """
-    w = 0
-    for a, b in region.edges():
-        if a == b:
-            continue
-        if a.y <= p.y < b.y and cross(a, b, p) > 0:
-            w += 1
-        elif b.y <= p.y < a.y and cross(a, b, p) < 0:
-            w -= 1
-    return w
 
 
 def is_visible(p: Pt, q: Pt, region: Region) -> bool:

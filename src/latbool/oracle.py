@@ -5,14 +5,21 @@ enumerations, dense grid sampling, per-candidate scans.  The pipeline is
 judged against this module, never the other way round.  Exhaustive scans
 are capped at coordinates <= 256; acceptance fixtures respect the cap.
 
+The oracle classifies points without the pipeline's own routine
+(`exact_core.point_in_region`): `IntMembership` classifies one point at a
+time on denominator-cleared Python ints, with the same closed, half-open
+rule, so a fault in either shows up as a disagreement.  Only what it
+borrows from `exact_core` (`is_visible`, `region_interior_sample`) still
+uses that routine inside.
+
 Two concessions to speed, neither of which approximates anything.  The
 inclusion check finds the inner x outer boundary events in one
 bounding-box sweep instead of testing every edge pair twice; the sweep only
 skips pairs whose boxes miss, and every predicate it runs stays exact.  A
 vectorized integer kernel (numpy int64) does mass point classification.  It
-evaluates the same exact predicates as `exact_core` on denominator-cleared
-integers; a magnitude guard falls back to scalar exact arithmetic whenever
-int64 cannot hold the products.
+evaluates the same exact predicates on denominator-cleared integers; a
+magnitude guard falls back to `IntMembership` whenever int64 cannot hold
+the products.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .exact_core import (
     cross,
     gap_midpoints,
     is_visible,
-    point_in_region,
     pt,
     region_interior_sample,
     segment_intersection,
@@ -113,6 +119,64 @@ def _sq_dist_lt(edge: tuple[int, int, int, int, int, int],
 
 
 # ---------------------------------------------------------------------------
+# scalar exact membership
+
+
+class IntMembership:
+    """Closed-set classification of single points on unbounded ints.
+
+    The region is scaled once by the lcm of its vertex denominators and
+    kept as integer edges (ax, ay, bx, by) with (ay, ax) <= (by, bx).  A
+    query and the edges meet at the lcm of both scales; each edge is
+    brought there with integer multiplications as it is scanned, so
+    queries with many different denominators keep no scaled copies.  A
+    query is integer compares and at most one integer cross product per
+    edge, under `point_in_region`'s rule: a horizontal edge at the point's
+    y is an interval test, any other edge whose closed y-range holds the
+    point is boundary on a zero cross product, and the rightward ray counts
+    it under the half-open rule lo.y <= p.y < hi.y.
+    """
+
+    def __init__(self, region: Region):
+        self._scale = math.lcm(*(c.denominator
+                                 for p in region.vertex_positions() for c in p))
+        rows = []
+        for a, b in region.edges():
+            if a == b:
+                continue
+            ax, ay, bx, by = (c.numerator * (self._scale // c.denominator)
+                              for c in (*a, *b))
+            if (ay, ax) > (by, bx):
+                ax, ay, bx, by = bx, by, ax, ay
+            rows.append((ax, ay, bx, by))
+        self._edges = rows
+
+    def classify(self, p: Pt) -> str:
+        common = math.lcm(self._scale, p.x.denominator, p.y.denominator)
+        f = common // self._scale
+        px = p.x.numerator * (common // p.x.denominator)
+        py = p.y.numerator * (common // p.y.denominator)
+        inside = False
+        for ax, ay, bx, by in self._edges:
+            ay *= f
+            by *= f
+            if py < ay or py > by:
+                continue
+            ax *= f
+            bx *= f
+            if ay == by:
+                if ax <= px <= bx:
+                    return BOUNDARY
+                continue
+            c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if c == 0:
+                return BOUNDARY
+            if c > 0 and py < by:
+                inside = not inside
+        return INTERIOR if inside else EXTERIOR
+
+
+# ---------------------------------------------------------------------------
 # vectorized exact membership kernel
 
 _INT64_GUARD = 2 ** 62
@@ -179,12 +243,12 @@ class RegionKernel:
         max_coord = int(max(np.abs(ax).max(initial=0),
                             np.abs(by).max(initial=0)))
         if not self._fits(max_coord, scale):
+            scan = IntMembership(self.region)
             ins = np.zeros(ns, dtype=bool)
             onb = np.zeros(ns, dtype=bool)
             for i in range(ns):
-                c = point_in_region(pt(Fraction(int(ax[i]), scale),
-                                       Fraction(int(by[i]), scale)),
-                                    self.region)
+                c = scan.classify(pt(Fraction(int(ax[i]), scale),
+                                     Fraction(int(by[i]), scale)))
                 ins[i] = c != EXTERIOR
                 onb[i] = c == BOUNDARY
             return ins, onb
@@ -254,11 +318,12 @@ def brute_nvlp_region(p: Pt, region: Region) -> Optional[Pt]:
     if region.bbox is None:
         return None
     x0, y0, x1, y1 = region.bbox
+    scan = IntMembership(region)
     best: Optional[tuple[Scalar, int, int]] = None
     for gx in range(math.ceil(x0), math.floor(x1) + 1):
         for gy in range(math.ceil(y0), math.floor(y1) + 1):
             g = Pt(gx, gy)
-            if point_in_region(g, region) == EXTERIOR:
+            if scan.classify(g) == EXTERIOR:
                 continue
             if not is_visible(p, g, region):
                 continue
@@ -282,11 +347,12 @@ def lattice_closure(region: Region) -> LatticeClosure:
     x0, y0, x1, y1 = region.bbox
     if max(abs(v) for v in (x0, y0, x1, y1)) > ORACLE_COORD_CAP:
         raise PreconditionError("oracle scans are capped at coordinates <= 256")
+    scan = IntMembership(region)
     points: set[Pt] = set()
     for gx in range(math.ceil(x0), math.floor(x1) + 1):
         for gy in range(math.ceil(y0), math.floor(y1) + 1):
             g = Pt(gx, gy)
-            if point_in_region(g, region) != EXTERIOR:
+            if scan.classify(g) != EXTERIOR:
                 points.add(g)
     segments: set[tuple[Pt, str]] = set()
     for g in points:
@@ -298,13 +364,13 @@ def lattice_closure(region: Region) -> LatticeClosure:
         if ((g, "h") in segments and (g, "v") in segments
                 and (Pt(g.x, g.y + 1), "h") in segments
                 and (Pt(g.x + 1, g.y), "v") in segments
-                and _unit_square_inside(g, region)):
+                and _unit_square_inside(g, region, scan)):
             squares.add(g)
     return LatticeClosure(frozenset(points), frozenset(segments),
                           frozenset(squares))
 
 
-def _unit_square_inside(g: Pt, region: Region) -> bool:
+def _unit_square_inside(g: Pt, region: Region, scan: IntMembership) -> bool:
     """Closed unit square with bottom-left g fully inside the region.
 
     All four sides are already known to be inside; reject if any boundary
@@ -317,7 +383,7 @@ def _unit_square_inside(g: Pt, region: Region) -> bool:
         if _segment_meets_open_box(a, b, g.x, g.y, g.x + 1, g.y + 1):
             return False
     center = pt(Fraction(2 * g.x + 1, 2), Fraction(2 * g.y + 1, 2))
-    return point_in_region(center, region) != EXTERIOR
+    return scan.classify(center) != EXTERIOR
 
 
 def _segment_meets_open_box(a: Pt, b: Pt, x0: Scalar, y0: Scalar,
@@ -395,28 +461,30 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
     inner_rows = _edge_rows(inner)
     outer_rows = _edge_rows(outer)
     inner_events, outer_events = _sweep_events(inner_rows, outer_rows)
+    in_inner = IntMembership(inner).classify
+    in_outer = IntMembership(outer).classify
     inside: set[Pt] = set()
     for (a, b, *_), events in zip(inner_rows, inner_events):
         for v in (a, b):
             if v in inside:
                 continue
-            if point_in_region(v, outer) == EXTERIOR:
+            if in_outer(v) == EXTERIOR:
                 return Witness("vertex-outside", v, "inner vertex outside outer")
             inside.add(v)
         for m in gap_midpoints(a, b, events):
-            if point_in_region(m, outer) == EXTERIOR:
+            if in_outer(m) == EXTERIOR:
                 return Witness("edge-outside", m,
                                f"inner edge {a}-{b} leaves outer")
     for (a, b, *_), events in zip(outer_rows, outer_events):
         for m in gap_midpoints(a, b, events):
-            if point_in_region(m, inner) == INTERIOR:
+            if in_inner(m) == INTERIOR:
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
     for ri, ring in enumerate(inner.rings):
         if ring.is_degenerate or not ring.is_ccw:
             continue
         probe = region_interior_sample(inner, ri)
-        if probe is not None and point_in_region(probe, outer) == EXTERIOR:
+        if probe is not None and in_outer(probe) == EXTERIOR:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
     return None
@@ -645,10 +713,12 @@ def brute_boolean(a: Region, b: Region, op: str,
     Samples touching any operand boundary are marked `skip`: regularization
     decides those by closure, not by local membership.
     """
+    in_a = IntMembership(a).classify
+    in_b = IntMembership(b).classify
     out = []
     for q in samples:
-        ca = point_in_region(q, a)
-        cb = point_in_region(q, b)
+        ca = in_a(q)
+        cb = in_b(q)
         if ca == BOUNDARY or cb == BOUNDARY:
             out.append(SampleTruth(q, ca, cb, "skip"))
             continue

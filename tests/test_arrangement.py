@@ -28,7 +28,9 @@ from latbool.exact_core import (
 from latbool.fixtures import random_pairs
 from latbool.oracle import brute_boolean, properly_crossing_pairs
 
-from conftest import CORPUS_SEED, crack_middle_operands, square
+from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
+
+FAR = (10 ** 9 + 7, -10 ** 12)
 
 
 def test_axis_aligned_overlap():
@@ -177,17 +179,25 @@ def _offset_points(piece, pieces) -> tuple[Pt, Pt]:
 
 
 def test_piece_sides_match_offset_points(hand_pairs, monkeypatch):
-    """Each atomic piece's sides, derived from its own edges and one
-    winding query per operand, agree with point membership just off the
-    piece: the overlay emits the piece toward the side inside both
-    operands, and a slit piece inside on both sides as a doubled crack."""
-    cases = []
+    """Each atomic piece's sides, derived from its own edges and from its
+    predecessor on the overlay's sweep line, agree with point membership
+    just off the piece: the overlay emits the piece toward the side inside
+    both operands, and a slit piece inside on both sides as a doubled
+    crack.  Every case is also checked far from the origin."""
+    # four pieces fan out of (2, 2), whose (a, b) order is not their
+    # bottom-to-top order, and B's vertical edge at x = 2 lies above them
+    fan = Region((Ring((Pt(2, 2), Pt(6, 0), Pt(10, 6), Pt(4, 8))),))
+    fan_vertical = Region((Ring((Pt(2, 2), Pt(9, 1), Pt(3, 3))),
+                           square(2, 4, 3, 5)))
+    cases = _overlay_inputs("fan-vertical", fan, fan_vertical)
     for name, a, b in hand_pairs:
         cases += _overlay_inputs(name, a, b)
     for name, a, b in random_pairs(16, seed=CORPUS_SEED):
         cases += _overlay_inputs(name, a, b)
     comp, pixels_comp, _ = crack_middle_operands()
     cases.append(("rand-015.middle", comp, pixels_comp))
+    cases += [(f"{name}-far", shifted(a, *FAR), shifted(b, *FAR))
+              for name, a, b in cases]
 
     seen: dict[str, list] = {}
     real_atomize = arrangement._atomize

@@ -30,10 +30,9 @@ from latbool.exact_core import (
     squared_distance,
     universe_for,
     validate_region,
-    winding_number,
 )
 from latbool.fixtures import random_pairs
-from latbool.oracle import RegionKernel
+from latbool.oracle import IntMembership, RegionKernel
 
 from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
 
@@ -150,22 +149,20 @@ def test_point_in_region_with_hole():
     assert point_in_region(Pt(2, 3), region) == BOUNDARY
 
 
-def test_winding_matches_parity_on_fixtures(hand_pairs):
+def test_int_membership_matches_point_in_region_on_fixtures(hand_pairs):
     import random
 
     rng = random.Random(7)
     regions = [r for _, a, b in hand_pairs for r in (a, b)]
     dense = regions[:3]
     for region in regions:
+        scan = IntMembership(region)
         x0, y0, x1, y1 = region.bbox
         n = 1000 if region in dense else 60
         for _ in range(n):
             q = pt(Fraction(rng.randint(8 * int(x0), 8 * int(x1)), 8),
                    Fraction(rng.randint(8 * int(y0), 8 * int(y1)), 8))
-            c = point_in_region(q, region)
-            if c == BOUNDARY:
-                continue
-            assert (winding_number(q, region) != 0) == (c == INTERIOR)
+            assert scan.classify(q) == point_in_region(q, region), q
 
 
 def test_is_visible_convex(unit_square):
@@ -302,8 +299,10 @@ def _membership_regions(hand_pairs) -> list[tuple[str, Region]]:
     return regions
 
 
-def _kernel_classes(region: Region, points: list[Pt]) -> list[str]:
-    """The oracle's int64 classification, one batch per denominator."""
+def _kernel_classes(region: Region, points: list[Pt],
+                    int64: bool) -> list[str]:
+    """The oracle's batch classification, one batch per denominator, on
+    the int64 path or on the scalar one."""
     kern = RegionKernel(region)
     batches: dict[int, list[int]] = {}
     for i, q in enumerate(points):
@@ -313,31 +312,34 @@ def _kernel_classes(region: Region, points: list[Pt]) -> list[str]:
     for d, idx in batches.items():
         ax = np.array([int(points[i].x * d) for i in idx], dtype=np.int64)
         by = np.array([int(points[i].y * d) for i in idx], dtype=np.int64)
-        assert kern._fits(int(max(abs(ax).max(), abs(by).max())), d)
+        assert kern._fits(int(max(abs(ax).max(), abs(by).max())), d) == int64
         ins, onb = kern.classify(ax, by, d)
         for k, i in enumerate(idx):
             out[i] = BOUNDARY if onb[k] else INTERIOR if ins[k] else EXTERIOR
     return out
 
 
-def test_point_in_region_matches_kernel_and_winding(hand_pairs):
-    """Every probe against the kernel; the vertices, the midpoints and the
-    lattice points also against the winding number's parity and after a
-    far translation (where the kernel takes the scalar path)."""
+def test_point_in_region_matches_kernel_and_int_membership(hand_pairs):
+    """Every probe against the kernel's int64 path and against the oracle's
+    scalar integer scan, the three-way class each time; the vertices, the
+    midpoints and the lattice points also after a far translation, where
+    the kernel falls back to that scan."""
     for name, region in _membership_regions(hand_pairs):
         if region.is_empty:
             continue
         grid, vertices_and_mids = _probe_points(region)
         points = grid + vertices_and_mids
         got = [point_in_region(q, region) for q in points]
-        assert got == _kernel_classes(region, points), name
+        assert got == _kernel_classes(region, points, int64=True), name
+        scan = IntMembership(region)
+        assert got == [scan.classify(q) for q in points], name
         assert set(got) == {INTERIOR, BOUNDARY, EXTERIOR}, name
         far = shifted(region, *FAR)
-        rest = len(grid)
-        for i, (q, c) in enumerate(zip(points, got)):
-            if i < rest and not q.is_lattice:
-                continue
-            if c != BOUNDARY:
-                assert (winding_number(q, region) % 2 == 1) == (c == INTERIOR)
-            moved = pt(q.x + FAR[0], q.y + FAR[1])
-            assert point_in_region(moved, far) == c, (name, q)
+        far_scan = IntMembership(far)
+        kept = [(q, c) for i, (q, c) in enumerate(zip(points, got))
+                if i >= len(grid) or q.is_lattice]
+        moved = [pt(q.x + FAR[0], q.y + FAR[1]) for q, _ in kept]
+        want = [c for _, c in kept]
+        assert [point_in_region(q, far) for q in moved] == want, name
+        assert [far_scan.classify(q) for q in moved] == want, name
+        assert _kernel_classes(far, moved, int64=False) == want, name
