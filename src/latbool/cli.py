@@ -26,7 +26,6 @@ from .exact_core import (
     PreconditionError,
     Region,
     point_in_region,
-    region_interior_sample,
     region_ok,
 )
 from .lpr import LprError, parse_region, write_region
@@ -35,6 +34,7 @@ from .oracle import (
     check_hausdorff,
     check_inclusion,
     intersecting_pairs,
+    region_interior_sample,
 )
 from .rounding import pixel_set
 from .setops import (

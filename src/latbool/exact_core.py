@@ -495,33 +495,6 @@ def _ring_nesting_depth(region: Region, idx: int) -> int:
     return depth
 
 
-def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
-    """A point strictly interior to the region, adjacent to the given ring.
-
-    Mid-edge vertical shooting against the whole boundary: the half-way
-    point to the first hit lies inside one face of the region; a filled
-    ring has the region's interior on one side of each edge.
-    """
-    ring = region.rings[ring_idx]
-    all_edges = [(a, b) for a, b in region.edges() if a != b]
-    for a, b in ring.edges():
-        if a == b or a.x == b.x:
-            continue
-        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        others = [e for e in all_edges if e != (a, b) and e != (b, a)]
-        for side in (1, -1):
-            hits = [y for c, d in others for y in segment_at(c, d, m.x)
-                    if side * (y - m.y) > 0]
-            if hits:
-                yy = min(hits) if side > 0 else max(hits)
-                cand = pt(m.x, Fraction(m.y + yy, 2))
-            else:
-                cand = pt(m.x, m.y + side)
-            if point_in_region(cand, region) == INTERIOR:
-                return cand
-    return None
-
-
 def point_in_region(p: Pt, region: Region) -> str:
     """Exact closed-set classification of p against a region.
 

@@ -8,27 +8,24 @@ are capped at coordinates <= 256; acceptance fixtures respect the cap.
 The oracle classifies points without the pipeline's own routine
 (`exact_core.point_in_region`): `IntMembership` classifies one point at a
 time on denominator-cleared Python ints, with the same closed, half-open
-rule, so a fault in either shows up as a disagreement.  Only what it
-borrows from `exact_core` (`is_visible`, `region_interior_sample`) still
-uses that routine inside.
+rule, so a fault in either shows up as a disagreement.  The oracle's
+visibility test (`_visible`) and interior probe (`region_interior_sample`)
+classify with it too.
 
 Two concessions to speed, neither of which approximates anything.  The
-inclusion check finds the inner x outer boundary events in one
-bounding-box sweep instead of testing every edge pair twice; the sweep only
-skips pairs whose boxes miss, and every predicate it runs stays exact.  A
-vectorized integer kernel (numpy int64) does mass point classification.  It
-evaluates the same exact predicates on denominator-cleared integers; a
-magnitude guard falls back to `IntMembership` whenever int64 cannot hold
-the products.
+inclusion check and the visibility test find boundary events in one
+bounding-box sweep instead of testing every edge pair; the sweep only skips
+pairs whose boxes miss, and every predicate it runs stays exact.  The
+Hausdorff check reads each sample row's membership off `IntMembership`'s
+integer edges as ranges of sample indices (`IntMembership.row_ranges`),
+the same rule evaluated for a whole row at once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact_core import (
     BOUNDARY,
@@ -42,9 +39,8 @@ from .exact_core import (
     Scalar,
     cross,
     gap_midpoints,
-    is_visible,
     pt,
-    region_interior_sample,
+    segment_at,
     segment_intersection,
     segment_param,
     segments_cross_properly,
@@ -73,49 +69,6 @@ class LatticeClosure(NamedTuple):
     points: frozenset[Pt]
     segments: frozenset[tuple[Pt, str]]
     squares: frozenset[Pt]
-
-
-# ---------------------------------------------------------------------------
-# scaled-integer edge representation
-
-
-def _point_ints(p: Pt) -> tuple[int, int, int]:
-    """(nx, ny, d) with p == (nx/d, ny/d), d > 0."""
-    xs = Fraction(p.x)
-    ys = Fraction(p.y)
-    d = math.lcm(xs.denominator, ys.denominator)
-    return (int(xs.numerator * (d // xs.denominator)),
-            int(ys.numerator * (d // ys.denominator)), d)
-
-
-def _edge_ints(a: Pt, b: Pt) -> tuple[int, int, int, int, int, int]:
-    n1x, n1y, d1 = _point_ints(a)
-    n2x, n2y, d2 = _point_ints(b)
-    return (n1x, n1y, d1, n2x, n2y, d2)
-
-
-def _sq_dist_lt(edge: tuple[int, int, int, int, int, int],
-                a: int, b: int, s: int, bound_num: int = 2,
-                bound_den: int = 1) -> bool:
-    """Exact test  dist((a/s, b/s), closed segment)^2 < bound  in pure ints."""
-    n1x, n1y, d1, n2x, n2y, d2 = edge
-    apx = a * d1 - s * n1x          # scaled by s*d1
-    apy = b * d1 - s * n1y
-    dx = n2x * d1 - n1x * d2        # scaled by d1*d2
-    dy = n2y * d1 - n1y * d2
-    if dx == 0 and dy == 0:
-        return bound_den * (apx * apx + apy * apy) < bound_num * (s * d1) ** 2
-    dot_ap = apx * dx + apy * dy
-    if dot_ap <= 0:
-        return bound_den * (apx * apx + apy * apy) < bound_num * (s * d1) ** 2
-    len2 = dx * dx + dy * dy        # scaled by (d1*d2)^2
-    # t >= 1  <=>  dot_ap / (s*d1^2*d2) >= len2 / (d1*d2)^2
-    if dot_ap * d2 >= len2 * s:
-        bpx = a * d2 - s * n2x
-        bpy = b * d2 - s * n2y
-        return bound_den * (bpx * bpx + bpy * bpy) < bound_num * (s * d2) ** 2
-    c = apx * dy - apy * dx         # scaled by s*d1^2*d2
-    return bound_den * c * c < bound_num * (s * d1) ** 2 * len2
 
 
 # ---------------------------------------------------------------------------
@@ -175,98 +128,49 @@ class IntMembership:
                 inside = not inside
         return INTERIOR if inside else EXTERIOR
 
+    def row_ranges(self, m: int, j: int) -> list[tuple[int, int]]:
+        """Merged closed ranges of the i with (i/m, j/m) not exterior.
 
-# ---------------------------------------------------------------------------
-# vectorized exact membership kernel
-
-_INT64_GUARD = 2 ** 62
-
-
-class RegionKernel:
-    """Mass point-in-region classification on denominator-cleared integers.
-
-    Every decision is an integer sign test; int64 is used only when a
-    magnitude bound (computed in unbounded Python ints) proves no product
-    can overflow.  Otherwise `usable` is False and callers take the scalar
-    exact path.
-    """
-
-    def __init__(self, region: Region):
-        self.region = region
-        rows = [_edge_ints(a, b) for a, b in region.edges() if a != b]
-        self.nedges = len(rows)
-        if not rows:
-            self.usable = True
-            self._max_n = 1
-            self._max_d = 1
-            return
-        arr = np.array(rows, dtype=object)
-        self._max_n = max(1, int(max(abs(int(v)) for v in
-                                     arr[:, [0, 1, 3, 4]].ravel())))
-        self._max_d = max(1, int(max(int(v) for v in arr[:, [2, 5]].ravel())))
-        self.n1x = arr[:, 0]
-        self.n1y = arr[:, 1]
-        self.d1 = arr[:, 2]
-        self.n2x = arr[:, 3]
-        self.n2y = arr[:, 4]
-        self.d2 = arr[:, 5]
-        maxU = 2 * self._max_n * self._max_d
-        self._maxU = maxU
-        self.usable = True
-        try:
-            self._i64 = tuple(np.array(col.astype(np.int64))
-                              for col in (self.n1x, self.n1y, self.d1,
-                                          self.n2x, self.n2y, self.d2))
-            self._U = (self._i64[3] * self._i64[2]
-                       - self._i64[0] * self._i64[5])
-            self._Z = (self._i64[4] * self._i64[2]
-                       - self._i64[1] * self._i64[5])
-        except OverflowError:
-            self.usable = False
-
-    def _fits(self, max_coord_num: int, scale: int) -> bool:
-        if self.nedges == 0:
-            return True
-        if not self.usable:
-            return False
-        max_vw = max_coord_num * self._max_d + scale * self._max_n
-        return (self._maxU * max_vw * 2 < _INT64_GUARD
-                and max_vw * max_vw < _INT64_GUARD)
-
-    def classify(self, ax: np.ndarray, by: np.ndarray, scale: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """(inside_or_boundary, on_boundary) boolean arrays for (ax/scale, by/scale)."""
-        ns = ax.shape[0]
-        if self.nedges == 0:
-            z = np.zeros(ns, dtype=bool)
-            return z, z.copy()
-        max_coord = int(max(np.abs(ax).max(initial=0),
-                            np.abs(by).max(initial=0)))
-        if not self._fits(max_coord, scale):
-            scan = IntMembership(self.region)
-            ins = np.zeros(ns, dtype=bool)
-            onb = np.zeros(ns, dtype=bool)
-            for i in range(ns):
-                c = scan.classify(pt(Fraction(int(ax[i]), scale),
-                                     Fraction(int(by[i]), scale)))
-                ins[i] = c != EXTERIOR
-                onb[i] = c == BOUNDARY
-            return ins, onb
-        n1x, n1y, d1, n2x, n2y, d2 = self._i64
-        parity = np.zeros(ns, dtype=bool)
-        onb = np.zeros(ns, dtype=bool)
-        s = np.int64(scale)
-        for i in range(self.nedges):
-            V = by * d1[i] - s * n1y[i]
-            V2 = by * d2[i] - s * n2y[i]
-            W = ax * d1[i] - s * n1x[i]
-            W2 = ax * d2[i] - s * n2x[i]
-            F = self._U[i] * V - W * self._Z[i]
-            onb |= (F == 0) & (W * W2 <= 0) & (V * V2 <= 0)
-            up = (V >= 0) & (V2 < 0) & (F > 0)
-            down = (V2 >= 0) & (V < 0) & (F < 0)
-            parity ^= up | down
-        return parity | onb, onb
+        `classify`'s rule for a whole row at once.  The crossings of the
+        half-open rule lo.y <= y < hi.y, sorted and taken in pairs, bound
+        the ranges whose points the rightward ray sees an odd number of
+        times (each crossing itself is boundary); every boundary contact
+        the pairs miss adds its own range: a crossing at y == hi.y, and a
+        horizontal edge on the row.  Each left end becomes a sample index
+        by integer ceil division and each right end by floor division, so
+        an end strictly between two samples holds neither.
+        """
+        s = self._scale
+        y = j * s                       # the row, at scale s * m
+        crossings = []
+        spans = []
+        for ax, ay, bx, by in self._edges:
+            ay *= m
+            by *= m
+            if y < ay or y > by:
+                continue
+            if ay == by:
+                spans.append((-(-ax * m // s), bx * m // s))
+                continue
+            # the crossing's x times s * (by - ay), then times m
+            num = (ax * (by - ay) + (bx - ax) * (y - ay)) * m
+            den = s * (by - ay)
+            hit = (-(-num // den), num // den)
+            (crossings if y < by else spans).append(hit)
+        crossings.sort()
+        spans += [(lo[0], hi[1])
+                  for lo, hi in zip(crossings[::2], crossings[1::2])]
+        spans.sort()
+        merged: list[tuple[int, int]] = []
+        for lo, hi in spans:
+            if lo > hi:
+                continue
+            if merged and lo <= merged[-1][1] + 1:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +221,36 @@ def brute_nvlp_region(p: Pt, region: Region) -> Optional[Pt]:
     """
     if region.bbox is None:
         return None
-    x0, y0, x1, y1 = region.bbox
     scan = IntMembership(region)
-    best: Optional[tuple[Scalar, int, int]] = None
-    for gx in range(math.ceil(x0), math.floor(x1) + 1):
-        for gy in range(math.ceil(y0), math.floor(y1) + 1):
-            g = Pt(gx, gy)
-            if scan.classify(g) == EXTERIOR:
-                continue
-            if not is_visible(p, g, region):
-                continue
-            d = squared_point_distance(p, g)
-            key = (d, gx, gy)
-            if best is None or key < best:
-                best = key
+    if scan.classify(p) == EXTERIOR:
+        raise PreconditionError("p must belong to the region")
+    x0, y0, x1, y1 = region.bbox
+    points = [Pt(gx, gy) for gx in range(math.ceil(x0), math.floor(x1) + 1)
+              for gy in range(math.ceil(y0), math.floor(y1) + 1)
+              if scan.classify(Pt(gx, gy)) != EXTERIOR]
+    if p in points:
+        return p
+    seen = _visible([(p, g) for g in points], region, scan)
+    best = min(((squared_point_distance(p, g), g.x, g.y)
+                for g, ok in zip(points, seen) if ok), default=None)
     if best is None:
         return None
     return Pt(best[1], best[2])
+
+
+def _visible(segments: Sequence[tuple[Pt, Pt]], region: Region,
+             scan: IntMembership) -> list[bool]:
+    """Which closed segments pq, p != q and both ends in the region, lie in
+    it.
+
+    Grazing contact with the boundary does not block visibility.  One
+    `_sweep_events` pass cuts every open segment at its events against the
+    region's edges, and each gap midpoint must not be exterior.
+    """
+    events, _ = _sweep_events(_edge_rows(segments),
+                              _edge_rows(region.edges()))
+    return [all(scan.classify(m) != EXTERIOR for m in gap_midpoints(p, q, ts))
+            for (p, q), ts in zip(segments, events)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +271,11 @@ def lattice_closure(region: Region) -> LatticeClosure:
             g = Pt(gx, gy)
             if scan.classify(g) != EXTERIOR:
                 points.add(g)
-    segments: set[tuple[Pt, str]] = set()
-    for g in points:
-        for axis, other in (("h", Pt(g.x + 1, g.y)), ("v", Pt(g.x, g.y + 1))):
-            if other in points and is_visible(g, other, region):
-                segments.add((g, axis))
+    units = [(g, axis, other) for g in points for axis, other in
+             (("h", Pt(g.x + 1, g.y)), ("v", Pt(g.x, g.y + 1)))
+             if other in points]
+    seen = _visible([(g, other) for g, _, other in units], region, scan)
+    segments = {(g, axis) for (g, axis, _), ok in zip(units, seen) if ok}
     squares: set[Pt] = set()
     for g in points:
         if ((g, "h") in segments and (g, "v") in segments
@@ -458,8 +375,8 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
     one interior probe per filled inner ring must land inside `outer`.
     The events of both sides come from one sweep (`_sweep_events`).
     """
-    inner_rows = _edge_rows(inner)
-    outer_rows = _edge_rows(outer)
+    inner_rows = _edge_rows(inner.edges())
+    outer_rows = _edge_rows(outer.edges())
     inner_events, outer_events = _sweep_events(inner_rows, outer_rows)
     in_inner = IntMembership(inner).classify
     in_outer = IntMembership(outer).classify
@@ -490,13 +407,41 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
     return None
 
 
+def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
+    """A point strictly interior to the region, adjacent to the given ring.
+
+    Mid-edge vertical shooting against the whole boundary: the half-way
+    point to the first hit lies inside one face of the region; a filled
+    ring has the region's interior on one side of each edge.
+    """
+    scan = IntMembership(region)
+    ring = region.rings[ring_idx]
+    all_edges = [(a, b) for a, b in region.edges() if a != b]
+    for a, b in ring.edges():
+        if a == b or a.x == b.x:
+            continue
+        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+        others = [e for e in all_edges if e != (a, b) and e != (b, a)]
+        for side in (1, -1):
+            hits = [y for c, d in others for y in segment_at(c, d, m.x)
+                    if side * (y - m.y) > 0]
+            if hits:
+                yy = min(hits) if side > 0 else max(hits)
+                cand = pt(m.x, Fraction(m.y + yy, 2))
+            else:
+                cand = pt(m.x, m.y + side)
+            if scan.classify(cand) == INTERIOR:
+                return cand
+    return None
+
+
 EdgeRow = tuple[Pt, Pt, Scalar, Scalar, Scalar, Scalar]
 
 
-def _edge_rows(region: Region) -> list[EdgeRow]:
-    """(a, b, xlo, xhi, ylo, yhi) per non-degenerate edge, in edges() order."""
+def _edge_rows(edges: Iterable[tuple[Pt, Pt]]) -> list[EdgeRow]:
+    """(a, b, xlo, xhi, ylo, yhi) per non-degenerate edge, in order."""
     return [(a, b, min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
-            for a, b in region.edges() if a != b]
+            for a, b in edges if a != b]
 
 
 def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
@@ -557,13 +502,12 @@ def check_hausdorff(small: Region, big: Region,
     mode="outer": reference is the boundary of `small` (again the exact
     region, with `big` the rounded superset).
 
-    Sampling is the only approximation; each comparison is exact.  The full
-    1/`spacing` grid over the bounding box is covered by an exactly
-    equivalent two-tier scheme: every fine sample within distance 2 of any
-    boundary edge is tested directly, and any violation farther away than
-    that implies an integer-grid violation (shift to the nearest lattice
-    point changes the distance by at most sqrt(2)/2), which the integer
-    tier tests exhaustively.
+    Sampling is the only approximation; each comparison is exact.  Every
+    sample (i/m, j/m), m = 1/`spacing`, in big's bounding box is covered:
+    row by row, `IntMembership.row_ranges` gives big's and small's closed
+    membership as ranges of i, and each i in big's ranges and in none of
+    small's is tested against every reference edge.  The first sample that
+    fails, bottom row first and left to right, is the witness.
     """
     if not assume_inclusion:
         w = check_inclusion(small, big)
@@ -575,124 +519,58 @@ def check_hausdorff(small: Region, big: Region,
         raise PreconditionError("spacing must be 1/m for an integer m")
     m = Fraction(spacing).denominator
 
-    ref_region = big if mode == "inner" else small
-    ref_edges = [(a, b) for a, b in ref_region.edges() if a != b]
-    ref_ints = [_edge_ints(a, b) for a, b in ref_edges]
-    ref_boxes = _edge_int_boxes(ref_edges)
-
-    k_small = RegionKernel(small)
-    k_big = RegionKernel(big)
-
-    x0, y0, x1, y1 = big.bbox
-    coarse = _grid_points(math.floor(x0), math.floor(y0),
-                          math.ceil(x1), math.ceil(y1), 1)
-    tiers = [(coarse, 1)]
-    if m > 1:
-        band = _band_points(small, big, m)
-        tiers.append((band, m))
-
-    for (ax, by), scale in tiers:
-        if ax.size == 0:
-            continue
-        in_big, _ = k_big.classify(ax, by, scale)
-        in_small, _ = k_small.classify(ax, by, scale)
-        gap = in_big & ~in_small
-        if not gap.any():
-            continue
-        gx = ax[gap]
-        gy = by[gap]
-        for i in range(gx.shape[0]):
-            a = int(gx[i])
-            b = int(gy[i])
-            if not _near_ref(a, b, scale, ref_ints, ref_boxes):
-                q = pt(Fraction(a, scale), Fraction(b, scale))
+    in_big = IntMembership(big)
+    in_small = IntMembership(small)
+    ref = in_big if mode == "inner" else in_small
+    # the reference edges (scale f) and the samples (scale m) meet on the
+    # scale f * m
+    f = ref._scale
+    ref_edges = [tuple(c * m for c in e) for e in ref._edges]
+    _, y0, _, y1 = big.bbox
+    for j in range(math.ceil(y0 * m), math.floor(y1 * m) + 1):
+        for i in _uncovered(in_big.row_ranges(m, j),
+                            in_small.row_ranges(m, j)):
+            if not any(_sq_dist_lt(e, i * f, j * f, f * m) for e in ref_edges):
+                q = pt(Fraction(i, m), Fraction(j, m))
                 return Witness("hausdorff", q,
                                f"sample in big\\small at squared distance >= 2 "
                                f"from {mode} reference boundary")
     return None
 
 
-def _near_ref(a: int, b: int, s: int,
-              ref_ints: Sequence[tuple[int, int, int, int, int, int]],
-              ref_boxes: Sequence[tuple[int, int, int, int]]) -> bool:
-    for e, (bx0, by0, bx1, by1) in zip(ref_ints, ref_boxes):
-        # cheap integer bbox prescreen: squared bbox distance >= 2 rules out
-        dx = max(0, bx0 * s - a, a - bx1 * s)
-        dy = max(0, by0 * s - b, b - by1 * s)
-        if dx * dx + dy * dy >= 2 * s * s:
-            continue
-        if _sq_dist_lt(e, a, b, s):
-            return True
-    return False
-
-
-def _edge_int_boxes(edges: Sequence[tuple[Pt, Pt]]
-                    ) -> list[tuple[int, int, int, int]]:
-    out = []
-    for a, b in edges:
-        out.append((math.floor(min(a.x, b.x)), math.floor(min(a.y, b.y)),
-                    math.ceil(max(a.x, b.x)), math.ceil(max(a.y, b.y))))
-    return out
-
-
-def _grid_points(x0: int, y0: int, x1: int, y1: int, m: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.arange(x0 * m, x1 * m + 1, dtype=np.int64)
-    ys = np.arange(y0 * m, y1 * m + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return gx.ravel(), gy.ravel()
-
-
-def _band_points(small: Region, big: Region, m: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fine samples within (conservatively over) distance 2 of any edge."""
-    cells: set[tuple[int, int]] = set()
-    for region in (small, big):
-        for a, b in region.edges():
-            if a == b:
+def _uncovered(ranges: Sequence[tuple[int, int]],
+               cut: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """The integers in the merged closed `ranges` that no range of the
+    merged closed `cut` holds, in increasing order."""
+    k = 0
+    for lo, hi in ranges:
+        while lo <= hi:
+            while k < len(cut) and cut[k][1] < lo:
+                k += 1
+            if k < len(cut) and cut[k][0] <= lo:
+                lo = cut[k][1] + 1
                 continue
-            _edge_band_cells(a, b, cells)
-    if not cells:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    sub = np.arange(m, dtype=np.int64)
-    ox, oy = np.meshgrid(sub, sub, indexing="ij")
-    ox = ox.ravel()
-    oy = oy.ravel()
-    carr = np.array(sorted(cells), dtype=np.int64)
-    ax = (carr[:, 0][:, None] * m + ox[None, :]).ravel()
-    by = (carr[:, 1][:, None] * m + oy[None, :]).ravel()
-    return ax, by
+            end = hi if k == len(cut) else min(hi, cut[k][0] - 1)
+            yield from range(lo, end + 1)
+            lo = end + 1
 
 
-def _edge_band_cells(a: Pt, b: Pt, cells: set[tuple[int, int]]) -> None:
-    """Integer unit cells conservatively covering the radius-2 capsule.
-
-    Walks the segment one unit cell per step along the dominant axis and
-    pads by 3 cells; every point within distance 2 of the segment lies in
-    one of the collected cells.
-    """
-    steep = abs(b.y - a.y) > abs(b.x - a.x)
-    if steep:
-        a, b = Pt(a.y, a.x), Pt(b.y, b.x)
-    if a.x > b.x:
-        a, b = b, a
-    x0 = math.floor(a.x)
-    x1 = math.floor(b.x)
-    for cx in range(x0, x1 + 1):
-        # y-range of the segment within this column (slope <= 1)
-        if b.x == a.x:
-            ys = [a.y, b.y]
-        else:
-            lo_x = max(Fraction(cx), Fraction(a.x))
-            hi_x = min(Fraction(cx + 1), Fraction(b.x))
-            t0 = Fraction(lo_x - a.x, b.x - a.x)
-            t1 = Fraction(hi_x - a.x, b.x - a.x)
-            ys = [a.y + t0 * (b.y - a.y), a.y + t1 * (b.y - a.y)]
-        cy0 = math.floor(min(ys))
-        cy1 = math.floor(max(ys))
-        for cx2 in range(cx - 3, cx + 4):
-            for cy in range(cy0 - 3, cy1 + 4):
-                cells.add((cy, cx2) if steep else (cx2, cy))
+def _sq_dist_lt(edge: tuple[int, int, int, int], px: int, py: int,
+                s: int) -> bool:
+    """Exact test  dist((px, py), closed segment edge)^2 < 2 s^2  for a
+    non-degenerate edge (ax, ay, bx, by), everything on the scale s."""
+    ax, ay, bx, by = edge
+    dx, dy = bx - ax, by - ay
+    apx, apy = px - ax, py - ay
+    dot = apx * dx + apy * dy
+    if dot <= 0:
+        return apx * apx + apy * apy < 2 * s * s
+    len2 = dx * dx + dy * dy
+    if dot >= len2:
+        bpx, bpy = px - bx, py - by
+        return bpx * bpx + bpy * bpy < 2 * s * s
+    c = apx * dy - apy * dx
+    return c * c < 2 * s * s * len2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from latbool import arrangement
-from latbool.arrangement import exact_boolean
+from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
     Pt,
     Region,
@@ -21,6 +21,9 @@ from latbool.rounding import pixel_set
 
 # the seed of the acceptance corpus (tests/test_acceptance.py)
 CORPUS_SEED = 20050317
+
+# a translation that takes small coordinates near 10^12
+FAR = (10 ** 9 + 7, -10 ** 12)
 
 
 def square(x0: int, y0: int, x1: int, y1: int) -> Ring:
@@ -42,6 +45,28 @@ def crack_middle_operands() -> tuple[Region, Region, Region]:
     comp = complement_in_universe(exact.region, box, margin=0)
     pixels_comp = complement_in_universe(pixel_set(exact), box, margin=0)
     return comp, pixels_comp, exact.region
+
+
+def membership_regions(hand_pairs) -> list[tuple[str, Region]]:
+    """Regions to classify points against: the hand fixtures, 16 corpus
+    pairs with their exact results, and a middle overlay with rational
+    vertices and a doubled crack edge."""
+    regions = [(f"{name}.{side}", r) for name, a, b in hand_pairs
+               for side, r in (("A", a), ("B", b))]
+    ops = ("intersection", "union", "difference")
+    for i, (name, a, b) in enumerate(random_pairs(16, seed=CORPUS_SEED)):
+        op = ops[i % 3]
+        exact = exact_boolean(a, b, op, universe_for([a, b])).region
+        regions += [(f"{name}.A", a), (f"{name}.B", b),
+                    (f"{name}.{op}", exact)]
+    # outer_round's middle overlay of a difference with a half-lattice
+    # vertex: its slit pixel leaves a doubled crack edge
+    comp, pixels_comp, _ = crack_middle_operands()
+    middle = exact_intersection(comp, pixels_comp, check=False).region
+    edges = set(middle.edges())
+    assert any((b, a) in edges for a, b in edges), "no crack"
+    regions.append(("rand-015.middle", middle))
+    return regions
 
 
 def count_overlays(monkeypatch) -> list[str]:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,3 +252,27 @@ def test_seed_env_var(monkeypatch):
     monkeypatch.setenv("LATBOOL_SEED", "54321")
     third = random_pairs(3)
     assert [(a, b) for _, a, b in third] != [(a, b) for _, a, b in first]
+
+
+def test_runs_without_numpy():
+    """numpy is a test and benchmark dependency only: the pipeline and the
+    whole checklist run with its import blocked."""
+    code = "\n".join((
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "from latbool.cli import run_property_checklist",
+        "from latbool.fixtures import hand_fixture_pairs",
+        "from latbool.setops import sandwich",
+        "pairs = {n: (a, b) for n, a, b in hand_fixture_pairs()}",
+        "a, b = pairs['e2-triangles']",
+        "inner, exact, outer = sandwich(a, b, 'intersection')",
+        "assert not inner.is_empty",
+        "results = run_property_checklist(a, b, 'intersection')",
+        "assert results and all(r.passed for r in results), results",
+        "assert not [m for m, v in sys.modules.items()",
+        "            if v is not None and m.split('.')[0] == 'numpy']",
+    ))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=120)

@@ -1,10 +1,8 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
     BOUNDARY,
     COLLINEAR,
@@ -31,10 +29,9 @@ from latbool.exact_core import (
     universe_for,
     validate_region,
 )
-from latbool.fixtures import random_pairs
-from latbool.oracle import IntMembership, RegionKernel
+from latbool.oracle import IntMembership
 
-from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
+from conftest import FAR, membership_regions, shifted, square
 
 
 def test_orientation_basis():
@@ -263,9 +260,7 @@ def test_ring_canonical_keeps_reversal_spur():
 
 
 # ---------------------------------------------------------------------------
-# point_in_region against the oracle's independent integer kernel
-
-FAR = (10 ** 9 + 7, -10 ** 12)
+# point_in_region against the oracle's independent integer scan
 
 
 def _probe_points(region: Region) -> tuple[list[Pt], list[Pt]]:
@@ -280,57 +275,16 @@ def _probe_points(region: Region) -> tuple[list[Pt], list[Pt]]:
     return grid, sorted(region.vertex_positions()) + mids
 
 
-def _membership_regions(hand_pairs) -> list[tuple[str, Region]]:
-    regions = [(f"{name}.{side}", r) for name, a, b in hand_pairs
-               for side, r in (("A", a), ("B", b))]
-    ops = ("intersection", "union", "difference")
-    for i, (name, a, b) in enumerate(random_pairs(16, seed=CORPUS_SEED)):
-        op = ops[i % 3]
-        exact = exact_boolean(a, b, op, universe_for([a, b])).region
-        regions += [(f"{name}.A", a), (f"{name}.B", b),
-                    (f"{name}.{op}", exact)]
-    # outer_round's middle overlay of a difference with a half-lattice
-    # vertex: its slit pixel leaves a doubled crack edge
-    comp, pixels_comp, _ = crack_middle_operands()
-    middle = exact_intersection(comp, pixels_comp, check=False).region
-    edges = set(middle.edges())
-    assert any((b, a) in edges for a, b in edges), "no crack"
-    regions.append(("rand-015.middle", middle))
-    return regions
-
-
-def _kernel_classes(region: Region, points: list[Pt],
-                    int64: bool) -> list[str]:
-    """The oracle's batch classification, one batch per denominator, on
-    the int64 path or on the scalar one."""
-    kern = RegionKernel(region)
-    batches: dict[int, list[int]] = {}
-    for i, q in enumerate(points):
-        d = math.lcm(Fraction(q.x).denominator, Fraction(q.y).denominator)
-        batches.setdefault(d, []).append(i)
-    out = [""] * len(points)
-    for d, idx in batches.items():
-        ax = np.array([int(points[i].x * d) for i in idx], dtype=np.int64)
-        by = np.array([int(points[i].y * d) for i in idx], dtype=np.int64)
-        assert kern._fits(int(max(abs(ax).max(), abs(by).max())), d) == int64
-        ins, onb = kern.classify(ax, by, d)
-        for k, i in enumerate(idx):
-            out[i] = BOUNDARY if onb[k] else INTERIOR if ins[k] else EXTERIOR
-    return out
-
-
-def test_point_in_region_matches_kernel_and_int_membership(hand_pairs):
-    """Every probe against the kernel's int64 path and against the oracle's
-    scalar integer scan, the three-way class each time; the vertices, the
-    midpoints and the lattice points also after a far translation, where
-    the kernel falls back to that scan."""
-    for name, region in _membership_regions(hand_pairs):
+def test_point_in_region_matches_int_membership(hand_pairs):
+    """Every probe against the oracle's scalar integer scan, the three-way
+    class each time; the vertices, the midpoints and the lattice points
+    also after a far translation."""
+    for name, region in membership_regions(hand_pairs):
         if region.is_empty:
             continue
         grid, vertices_and_mids = _probe_points(region)
         points = grid + vertices_and_mids
         got = [point_in_region(q, region) for q in points]
-        assert got == _kernel_classes(region, points, int64=True), name
         scan = IntMembership(region)
         assert got == [scan.classify(q) for q in points], name
         assert set(got) == {INTERIOR, BOUNDARY, EXTERIOR}, name
@@ -342,4 +296,3 @@ def test_point_in_region_matches_kernel_and_int_membership(hand_pairs):
         want = [c for _, c in kept]
         assert [point_in_region(q, far) for q in moved] == want, name
         assert [far_scan.classify(q) for q in moved] == want, name
-        assert _kernel_classes(far, moved, int64=False) == want, name

@@ -1,7 +1,7 @@
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from latbool.arrangement import exact_intersection
@@ -16,19 +16,21 @@ from latbool.exact_core import (
     boundary_gap_midpoints,
     complement_in_universe,
     hit_points,
+    is_visible,
     point_in_region,
     pt,
-    region_interior_sample,
     segment_intersection,
     segment_param,
+    squared_distance,
     universe_for,
 )
 from latbool.fixtures import random_pairs
 from latbool.oracle import (
-    RegionKernel,
+    IntMembership,
     Witness,
     _edge_rows,
     _sweep_events,
+    _visible,
     brute_boolean,
     brute_nvlp,
     check_hausdorff,
@@ -36,14 +38,20 @@ from latbool.oracle import (
     intersecting_pairs,
     lattice_closure,
     properly_crossing_pairs,
+    region_interior_sample,
     snap_segment_hits_closure_interior,
 )
 
 from latbool.setops import sandwich
 
-from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
-
-FAR = (10 ** 9 + 7, -10 ** 12)
+from conftest import (
+    CORPUS_SEED,
+    FAR,
+    crack_middle_operands,
+    membership_regions,
+    shifted,
+    square,
+)
 
 
 def test_brute_nvlp_examples(e2_pair):
@@ -158,23 +166,6 @@ def test_pair_counts():
                               [(Pt(2, 0), Pt(6, 0))]) == 1
 
 
-def test_region_kernel_matches_scalar(hand_pairs):
-    rng = random.Random(17)
-    for name, a, b in hand_pairs[:6]:
-        kern = RegionKernel(a)
-        x0, y0, x1, y1 = a.bbox
-        ax = np.array([rng.randint(8 * int(x0) - 8, 8 * int(x1) + 8)
-                       for _ in range(300)], dtype=np.int64)
-        by = np.array([rng.randint(8 * int(y0) - 8, 8 * int(y1) + 8)
-                       for _ in range(300)], dtype=np.int64)
-        ins, onb = kern.classify(ax, by, 8)
-        for i in range(ax.shape[0]):
-            q = pt(Fraction(int(ax[i]), 8), Fraction(int(by[i]), 8))
-            c = point_in_region(q, a)
-            assert ins[i] == (c != EXTERIOR), (name, q)
-            assert onb[i] == (c == "boundary"), (name, q)
-
-
 def test_snap_segment_avoids_closure_interior(e2_pair):
     a, b = e2_pair
     x = exact_intersection(a, b)
@@ -257,7 +248,7 @@ def _brute_events(a: Pt, b: Pt, region: Region) -> list[Fraction]:
 
 
 def _assert_sweep_is_brute_force(p: Region, q: Region, name: str) -> None:
-    rows_p, rows_q = _edge_rows(p), _edge_rows(q)
+    rows_p, rows_q = _edge_rows(p.edges()), _edge_rows(q.edges())
     events_p, events_q = _sweep_events(rows_p, rows_q)
     for rows, events, other in ((rows_p, events_p, q), (rows_q, events_q, p)):
         assert len(events) == len(rows), name
@@ -311,3 +302,182 @@ def test_sweep_events_match_brute_force():
         _assert_sweep_is_brute_force(q, p, f"{name}-swapped")
     _assert_sweep_is_brute_force(shifted(middle, *FAR), shifted(diff, *FAR),
                                  "crack-far")
+
+
+# ---------------------------------------------------------------------------
+# the Hausdorff check's row scan against per-point classification
+
+
+def _spacing_for(region: Region) -> int:
+    """1/8 on small regions, a coarser 1/3 or 1/1 on larger ones, so that
+    no region has more than 6 000 samples."""
+    x0, y0, x1, y1 = region.bbox
+    return next(m for m in (8, 3, 1)
+                if (m * (x1 - x0) + 3) * (m * (y1 - y0) + 3) <= 6000)
+
+
+def _assert_rows_match_classify(region: Region, m: int, name: str) -> None:
+    """Every sample (i/m, j/m) one step around the bbox: row_ranges holds
+    i exactly when classify says the sample is not exterior."""
+    scan = IntMembership(region)
+    x0, y0, x1, y1 = region.bbox
+    cols = range(math.floor(x0 * m) - 1, math.ceil(x1 * m) + 2)
+    for j in range(math.floor(y0 * m) - 1, math.ceil(y1 * m) + 2):
+        ranges = scan.row_ranges(m, j)
+        assert all(lo <= hi for lo, hi in ranges), (name, j)
+        assert all(r[1] + 1 < s[0] for r, s in zip(ranges, ranges[1:])), (
+            name, j)
+        got = [i for lo, hi in ranges for i in range(lo, hi + 1)]
+        want = [i for i in cols if scan.classify(
+            pt(Fraction(i, m), Fraction(j, m))) != EXTERIOR]
+        assert got == want, (name, m, j)
+
+
+def test_row_ranges_match_classify(hand_pairs):
+    """The hand fixtures, 16 corpus pairs with their results and the
+    rand-015 crack overlay with its rational vertices, also after the far
+    translation."""
+    regions = [(n, r) for n, r in membership_regions(hand_pairs)
+               if not r.is_empty]
+    assert {_spacing_for(r) for _, r in regions} == {8, 3, 1}
+    for name, region in regions:
+        m = _spacing_for(region)
+        _assert_rows_match_classify(region, m, name)
+        _assert_rows_match_classify(shifted(region, *FAR), m, f"{name}-far")
+
+
+def _hausdorff_reference(small: Region, big: Region, m: int, mode: str):
+    """The first sample of the full 1/m grid over big's bbox, bottom row
+    first and left to right, in big but not in small and at squared
+    distance >= 2 from every reference edge; None if there is none."""
+    in_big = IntMembership(big).classify
+    in_small = IntMembership(small).classify
+    ref = [e for e in (big if mode == "inner" else small).edges()
+           if e[0] != e[1]]
+    x0, y0, x1, y1 = big.bbox
+    for j in range(math.floor(y0 * m), math.ceil(y1 * m) + 1):
+        for i in range(math.floor(x0 * m), math.ceil(x1 * m) + 1):
+            q = pt(Fraction(i, m), Fraction(j, m))
+            if (in_big(q) != EXTERIOR and in_small(q) == EXTERIOR
+                    and all(squared_distance(q, e) >= 2 for e in ref)):
+                return q
+    return None
+
+
+def _assert_hausdorff_matches_reference(small, big, m, mode, name):
+    w = check_hausdorff(small, big, Fraction(1, m), mode=mode,
+                        assume_inclusion=True)
+    want = _hausdorff_reference(small, big, m, mode)
+    assert (w is None) == (want is None), (name, m, mode)
+    if w is None:
+        return False
+    assert w.kind == "hausdorff" and w.point == want, (name, m, mode)
+    # a real violation, judged by the pipeline's own routines
+    q = w.point
+    assert (q.x * m).denominator == (q.y * m).denominator == 1, name
+    assert point_in_region(q, big) != EXTERIOR, name
+    assert small.is_empty or point_in_region(q, small) == EXTERIOR, name
+    ref = big if mode == "inner" else small
+    assert all(squared_distance(q, e) >= 2 for e in ref.edges()
+               if e[0] != e[1]), name
+    return True
+
+
+def test_check_hausdorff_matches_full_grid(hand_pairs):
+    """None exactly when the full-grid reference finds no violation, and
+    otherwise the reference's first violating sample."""
+    empty = Region(())
+    three = Region((square(0, 0, 3, 3),))
+    dilated = (Region((square(5, 5, 6, 6),)), Region((square(0, 0, 11, 11),)))
+    cases = [
+        # the only far sample is (3/2, 3/2): only m > 1 sees it
+        ("three-empty", empty, three, (1, 2, 8), ("inner",)),
+        # no reference edge at all: every sample of big violates
+        ("three-empty", empty, three, (1, 8), ("outer",)),
+        ("dilated", *dilated, (1, 8), ("inner", "outer")),
+        ("dilated-far", *(shifted(r, *FAR) for r in dilated), (1, 8),
+         ("inner", "outer")),
+        # every sample of big \ small lies within 1 of big's boundary,
+        # but (0, 0) is at exactly sqrt(2) from small's
+        ("shrunk", Region((square(1, 1, 10, 10),)),
+         Region((square(0, 0, 11, 11),)), (1, 8), ("inner", "outer")),
+        ("equal", three, three, (8,), ("inner", "outer")),
+        # (2, 2), the one integer sample at distance 2, is small's corner
+        ("corner", Region((square(2, 2, 3, 3),)),
+         Region((square(0, 0, 4, 4),)), (1,), ("inner",)),
+        # (4, 2) lies at exactly sqrt(2) from the interior of the diagonal
+        ("diagonal", Region((Ring((Pt(0, 0), Pt(4, 0), Pt(0, 4))),)),
+         Region((square(0, 0, 4, 4),)), (1, 8), ("inner", "outer")),
+    ]
+    for name, a, b in hand_pairs:
+        for op in ("intersection", "union", "difference"):
+            inner, exact, outer = sandwich(a, b, op)
+            for small, big in ((inner, exact.region), (exact.region, outer)):
+                if not big.is_empty:
+                    cases.append((f"{name}.{op}", small, big,
+                                  (_spacing_for(big),), ("inner", "outer")))
+    comp, pixels_comp, _ = crack_middle_operands()
+    middle = exact_intersection(comp, pixels_comp, check=False).region
+    cases.append(("crack", middle, comp, (3,), ("inner", "outer")))
+    found = {"inner": 0, "outer": 0}
+    for name, small, big, ms, modes in cases:
+        assert check_inclusion(small, big) is None, name
+        for m in ms:
+            for mode in modes:
+                found[mode] += _assert_hausdorff_matches_reference(
+                    small, big, m, mode, name)
+    assert min(found.values()) >= 3, found
+
+
+# ---------------------------------------------------------------------------
+# the oracle's visibility test and interior probe
+
+
+def test_visible_matches_is_visible(hand_pairs):
+    """Random segments between lattice points, vertices and edge midpoints
+    of each region, and every unit segment between its lattice points;
+    some regions also far from the origin."""
+    rng = random.Random(5)
+    kinds = set()
+    for k, (name, region) in enumerate(membership_regions(hand_pairs)):
+        if region.is_empty:
+            continue
+        for shift in ((0, 0), FAR) if k % 8 == 0 else ((0, 0),):
+            moved = shifted(region, *shift)
+            scan = IntMembership(moved)
+            x0, y0, x1, y1 = moved.bbox
+            lattice = [Pt(x, y)
+                       for x in range(math.ceil(x0), math.floor(x1) + 1)
+                       for y in range(math.ceil(y0), math.floor(y1) + 1)
+                       if scan.classify(Pt(x, y)) != EXTERIOR]
+            ends = lattice + [
+                pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+                for a, b in moved.edges() if a != b]
+            ends += sorted(moved.vertex_positions())
+            segs = [(g, h) for g in lattice
+                    for h in (Pt(g.x + 1, g.y), Pt(g.x, g.y + 1))
+                    if h in lattice]
+            segs += [(p, q) for p, q in (rng.sample(ends, 2)
+                                         for _ in range(60)) if p != q]
+            got = _visible(segs, moved, scan)
+            assert got == [is_visible(p, q, moved) for p, q in segs], name
+            kinds |= set(got)
+    assert kinds == {True, False}
+
+
+def test_region_interior_sample_is_interior(hand_pairs):
+    """The probe of every filled ring is interior by the pipeline's own
+    classification, and it stays the same far from the origin."""
+    probes = 0
+    for name, region in membership_regions(hand_pairs):
+        far = shifted(region, *FAR)
+        for ri, ring in enumerate(region.rings):
+            if ring.is_degenerate or not ring.is_ccw:
+                continue
+            probe = region_interior_sample(region, ri)
+            assert probe is not None, (name, ri)
+            assert point_in_region(probe, region) == INTERIOR, (name, ri)
+            assert region_interior_sample(far, ri) == pt(
+                probe.x + FAR[0], probe.y + FAR[1]), (name, ri)
+            probes += 1
+    assert probes > 80

@@ -262,11 +262,8 @@ def test_outer_convex_component_side_effect(hand_pairs):
     # when no components merge, a convex component of the exact region
     # stays convex in the outer rounding
     from latbool.arrangement import REFLEX, vertex_convexity
-    from latbool.exact_core import (
-        INTERIOR,
-        point_in_region,
-        region_interior_sample,
-    )
+    from latbool.exact_core import INTERIOR, point_in_region
+    from latbool.oracle import region_interior_sample
     from latbool.setops import OpRequest, apply
 
     for name, a, b in hand_pairs:
