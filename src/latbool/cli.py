@@ -25,11 +25,11 @@ from .exact_core import (
     INTERIOR,
     PreconditionError,
     Region,
-    point_in_region,
     region_ok,
 )
 from .lpr import LprError, parse_region, write_region
 from .oracle import (
+    IntMembership,
     Witness,
     check_hausdorff,
     check_inclusion,
@@ -189,7 +189,8 @@ def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
         if any(exact.region.parents[rj] == ri
                for rj in range(len(exact.rings)) if rj != ri):
             continue
-        convex_components.append(ri)
+        convex_components.append(
+            IntMembership(Region((exact.region.rings[ri],))))
     ok = True
     detail = ""
     for ii, iring in enumerate(inner.rings):
@@ -198,9 +199,8 @@ def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
         probe = region_interior_sample(inner, ii)
         if probe is None:
             continue
-        for ri in convex_components:
-            host = Region((exact.region.rings[ri],))
-            if point_in_region(probe, host) == INTERIOR:
+        for host in convex_components:
+            if host.classify(probe) == INTERIOR:
                 m = len(iring.pts)
                 for i, p in enumerate(iring.pts):
                     if vertex_convexity(iring.pts[i - 1], p,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrangement import REFLEX, ExactRegion
@@ -160,8 +159,7 @@ class _LineProfile:
             elif x == hi.x:
                 y = hi.y
             else:
-                q = lo.y + Fraction((x - lo.x) * (hi.y - lo.y), hi.x - lo.x)
-                y = int(q) if q.denominator == 1 else q
+                y = segment_at(lo, hi, x)[0]
                 crossing.append(y)
             ys.append(y)
             if x < hi.x:

@@ -3,6 +3,19 @@
 Every coordinate is an arbitrary-precision integer or a reduced Fraction;
 no float ever enters a predicate.  Closed-set semantics throughout: a point
 "belongs" to a region when it lies in the interior or on the boundary.
+
+The segment predicates (`orientation`, `point_on_segment`,
+`segment_intersection`, `segments_cross_properly`, `segment_at`,
+`segment_param`, `squared_distance` and `dot`) evaluate on Python ints, not
+in Fraction arithmetic (exact integer evaluation, as in Fortune & Van Wyk,
+SoCG 1993).  When every input coordinate is an int they use it as it is;
+otherwise `_scaled` brings all of them to one common denominator k and they
+work on the numerators.  A sign is the sign of one integer expression, with
+no gcd.  A returned coordinate or distance is built once, by `_ratio`, as an
+int when integral and as one Fraction otherwise, so every result equals the
+plain Fraction formula's by value and by type.  `cross` keeps the plain
+Fraction formula: only the oracle calls it, so the oracle's sign test stays
+independent of this kernel.
 """
 
 from __future__ import annotations
@@ -62,18 +75,57 @@ def pt(x: Scalar, y: Scalar) -> Pt:
     return Pt(_norm(x), _norm(y))
 
 
+def _scaled(*vs: Scalar) -> tuple[int, list[int]]:
+    """A common denominator k of the scalars vs, and each v * k as an int.
+
+    k is a product of their denominators, each multiplied in only when k is
+    not already a multiple of it: a divisibility test, never a gcd.  Every
+    predicate below is invariant under scaling all coordinates by k > 0, or
+    divides its result by the matching power of k.
+    """
+    k = 1
+    for v in vs:
+        if type(v) is not int:
+            q = v.denominator
+            if k % q:
+                k *= q
+    return k, [v * k if type(v) is int else v.numerator * (k // v.denominator)
+               for v in vs]
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """num / den as an exact scalar: an int when integral, else one Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def cross(o: Pt, a: Pt, b: Pt) -> Scalar:
-    """Exact 2x2 determinant of (a-o, b-o)."""
+    """Exact 2x2 determinant of (a-o, b-o), in plain Fraction arithmetic.
+
+    The pipeline's predicates do not call it; it is the oracle's own sign
+    test, kept apart from the integer kernel.
+    """
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def dot(o: Pt, a: Pt, b: Pt) -> Scalar:
-    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
+    """Exact (a-o) . (b-o); a Fraction when any coordinate is one."""
+    (ox, oy), (ax, ay), (bx, by) = o, a, b
+    k = 1
+    if not (type(ox) is type(oy) is type(ax) is type(ay) is type(bx)
+            is type(by) is int):
+        k, (ox, oy, ax, ay, bx, by) = _scaled(ox, oy, ax, ay, bx, by)
+    v = (ax - ox) * (bx - ox) + (ay - oy) * (by - oy)
+    return v if k == 1 else Fraction(v, k * k)
 
 
 def orientation(a: Pt, b: Pt, c: Pt) -> int:
     """Sign of the turn a->b->c: LEFT, RIGHT or COLLINEAR.  Never approximate."""
-    d = cross(a, b, c)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    if not (type(ax) is type(ay) is type(bx) is type(by) is type(cx)
+            is type(cy) is int):
+        _, (ax, ay, bx, by, cx, cy) = _scaled(ax, ay, bx, by, cx, cy)
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if d > 0:
         return LEFT
     if d < 0:
@@ -81,16 +133,21 @@ def orientation(a: Pt, b: Pt, c: Pt) -> int:
     return COLLINEAR
 
 
-def _on_collinear_segment(a: Pt, b: Pt, p: Pt) -> bool:
-    """For p collinear with a-b: is p within the closed segment?"""
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+def _on_collinear_segment(ax: int, ay: int, bx: int, by: int,
+                          px: int, py: int) -> bool:
+    """For p collinear with a-b (one common scale): is p within the closed
+    segment?"""
+    return ((ax <= px <= bx or bx <= px <= ax)
+            and (ay <= py <= by or by <= py <= ay))
 
 
 def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
-    if orientation(a, b, p) != COLLINEAR:
-        return False
-    return _on_collinear_segment(a, b, p)
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if not (type(px) is type(py) is type(ax) is type(ay) is type(bx)
+            is type(by) is int):
+        _, (px, py, ax, ay, bx, by) = _scaled(px, py, ax, ay, bx, by)
+    return ((bx - ax) * (py - ay) == (by - ay) * (px - ax)
+            and _on_collinear_segment(ax, ay, bx, by, px, py))
 
 
 def segment_intersection(
@@ -103,44 +160,50 @@ def segment_intersection(
     """
     a, b = s
     c, d = t
-    if a == b or c == d:
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    k = 1
+    if not (type(ax) is type(ay) is type(bx) is type(by) is type(cx)
+            is type(cy) is type(dx) is type(dy) is int):
+        k, (ax, ay, bx, by, cx, cy, dx, dy) = _scaled(
+            ax, ay, bx, by, cx, cy, dx, dy)
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    if (rx == 0 and ry == 0) or (sx == 0 and sy == 0):
         raise PreconditionError("degenerate segment")
-
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
+    # the turns a->b->c, a->b->d, c->d->a and c->d->b
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
 
     if o1 == 0 and o2 == 0:
         # collinear: overlap interval by lexicographic order along the line
-        lo1, hi1 = (a, b) if a <= b else (b, a)
-        lo2, hi2 = (c, d) if c <= d else (d, c)
-        lo = max(lo1, lo2)
-        hi = min(hi1, hi2)
-        if lo > hi:
+        ka, kb, kc, kd = (ax, ay), (bx, by), (cx, cy), (dx, dy)
+        lo1, hi1 = ((ka, a), (kb, b)) if ka <= kb else ((kb, b), (ka, a))
+        lo2, hi2 = ((kc, c), (kd, d)) if kc <= kd else ((kd, d), (kc, c))
+        lo = lo2 if lo2[0] > lo1[0] else lo1
+        hi = hi2 if hi2[0] < hi1[0] else hi1
+        if lo[0] > hi[0]:
             return None
-        if lo == hi:
-            return lo
-        return (lo, hi)
+        if lo[0] == hi[0]:
+            return lo[1]
+        return (lo[1], hi[1])
 
-    if o1 * o2 < 0 and o3 * o4 < 0:
+    if (o1 < 0 < o2 or o2 < 0 < o1) and (o3 < 0 < o4 or o4 < 0 < o3):
         # proper crossing: one point interior to both segments
-        r = (b.x - a.x, b.y - a.y)
-        sdir = (d.x - c.x, d.y - c.y)
-        den = r[0] * sdir[1] - r[1] * sdir[0]
-        u = ((c.x - a.x) * sdir[1] - (c.y - a.y) * sdir[0])
-        x = a.x + Fraction(u, den) * r[0]
-        y = a.y + Fraction(u, den) * r[1]
-        return pt(x, y)
+        den = rx * sy - ry * sx
+        u = (cx - ax) * sy - (cy - ay) * sx
+        return Pt(_ratio(ax * den + u * rx, den * k),
+                  _ratio(ay * den + u * ry, den * k))
 
     # an endpoint of one segment on the other, with or without a sign change
-    if o1 == 0 and _on_collinear_segment(a, b, c):
+    if o1 == 0 and _on_collinear_segment(ax, ay, bx, by, cx, cy):
         return c
-    if o2 == 0 and _on_collinear_segment(a, b, d):
+    if o2 == 0 and _on_collinear_segment(ax, ay, bx, by, dx, dy):
         return d
-    if o3 == 0 and _on_collinear_segment(c, d, a):
+    if o3 == 0 and _on_collinear_segment(cx, cy, dx, dy, ax, ay):
         return a
-    if o4 == 0 and _on_collinear_segment(c, d, b):
+    if o4 == 0 and _on_collinear_segment(cx, cy, dx, dy, bx, by):
         return b
     return None
 
@@ -156,13 +219,19 @@ def hit_points(hit: Union[None, Pt, tuple[Pt, Pt]]) -> tuple[Pt, ...]:
 
 def segments_cross_properly(s: tuple[Pt, Pt], t: tuple[Pt, Pt]) -> bool:
     """True iff the segments intersect in one point interior to both."""
-    a, b = s
-    c, d = t
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0 and o1 != o2 and o3 != o4
+    (ax, ay), (bx, by) = s
+    (cx, cy), (dx, dy) = t
+    if not (type(ax) is type(ay) is type(bx) is type(by) is type(cx)
+            is type(cy) is type(dx) is type(dy) is int):
+        _, (ax, ay, bx, by, cx, cy, dx, dy) = _scaled(
+            ax, ay, bx, by, cx, cy, dx, dy)
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    return (o1 < 0 < o2 or o2 < 0 < o1) and (o3 < 0 < o4 or o4 < 0 < o3)
 
 
 def squared_distance(p: Pt, seg: tuple[Pt, Pt]) -> Scalar:
@@ -170,20 +239,25 @@ def squared_distance(p: Pt, seg: tuple[Pt, Pt]) -> Scalar:
 
     All sqrt(2) comparisons in the pipeline reduce to `squared_distance < 2`.
     """
-    a, b = seg
-    if a == b:
+    (px, py), ((ax, ay), (bx, by)) = p, seg
+    k = 1
+    if not (type(px) is type(py) is type(ax) is type(ay) is type(bx)
+            is type(by) is int):
+        k, (px, py, ax, ay, bx, by) = _scaled(px, py, ax, ay, bx, by)
+    abx, aby = bx - ax, by - ay
+    if abx == 0 and aby == 0:
         raise PreconditionError("degenerate segment")
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = p.x - a.x, p.y - a.y
+    apx, apy = px - ax, py - ay
     ab2 = abx * abx + aby * aby
     t_num = apx * abx + apy * aby
+    k2 = k * k
     if t_num <= 0:
-        return _norm(apx * apx + apy * apy)
+        return _ratio(apx * apx + apy * apy, k2)
     if t_num >= ab2:
-        bpx, bpy = p.x - b.x, p.y - b.y
-        return _norm(bpx * bpx + bpy * bpy)
+        bpx, bpy = px - bx, py - by
+        return _ratio(bpx * bpx + bpy * bpy, k2)
     c = apx * aby - apy * abx
-    return _norm(Fraction(c * c, ab2))
+    return _ratio(c * c, ab2 * k2)
 
 
 def squared_point_distance(p: Pt, q: Pt) -> Scalar:
@@ -200,20 +274,28 @@ def segment_at(a: Pt, b: Pt, v: Scalar, axis: int = 0) -> tuple[Scalar, ...]:
     missing it gives none.
     """
     u = 1 - axis
-    if a[axis] == b[axis]:
-        return (a[u], b[u]) if a[axis] == v else ()
-    lo, hi = (a, b) if a[axis] < b[axis] else (b, a)
-    if not lo[axis] <= v <= hi[axis]:
+    a0, a1, b0, b1 = a[axis], a[u], b[axis], b[u]
+    k = 1
+    if not (type(a0) is type(a1) is type(b0) is type(b1) is type(v) is int):
+        k, (a0, a1, b0, b1, v) = _scaled(a0, a1, b0, b1, v)
+    if a0 == b0:
+        return (a[u], b[u]) if a0 == v else ()
+    if a0 > b0:
+        a0, a1, b0, b1 = b0, b1, a0, a1
+    if not a0 <= v <= b0:
         return ()
-    return (_norm(lo[u] + Fraction((v - lo[axis]) * (hi[u] - lo[u]),
-                                   hi[axis] - lo[axis])),)
+    return (_ratio(a1 * (b0 - a0) + (v - a0) * (b1 - a1), (b0 - a0) * k),)
 
 
 def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
     """The t with p = a + t (b - a), for p on the line through a-b."""
-    if b.x != a.x:
-        return Fraction(p.x - a.x, b.x - a.x)
-    return Fraction(p.y - a.y, b.y - a.y)
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    if not (type(ax) is type(ay) is type(bx) is type(by) is type(px)
+            is type(py) is int):
+        _, (ax, ay, bx, by, px, py) = _scaled(ax, ay, bx, by, px, py)
+    if bx != ax:
+        return Fraction(px - ax, bx - ax)
+    return Fraction(py - ay, by - ay)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ from latbool.exact_core import (
 from latbool.fixtures import random_pairs
 from latbool.oracle import brute_boolean, properly_crossing_pairs
 
-from conftest import CORPUS_SEED, crack_middle_operands, shifted, square
-
-FAR = (10 ** 9 + 7, -10 ** 12)
+from conftest import CORPUS_SEED, FAR, crack_middle_operands, shifted, square
 
 
 def test_axis_aligned_overlap():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from latbool import cli, setops
+from latbool import cli, oracle, setops
 from latbool.cli import main, run_property_checklist
 from latbool.exact_core import InternalInvariantError, Pt, Region, Ring
 from latbool.lpr import LprError, parse_region, write_region
@@ -239,6 +239,39 @@ def test_checklist_builds_one_operand_overlay(hand_pairs, monkeypatch):
             assert overlays.count("latbool.arrangement") == 1, (name, op)
             assert len(overlays) <= 2, (name, op, overlays)
             assert len(inclusions) == 2, (name, op)
+
+
+def test_checklist_independent_of_point_in_region(hand_pairs, monkeypatch):
+    """The checklist classifies its convex-component probes with the
+    oracle's IntMembership: with point_in_region raising at the checker's
+    bindings, every op gives the same checklist results as before."""
+    def render(results) -> list[tuple]:
+        return [(r.name, r.passed, r.detail) for r in results]
+
+    ops = ("intersection", "union", "difference")
+    expected = {(name, op): render(run_property_checklist(a, b, op))
+                for name, a, b in hand_pairs for op in ops}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the checklist called point_in_region")
+
+    probes = []
+
+    class CountedMembership(oracle.IntMembership):
+        def classify(self, p):
+            probes.append(p)
+            return super().classify(p)
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "point_in_region", boom, raising=False)
+    monkeypatch.setattr(cli, "IntMembership", CountedMembership,
+                        raising=False)
+    for name, a, b in hand_pairs:
+        for op in ops:
+            got = render(run_property_checklist(a, b, op))
+            assert got == expected[(name, op)], (name, op)
+            assert all(passed for _, passed, _ in got), (name, op)
+    assert probes
 
 
 def test_seed_env_var(monkeypatch):

@@ -5,20 +5,32 @@ from fractions import Fraction
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import pytest
 
 from latbool.arrangement import exact_intersection
 from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
 from latbool.exact_core import (
     COLLINEAR,
+    LEFT,
+    RIGHT,
+    PreconditionError,
     Pt,
     Ring,
+    dot,
     orientation,
+    point_on_segment,
     pt,
+    segment_at,
     segment_intersection,
+    segment_param,
+    segments_cross_properly,
+    squared_distance,
 )
 from latbool.fixtures import random_region
 from latbool.oracle import brute_nvlp
 from latbool.rounding import nvlp
+
+from conftest import FAR
 
 rationals = hys.fractions(min_value=-50, max_value=50,
                           max_denominator=16)
@@ -88,3 +100,197 @@ def test_random_intersections_round_trip_membership(seed):
     d = reflex_vertical_decomposition(x)
     assert sum(c.ring.signed_area2 for c in d.cells) == \
         sum(r.signed_area2 for r in x.region.rings)
+
+
+# ---------------------------------------------------------------------------
+# the integer predicate kernel against its plain Fraction formulas
+#
+# Each ref_* below evaluates a predicate's formula directly in Fraction
+# arithmetic.  They are the references the integer kernel must reproduce,
+# by value and by type (a result that was an int stays an int).
+
+
+def _exact(v):
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def ref_orientation(a, b, c):
+    d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return LEFT if d > 0 else RIGHT if d < 0 else COLLINEAR
+
+
+def ref_dot(o, a, b):
+    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
+
+
+def ref_on_collinear_segment(a, b, p):
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def ref_point_on_segment(p, a, b):
+    return (ref_orientation(a, b, p) == COLLINEAR
+            and ref_on_collinear_segment(a, b, p))
+
+
+def ref_segment_intersection(s, t):
+    a, b = s
+    c, d = t
+    if a == b or c == d:
+        raise PreconditionError("degenerate segment")
+    o1 = ref_orientation(a, b, c)
+    o2 = ref_orientation(a, b, d)
+    o3 = ref_orientation(c, d, a)
+    o4 = ref_orientation(c, d, b)
+    if o1 == 0 and o2 == 0:
+        lo1, hi1 = (a, b) if a <= b else (b, a)
+        lo2, hi2 = (c, d) if c <= d else (d, c)
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return None
+        return lo if lo == hi else (lo, hi)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        r = (b.x - a.x, b.y - a.y)
+        sd = (d.x - c.x, d.y - c.y)
+        den = r[0] * sd[1] - r[1] * sd[0]
+        u = (c.x - a.x) * sd[1] - (c.y - a.y) * sd[0]
+        return pt(a.x + Fraction(u, den) * r[0], a.y + Fraction(u, den) * r[1])
+    for o, (p, q, e) in ((o1, (a, b, c)), (o2, (a, b, d)),
+                         (o3, (c, d, a)), (o4, (c, d, b))):
+        if o == 0 and ref_on_collinear_segment(p, q, e):
+            return e
+    return None
+
+
+def ref_segments_cross_properly(s, t):
+    (a, b), (c, d) = s, t
+    o1, o2 = ref_orientation(a, b, c), ref_orientation(a, b, d)
+    o3, o4 = ref_orientation(c, d, a), ref_orientation(c, d, b)
+    return (o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0 and o1 != o2
+            and o3 != o4)
+
+
+def ref_squared_distance(p, seg):
+    a, b = seg
+    if a == b:
+        raise PreconditionError("degenerate segment")
+    abx, aby = b.x - a.x, b.y - a.y
+    apx, apy = p.x - a.x, p.y - a.y
+    ab2 = abx * abx + aby * aby
+    t_num = apx * abx + apy * aby
+    if t_num <= 0:
+        return _exact(apx * apx + apy * apy)
+    if t_num >= ab2:
+        bpx, bpy = p.x - b.x, p.y - b.y
+        return _exact(bpx * bpx + bpy * bpy)
+    c = apx * aby - apy * abx
+    return _exact(Fraction(c * c, ab2))
+
+
+def ref_segment_at(a, b, v, axis=0):
+    u = 1 - axis
+    if a[axis] == b[axis]:
+        return (a[u], b[u]) if a[axis] == v else ()
+    lo, hi = (a, b) if a[axis] < b[axis] else (b, a)
+    if not lo[axis] <= v <= hi[axis]:
+        return ()
+    return (_exact(lo[u] + Fraction((v - lo[axis]) * (hi[u] - lo[u]),
+                                    hi[axis] - lo[axis])),)
+
+
+def ref_segment_param(a, b, p):
+    if b.x != a.x:
+        return Fraction(p.x - a.x, b.x - a.x)
+    return Fraction(p.y - a.y, b.y - a.y)
+
+
+def _same(x, y) -> bool:
+    """Equal by value and by type, element by element."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError:
+        return PreconditionError
+
+
+def _along(a, b, t):
+    return pt(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+SHAPES = ("free", "collinear", "touching", "vertical", "horizontal")
+
+
+@hys.composite
+def segment_pairs(draw, pts, line_t, seg_t):
+    """Two segments on the points `pts`: free, collinear (parameters
+    `line_t` along the first), one touching the other (`seg_t`), or
+    vertical/horizontal (on one line or not)."""
+    a, b, c, d = draw(pts)
+    shape = draw(hys.sampled_from(SHAPES))
+    if shape == "collinear":
+        c, d = _along(a, b, draw(line_t)), _along(a, b, draw(line_t))
+    elif shape == "touching":
+        c = _along(a, b, draw(seg_t))
+    elif shape == "vertical":
+        b = pt(a.x, b.y)
+        c = pt(a.x, c.y) if draw(hys.booleans()) else c
+        d = pt(c.x, d.y) if draw(hys.booleans()) else d
+    elif shape == "horizontal":
+        b = pt(b.x, a.y)
+        c = pt(c.x, a.y) if draw(hys.booleans()) else c
+        d = pt(d.x, c.y) if draw(hys.booleans()) else d
+    return (a, b), (c, d)
+
+
+def _four(pts):
+    return hys.lists(pts, min_size=4, max_size=4, unique=True)
+
+
+# per coordinate kind: rational, shifted near 10^12, and all-int points
+SEGMENT_PAIRS = {
+    "rational": segment_pairs(_four(points),
+                              hys.fractions(-1, 2, max_denominator=6),
+                              hys.fractions(0, 1, max_denominator=6)),
+    "far": segment_pairs(
+        _four(points.map(lambda p: pt(p.x + FAR[0], p.y + FAR[1]))),
+        hys.fractions(-1, 2, max_denominator=6),
+        hys.fractions(0, 1, max_denominator=6)),
+    "int": segment_pairs(
+        _four(hys.tuples(hys.integers(-20, 20),
+                         hys.integers(-20, 20)).map(lambda t: pt(*t))),
+        hys.integers(-1, 2), hys.integers(0, 1)),
+}
+
+
+# Hypothesis's explain phase reruns a failing case for minutes here; a
+# failure is reported shrunk but without that phase's annotations.
+@pytest.mark.parametrize("kind", SEGMENT_PAIRS)
+@hyp.settings(phases=[p for p in hyp.Phase if p is not hyp.Phase.explain])
+@hyp.given(data=hys.data())
+def test_kernel_matches_fraction_formulas(kind, data):
+    s, t = data.draw(SEGMENT_PAIRS[kind])
+    (a, b), (c, d) = s, t
+    assert _same(_outcome(segment_intersection, s, t),
+                 _outcome(ref_segment_intersection, s, t))
+    assert _same(segments_cross_properly(s, t),
+                 ref_segments_cross_properly(s, t))
+    for p in (c, d):
+        assert _same(orientation(a, b, p), ref_orientation(a, b, p))
+        assert _same(dot(a, b, p), ref_dot(a, b, p))
+        assert _same(point_on_segment(p, a, b), ref_point_on_segment(p, a, b))
+        assert _same(_outcome(squared_distance, p, s),
+                     _outcome(ref_squared_distance, p, s))
+        if a != b:
+            assert _same(segment_param(a, b, p), ref_segment_param(a, b, p))
+    for axis in (0, 1):
+        for v in (a[axis], b[axis], c[axis], d[axis],
+                  _exact(Fraction(a[axis] + b[axis], 2))):
+            assert _same(segment_at(a, b, v, axis),
+                         ref_segment_at(a, b, v, axis))

@@ -20,7 +20,7 @@ from latbool.oracle import check_inclusion
 from latbool.rounding import inner_round
 from latbool.setops import OpRequest, apply, sandwich
 
-from conftest import CORPUS_SEED, count_overlays, shifted, square
+from conftest import CORPUS_SEED, FAR, count_overlays, shifted, square
 
 
 def test_apply_inner_intersection_trivial():
@@ -79,6 +79,22 @@ def test_inclusion_chain_on_fixtures(hand_pairs):
             inner, exact, outer = sandwich(a, b, op)
             assert check_inclusion(inner, exact.region) is None, (name, op)
             assert check_inclusion(exact.region, outer) is None, (name, op)
+
+
+def test_sandwich_commutes_with_far_translation(hand_pairs):
+    """Translating both operands near 10^12 translates inner, exact and
+    outer by the same vector, byte for byte."""
+    pairs = hand_pairs + random_pairs(16, seed=CORPUS_SEED)
+    for name, a, b in pairs:
+        a_far, b_far = shifted(a, *FAR), shifted(b, *FAR)
+        for op in ("intersection", "union", "difference"):
+            near = sandwich(a, b, op)
+            far = sandwich(a_far, b_far, op)
+            for mode, r, r_far in zip(("inner", "exact", "outer"), near, far):
+                if mode == "exact":
+                    r, r_far = r.region, r_far.region
+                assert write_region(r_far) == write_region(
+                    shifted(r, *FAR)), (name, op, mode)
 
 
 def test_de_morgan_consistency(hand_pairs):
