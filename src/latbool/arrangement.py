@@ -25,6 +25,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact_core import (
+    LEFT,
+    RIGHT,
     InternalInvariantError,
     MarginError,
     hit_points,
@@ -36,6 +38,8 @@ from .exact_core import (
     Scalar,
     UniverseBox,
     complement_in_universe,
+    dot,
+    orientation,
     region_ok,
     segment_at,
     segment_intersection,
@@ -96,12 +100,10 @@ def vertex_convexity(prev: Pt, v: Pt, nxt: Pt) -> str:
     An exact reversal (out-and-back crack tip) counts as reflex: the
     interior wraps the full angle around it.
     """
-    turn = (v.x - prev.x) * (nxt.y - v.y) - (v.y - prev.y) * (nxt.x - v.x)
-    if turn > 0:
+    turn = orientation(prev, v, nxt)
+    if turn == LEFT:
         return CONVEX
-    if turn < 0:
-        return REFLEX
-    if (v.x - prev.x) * (nxt.x - v.x) + (v.y - prev.y) * (nxt.y - v.y) < 0:
+    if turn == RIGHT or dot(v, prev, nxt) > 0:
         return REFLEX
     return FLAT
 

@@ -27,7 +27,10 @@ from typing import NamedTuple, Optional
 
 from .arrangement import REFLEX, ExactRegion
 from .exact_core import (
+    COLLINEAR,
     EXTERIOR,
+    LEFT,
+    RIGHT,
     InternalInvariantError,
     trace_cycles,
     PreconditionError,
@@ -36,6 +39,8 @@ from .exact_core import (
     Ring,
     Scalar,
     boundary_gap_midpoints,
+    dot,
+    orientation,
     point_in_region,
     point_on_segment,
     pt,
@@ -63,9 +68,7 @@ class ConvexCell:
 
     def contains(self, q: Pt) -> bool:
         for a, b in self.ring.edges():
-            if a == b:
-                continue
-            if (b.x - a.x) * (q.y - a.y) - (b.y - a.y) * (q.x - a.x) < 0:
+            if a != b and orientation(a, b, q) == RIGHT:
                 return False
         return True
 
@@ -100,29 +103,22 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _dir_in_sector(delta: tuple[int, int], u: tuple[Scalar, Scalar],
-                   w: tuple[Scalar, Scalar]) -> bool:
-    """Is direction `delta` strictly inside the interior sector at a vertex?
+def _dir_in_sector(d: Pt, prev: Pt, v: Pt, nxt: Pt) -> bool:
+    """Is the direction from v to d strictly inside the interior sector at
+    the vertex v of the boundary path prev->v->nxt (interior on the left)?
 
-    u is the incoming direction, w the outgoing one (interior on the left);
-    the sector spans counterclockwise from w to -u.
+    The sector spans counterclockwise from the direction to nxt to the
+    direction to prev.
     """
-    ax, ay = w
-    bx, by = -u[0], -u[1]
-    dx, dy = delta
-    c_ab = ax * by - ay * bx
-    d_ab = ax * bx + ay * by
-    c_ad = ax * dy - ay * dx
-    d_ad = ax * dx + ay * dy
-    c_db = dx * by - dy * bx
-    if c_ab == 0 and d_ab > 0:
+    span = orientation(v, nxt, prev)
+    ahead = orientation(v, nxt, d)
+    if span == COLLINEAR and dot(v, nxt, prev) > 0:
         # reversal vertex: everything except the spur direction is interior
-        return not (c_ad == 0 and d_ad > 0)
-    if c_ab == 0 and d_ab < 0:
-        return c_ad > 0
-    if c_ab > 0:
-        return c_ad > 0 and c_db > 0
-    return c_ad > 0 or c_db > 0
+        return not (ahead == COLLINEAR and dot(v, nxt, d) > 0)
+    # at a straight vertex both tests below reduce to ahead == LEFT
+    if span == LEFT:
+        return ahead == LEFT and orientation(v, d, prev) == LEFT
+    return ahead == LEFT or orientation(v, d, prev) == LEFT
 
 
 class _LineProfile:
@@ -251,10 +247,9 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                 continue
             prev = ring[i - 1].pos
             nxt = ring[(i + 1) % m].pos
-            u = (v.pos.x - prev.x, v.pos.y - prev.y)
-            w = (nxt.x - v.pos.x, nxt.y - v.pos.y)
             for sign, name in ((1, UP), (-1, DOWN)):
-                if not _dir_in_sector((0, sign), u, w):
+                if not _dir_in_sector(Pt(v.pos.x, v.pos.y + sign), prev,
+                                      v.pos, nxt):
                     continue
                 hit = lines[v.pos.x].wall_hit(v.pos.y, sign)
                 if hit is None:

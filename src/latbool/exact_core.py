@@ -16,6 +16,13 @@ int when integral and as one Fraction otherwise, so every result equals the
 plain Fraction formula's by value and by type.  `cross` keeps the plain
 Fraction formula: only the oracle calls it, so the oracle's sign test stays
 independent of this kernel.
+
+`orientation` and `dot` are also the pipeline's one turn predicate: the
+rotation rule of `trace_cycles`, `point_in_region`,
+`arrangement.vertex_convexity`, `decomposition.ConvexCell.contains` and
+`_dir_in_sector`, and `rounding`'s reflex-removal checks
+(`_removal_topology_ok`, `_strictly_in_triangle`) decide every turn with
+them.  A collinear turn with `dot > 0` is a reversal.
 """
 
 from __future__ import annotations
@@ -427,19 +434,19 @@ class Region:
         return len(self.vertex_positions())
 
     @cached_property
+    def _enclosing(self) -> tuple[tuple[int, ...], ...]:
+        """For each ring, the indices of the rings strictly enclosing it;
+        the length of a ring's list is its nesting depth."""
+        return tuple(tuple(j for j, outer in enumerate(self.rings)
+                           if j != i and _ring_encloses(outer, ring))
+                     for i, ring in enumerate(self.rings))
+
+    @cached_property
     def parents(self) -> tuple[Optional[int], ...]:
         """Index of the innermost ring strictly enclosing each ring."""
-        n = len(self.rings)
-        out: list[Optional[int]] = []
-        for i in range(n):
-            enclosing = [j for j in range(n)
-                         if j != i and _ring_encloses(self.rings[j], self.rings[i])]
-            if not enclosing:
-                out.append(None)
-            else:
-                out.append(max(enclosing,
-                               key=lambda j: _ring_nesting_depth(self, j)))
-        return tuple(out)
+        enc = self._enclosing
+        return tuple(max(js, key=lambda j: len(enc[j])) if js else None
+                     for js in enc)
 
     def canonical(self) -> "Region":
         rings = [r.canonical() for r in self.rings]
@@ -448,45 +455,26 @@ class Region:
         return Region(tuple(rings))
 
 
-def _next_out(v: Pt, back: tuple[Scalar, Scalar],
-              outs: list[tuple[Pt, int]]) -> tuple[Pt, int]:
-    """Outgoing edge continuing the face on the left of the arrival edge.
+def _next_out(u: Pt, v: Pt, outs: list[tuple[Pt, int]]) -> tuple[Pt, int]:
+    """Outgoing edge continuing the face on the left of the arrival edge u->v.
 
     Standard rotation rule: the largest counterclockwise angle, measured
-    from the direction back to the previous vertex, keeps the traced face
-    on the left.  An outgoing edge parallel to the way back (the doubled
-    copy of a crack edge) ranks last; at a crack tip it is the only option
-    and the trace correctly reverses.
+    from the direction back to u, keeps the traced face on the left.  An
+    outgoing edge parallel to the way back (the doubled copy of a crack
+    edge) ranks last; at a crack tip it is the only option and the trace
+    correctly reverses.
     """
-    rx, ry = back
     best: Optional[tuple[Pt, int]] = None
-    best_cls: Optional[tuple[int, int]] = None  # (parallel?, angle half)
+    best_rank = 3
     for w, eid in outs:
-        wx, wy = w.x - v.x, w.y - v.y
-        c = rx * wy - ry * wx
-        d = rx * wx + ry * wy
-        if c == 0 and d > 0:
-            cls = (1, 0)
-        else:
-            # half 0: angle in (0, pi]; half 1: angle in (pi, 2pi)
-            cls = (0, 0 if (c > 0 or (c == 0 and d < 0)) else 1)
-        if best is None:
-            best, best_cls = (w, eid), cls
-            continue
-        assert best_cls is not None
-        if cls[0] != best_cls[0]:
-            if cls[0] < best_cls[0]:
-                best, best_cls = (w, eid), cls
-            continue
-        if cls[0] == 1:
-            continue
-        if cls[1] != best_cls[1]:
-            if cls[1] > best_cls[1]:
-                best, best_cls = (w, eid), cls
-            continue
-        bx, by_ = best[0].x - v.x, best[0].y - v.y
-        if bx * wy - by_ * wx > 0:  # same half: w is CCW of the current best
-            best, best_cls = (w, eid), cls
+        turn = orientation(v, u, w)
+        ahead = dot(v, u, w) if turn == COLLINEAR else 0
+        # rank 0: angle from the way back in [pi, 2pi); 1: in (0, pi);
+        # 2: along the way back
+        rank = 2 if ahead > 0 else 1 if turn == LEFT else 0
+        if rank < best_rank or (rank == best_rank < 2
+                                and orientation(v, best[0], w) == LEFT):
+            best, best_rank = (w, eid), rank
     if best is None:
         raise InternalInvariantError("dangling vertex during boundary tracing")
     return best
@@ -511,8 +499,7 @@ def trace_cycles(directed: list[tuple[Pt, Pt]]) -> list[list[Pt]]:
             used[eid] = True
             u, v = directed[eid]
             cycle.append(u)
-            back = (u.x - v.x, u.y - v.y)
-            _, eid = _next_out(v, back, outs[v])
+            _, eid = _next_out(u, v, outs.get(v, []))
         if eid != start:
             raise InternalInvariantError(
                 "boundary tracing did not close a cycle")
@@ -566,43 +553,33 @@ def _ring_encloses(outer: Ring, inner: Ring) -> bool:
     return False
 
 
-def _ring_nesting_depth(region: Region, idx: int) -> int:
-    ring = region.rings[idx]
-    depth = 0
-    for j, other in enumerate(region.rings):
-        if j == idx or other.is_degenerate:
-            continue
-        if _ring_encloses(other, ring):
-            depth += 1
-    return depth
-
-
 def point_in_region(p: Pt, region: Region) -> str:
     """Exact closed-set classification of p against a region.
 
     One pass over the edges: an edge whose closed y-range misses p.y is
     skipped before any multiplication, a horizontal edge at p.y is an
-    interval test, and every other edge gets one cross product that decides
-    both whether p is on it and whether the rightward ray from p crosses it
-    (half-open rule lo.y <= p.y < hi.y).  Even-odd parity; valid nested
-    regions make this equivalent to the winding rule.  Doubled (crack)
-    edges cancel, which is the intended reading for degenerate rings.
+    interval test, and every other edge gets one `orientation` test that
+    decides both whether p is on it and whether the rightward ray from p
+    crosses it (half-open rule lo.y <= p.y < hi.y).  Even-odd parity; valid
+    nested regions make this equivalent to the winding rule.  Doubled
+    (crack) edges cancel, which is the intended reading for degenerate
+    rings.
     """
     px, py = p
     inside = False
-    for (ax, ay), (bx, by) in region.edges():
-        if ay > by:
-            ax, ay, bx, by = bx, by, ax, ay
-        if not ay <= py <= by:
+    for a, b in region.edges():
+        if a.y > b.y:
+            a, b = b, a
+        if not a.y <= py <= b.y:
             continue
-        if ay == by:
-            if ax != bx and min(ax, bx) <= px <= max(ax, bx):
+        if a.y == b.y:
+            if a.x != b.x and min(a.x, b.x) <= px <= max(a.x, b.x):
                 return BOUNDARY
             continue
-        c = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if c == 0:
+        turn = orientation(a, b, p)
+        if turn == COLLINEAR:
             return BOUNDARY
-        if c > 0 and py < by:
+        if turn == LEFT and py < b.y:
             inside = not inside
     return INTERIOR if inside else EXTERIOR
 
@@ -787,9 +764,10 @@ def validate_region(region: Region) -> list[Violation]:
                 hit = segment_intersection((a, b), (c, d))
                 if hit is not None and not isinstance(hit, Pt):
                     # anti-parallel doubling is a zero-width pinch: parity
-                    # stays consistent; same-direction doubling breaks it
-                    anti = (b.x - a.x) * (d.x - c.x) + \
-                        (b.y - a.y) * (d.y - c.y) < 0
+                    # stays consistent; same-direction doubling breaks it.
+                    # The edges are collinear, so they run opposite ways
+                    # exactly when their lexicographic directions differ.
+                    anti = (a < b) != (c < d)
                     out.append(Violation(
                         "edge-overlap",
                         f"ring {ri} edge {ei} overlaps ring {rj} edge {ej}",
@@ -800,7 +778,7 @@ def validate_region(region: Region) -> list[Violation]:
         for ri, ring in enumerate(region.rings):
             if ring.is_degenerate:
                 continue
-            depth = _ring_nesting_depth(region, ri)
+            depth = len(region._enclosing[ri])
             if depth % 2 == 0 and not ring.is_ccw:
                 out.append(Violation(
                     "orientation", f"ring {ri} at depth {depth} must be CCW", "error"))

@@ -12,7 +12,8 @@ import random
 from math import gcd
 from typing import Optional
 
-from .exact_core import INTERIOR, Pt, Region, Ring, point_in_region, region_ok
+from .exact_core import (INTERIOR, Pt, Region, Ring, orientation,
+                         point_in_region, region_ok)
 
 DEFAULT_SEED = 20050317
 
@@ -129,7 +130,7 @@ def _hull_ring(pts: list[Pt]) -> Optional[Ring]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and orientation(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -142,11 +143,6 @@ def _hull_ring(pts: list[Pt]) -> Optional[Ring]:
     if len(hull) < 3:
         return None
     return Ring(tuple(hull))
-
-
-def _turn(a: Pt, b: Pt, c: Pt) -> int:
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    return (v > 0) - (v < 0)
 
 
 def _star_ring(pts: list[Pt]) -> Optional[Ring]:

@@ -27,6 +27,7 @@ from .decomposition import (
     reflex_vertical_decomposition,
 )
 from .exact_core import (
+    COLLINEAR,
     InternalInvariantError,
     MarginError,
     PreconditionError,
@@ -37,6 +38,7 @@ from .exact_core import (
     UniverseBox,
     cancel_reversed_pairs,
     complement_in_universe,
+    orientation,
     segment_at,
     segments_cross_properly,
     squared_distance,
@@ -412,9 +414,7 @@ def _removal_topology_ok(rings: list[list[Pt]], ri: int, i: int) -> bool:
                 continue
             if segments_cross_properly(new_seg, (a, b)):
                 return False
-    area2 = ((r.x - prev.x) * (nxt.y - prev.y)
-             - (r.y - prev.y) * (nxt.x - prev.x))
-    if area2 == 0:
+    if orientation(prev, r, nxt) == COLLINEAR:
         return True
     for rj, other in enumerate(rings):
         for j, w in enumerate(other):
@@ -428,10 +428,9 @@ def _removal_topology_ok(rings: list[list[Pt]], ri: int, i: int) -> bool:
 
 
 def _strictly_in_triangle(w: Pt, a: Pt, b: Pt, c: Pt) -> bool:
-    d1 = (b.x - a.x) * (w.y - a.y) - (b.y - a.y) * (w.x - a.x)
-    d2 = (c.x - b.x) * (w.y - b.y) - (c.y - b.y) * (w.x - b.x)
-    d3 = (a.x - c.x) * (w.y - c.y) - (a.y - c.y) * (w.x - c.x)
-    return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
+    turn = orientation(a, b, w)
+    return (turn != COLLINEAR and orientation(b, c, w) == turn
+            and orientation(c, a, w) == turn)
 
 
 # ---------------------------------------------------------------------------

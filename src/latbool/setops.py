@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .arrangement import (
+    OPS,
     ExactRegion,
     exact_from_overlay,
     exact_intersection,  # noqa: F401  perfbench's tracer test reads it here
@@ -40,7 +41,6 @@ from .oracle import check_inclusion
 from .rounding import inner_round, outer_round
 
 MODES = ("exact", "inner", "outer")
-OPS = ("intersection", "union", "difference")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 
+import hypothesis as hyp
 import pytest
 
 from latbool import arrangement
@@ -18,6 +19,12 @@ from latbool.exact_core import (
 from latbool.fixtures import hand_fixture_pairs, random_pairs
 from latbool.rounding import pixel_set
 
+# Every property test runs without Hypothesis's explain phase: on the exact
+# rational strategies it can rerun a failing case for minutes.  A failure is
+# still found and shrunk; only that phase's annotations are left out.
+hyp.settings.register_profile(
+    "latbool", phases=[p for p in hyp.Phase if p is not hyp.Phase.explain])
+hyp.settings.load_profile("latbool")
 
 # the seed of the acceptance corpus (tests/test_acceptance.py)
 CORPUS_SEED = 20050317

@@ -9,6 +9,7 @@ from latbool.exact_core import (
     EXTERIOR,
     INTERIOR,
     LEFT,
+    InternalInvariantError,
     MarginError,
     PreconditionError,
     RIGHT,
@@ -26,6 +27,8 @@ from latbool.exact_core import (
     segment_intersection,
     segment_param,
     squared_distance,
+    trace_cycles,
+    Violation,
     universe_for,
     validate_region,
 )
@@ -244,6 +247,50 @@ def test_validate_degenerate_flagged_not_error():
     vio = validate_region(slit)
     assert any(v.severity == "degenerate" for v in vio)
     assert region_ok(slit)
+
+
+def test_validate_nesting_three_levels():
+    # an island in a hole in an outer ring, listed innermost first
+    outer = square(0, 0, 10, 10)
+    hole = square(2, 2, 8, 8).reversed_()
+    island = square(4, 4, 6, 6)
+    region = Region((island, outer, hole))
+    assert region.parents == (2, None, 1)
+    assert validate_region(region) == []
+    flipped = Region((island.reversed_(), outer, hole))
+    assert flipped.parents == (2, None, 1)
+    assert validate_region(flipped) == [Violation(
+        "orientation", "ring 0 at depth 2 must be CCW", "error")]
+
+
+def _quarter_turns(region: Region, k: int) -> Region:
+    def turn(p: Pt) -> Pt:
+        for _ in range(k):
+            p = Pt(-p.y, p.x)
+        return p
+    return Region(tuple(Ring(tuple(map(turn, r.pts))) for r in region.rings))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_validate_edge_overlap_severity(k):
+    outer = square(0, 0, 4, 4)
+    # a hole on the outer ring's edge runs along it the other way: a
+    # zero-width pinch, flagged but valid
+    notch = _quarter_turns(Region((outer, square(1, 0, 3, 2).reversed_())), k)
+    overlaps = [v for v in validate_region(notch) if v.kind == "edge-overlap"]
+    assert [v.severity for v in overlaps] == ["degenerate"]
+    assert region_ok(notch)
+    # an island on the same edge runs along it the same way: invalid
+    doubled = _quarter_turns(Region((outer, square(1, 0, 3, 2))), k)
+    overlaps = [v for v in validate_region(doubled)
+                if v.kind == "edge-overlap"]
+    assert [v.severity for v in overlaps] == ["error"]
+    assert not region_ok(doubled)
+
+
+def test_trace_cycles_dangling_end_is_an_invariant_error():
+    with pytest.raises(InternalInvariantError, match="dangling"):
+        trace_cycles([(Pt(0, 0), Pt(1, 0)), (Pt(1, 0), Pt(1, 1))])
 
 
 def test_ring_canonical_collapses_collinear():

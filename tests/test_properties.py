@@ -1,5 +1,6 @@
 """Property-based checks over random exact inputs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,17 +8,31 @@ import hypothesis as hyp
 import hypothesis.strategies as hys
 import pytest
 
-from latbool.arrangement import exact_intersection
-from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
+from latbool.arrangement import (
+    CONVEX,
+    FLAT,
+    REFLEX,
+    exact_intersection,
+    vertex_convexity,
+)
+from latbool.decomposition import (
+    ConvexCell,
+    _dir_in_sector,
+    reflex_vertical_decomposition,
+)
 from latbool.exact_core import (
     COLLINEAR,
+    EXTERIOR,
     LEFT,
     RIGHT,
     PreconditionError,
     Pt,
+    Region,
     Ring,
+    _next_out,
     dot,
     orientation,
+    point_in_region,
     point_on_segment,
     pt,
     segment_at,
@@ -26,9 +41,9 @@ from latbool.exact_core import (
     segments_cross_properly,
     squared_distance,
 )
-from latbool.fixtures import random_region
+from latbool.fixtures import _hull_ring, random_region
 from latbool.oracle import brute_nvlp
-from latbool.rounding import nvlp
+from latbool.rounding import _strictly_in_triangle, nvlp
 
 from conftest import FAR
 
@@ -87,6 +102,19 @@ def test_nvlp_matches_brute_on_random_cells(seed):
     assert nvlp(p, cell) == brute_nvlp(p, ring)
 
 
+@hyp.given(hys.lists(hys.tuples(hys.integers(0, 12), hys.integers(0, 12)),
+                     min_size=3, max_size=10, unique=True))
+def test_fixture_hull_is_convex_and_covers_its_points(xys):
+    pts = sorted(Pt(x, y) for x, y in xys)
+    hull = _hull_ring(pts)
+    hyp.assume(hull is not None)
+    n = len(hull.pts)
+    assert all(vertex_convexity(hull.pts[i - 1], hull.pts[i],
+                                hull.pts[(i + 1) % n]) == CONVEX
+               for i in range(n))
+    assert all(point_in_region(p, Region((hull,))) != EXTERIOR for p in pts)
+
+
 @hyp.settings(max_examples=25, deadline=None)
 @hyp.given(hys.integers(0, 10 ** 6))
 def test_random_intersections_round_trip_membership(seed):
@@ -107,7 +135,9 @@ def test_random_intersections_round_trip_membership(seed):
 #
 # Each ref_* below evaluates a predicate's formula directly in Fraction
 # arithmetic.  They are the references the integer kernel must reproduce,
-# by value and by type (a result that was an int stays an int).
+# by value and by type (a result that was an int stays an int).  The last
+# five are the turn tests the pipeline used to compute inline before it
+# called `orientation` and `dot`.
 
 
 def _exact(v):
@@ -204,6 +234,84 @@ def ref_segment_param(a, b, p):
     return Fraction(p.y - a.y, b.y - a.y)
 
 
+def ref_vertex_convexity(prev, v, nxt):
+    turn = (v.x - prev.x) * (nxt.y - v.y) - (v.y - prev.y) * (nxt.x - v.x)
+    if turn > 0:
+        return CONVEX
+    if turn < 0:
+        return REFLEX
+    if (v.x - prev.x) * (nxt.x - v.x) + (v.y - prev.y) * (nxt.y - v.y) < 0:
+        return REFLEX
+    return FLAT
+
+
+def ref_cell_contains(ring, q):
+    for a, b in ring.edges():
+        if a == b:
+            continue
+        if (b.x - a.x) * (q.y - a.y) - (b.y - a.y) * (q.x - a.x) < 0:
+            return False
+    return True
+
+
+def ref_strictly_in_triangle(w, a, b, c):
+    d1 = (b.x - a.x) * (w.y - a.y) - (b.y - a.y) * (w.x - a.x)
+    d2 = (c.x - b.x) * (w.y - b.y) - (c.y - b.y) * (w.x - b.x)
+    d3 = (a.x - c.x) * (w.y - c.y) - (a.y - c.y) * (w.x - c.x)
+    return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
+
+
+def ref_dir_in_sector(delta, u, w):
+    """delta, the incoming direction u and the outgoing one w as vectors."""
+    ax, ay = w
+    bx, by = -u[0], -u[1]
+    dx, dy = delta
+    c_ab = ax * by - ay * bx
+    d_ab = ax * bx + ay * by
+    c_ad = ax * dy - ay * dx
+    d_ad = ax * dx + ay * dy
+    c_db = dx * by - dy * bx
+    if c_ab == 0 and d_ab > 0:
+        return not (c_ad == 0 and d_ad > 0)
+    if c_ab == 0 and d_ab < 0:
+        return c_ad > 0
+    if c_ab > 0:
+        return c_ad > 0 and c_db > 0
+    return c_ad > 0 or c_db > 0
+
+
+def ref_next_out(v, back, outs):
+    """The rotation rule at v, with the direction back to the previous
+    vertex as a vector."""
+    rx, ry = back
+    best = best_cls = None
+    for w, eid in outs:
+        wx, wy = w.x - v.x, w.y - v.y
+        c = rx * wy - ry * wx
+        d = rx * wx + ry * wy
+        if c == 0 and d > 0:
+            cls = (1, 0)
+        else:
+            cls = (0, 0 if (c > 0 or (c == 0 and d < 0)) else 1)
+        if best is None:
+            best, best_cls = (w, eid), cls
+            continue
+        if cls[0] != best_cls[0]:
+            if cls[0] < best_cls[0]:
+                best, best_cls = (w, eid), cls
+            continue
+        if cls[0] == 1:
+            continue
+        if cls[1] != best_cls[1]:
+            if cls[1] > best_cls[1]:
+                best, best_cls = (w, eid), cls
+            continue
+        bx, by_ = best[0].x - v.x, best[0].y - v.y
+        if bx * wy - by_ * wx > 0:
+            best, best_cls = (w, eid), cls
+    return best
+
+
 def _same(x, y) -> bool:
     """Equal by value and by type, element by element."""
     if type(x) is not type(y):
@@ -269,10 +377,7 @@ SEGMENT_PAIRS = {
 }
 
 
-# Hypothesis's explain phase reruns a failing case for minutes here; a
-# failure is reported shrunk but without that phase's annotations.
 @pytest.mark.parametrize("kind", SEGMENT_PAIRS)
-@hyp.settings(phases=[p for p in hyp.Phase if p is not hyp.Phase.explain])
 @hyp.given(data=hys.data())
 def test_kernel_matches_fraction_formulas(kind, data):
     s, t = data.draw(SEGMENT_PAIRS[kind])
@@ -294,3 +399,28 @@ def test_kernel_matches_fraction_formulas(kind, data):
                   _exact(Fraction(a[axis] + b[axis], 2))):
             assert _same(segment_at(a, b, v, axis),
                          ref_segment_at(a, b, v, axis))
+    # the pipeline's turn tests
+    for p, q, r in ((a, b, c), (a, b, d), (c, d, a), (b, a, c)):
+        assert _same(vertex_convexity(p, q, r), ref_vertex_convexity(p, q, r))
+    for ring in (Ring((a, b, c)), Ring((a, b, c, d))):
+        for q in (a, c, d, _along(a, b, Fraction(1, 2))):
+            assert _same(ConvexCell(ring, ring.pts).contains(q),
+                         ref_cell_contains(ring, q))
+    for w in (d, c, _along(a, b, Fraction(1, 2))):
+        assert _same(_strictly_in_triangle(w, a, b, c),
+                     ref_strictly_in_triangle(w, a, b, c))
+    # the rotation rule at b, arriving from a: candidates on both sides,
+    # straight ahead and (twice) straight back
+    outs = [(w, eid) for eid, w in enumerate((c, d, a, _along(a, b, 2), a))
+            if w != b]
+    if a != b:
+        assert _same(_next_out(a, b, outs),
+                     ref_next_out(b, (a.x - b.x, a.y - b.y), outs))
+    # the interior sector at a lattice vertex, also at a straight vertex
+    # and at a reversal
+    v = pt(math.floor(b.x), math.floor(b.y))
+    for nxt in (c, _along(v, a, Fraction(1, 2)), _along(a, v, 2)):
+        for q in (c, d, a, Pt(v.x, v.y + 1), Pt(v.x, v.y - 1)):
+            assert _same(_dir_in_sector(q, a, v, nxt), ref_dir_in_sector(
+                (q.x - v.x, q.y - v.y), (v.x - a.x, v.y - a.y),
+                (nxt.x - v.x, nxt.y - v.y)))

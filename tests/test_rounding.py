@@ -18,6 +18,7 @@ from latbool.oracle import (
     check_inclusion,
 )
 from latbool.rounding import (
+    _removal_topology_ok,
     build_chain,
     convexify_cleanup,
     inner_round,
@@ -256,6 +257,21 @@ def test_simplify_keeps_far_reflex():
     # (10,10) and (0,10) are never within sqrt(2) of one shared edge
     out = simplify_reflex(dented, x)
     assert Pt(5, 5) in out.rings[0].pts
+
+
+def test_removal_topology_guards_the_swept_triangle():
+    # removing the reflex dent (2, 1) sweeps the triangle (4,4), (2,1), (0,4)
+    dented = [Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(2, 1), Pt(0, 4)]
+    assert _removal_topology_ok([dented], 0, 3)
+    # another ring's vertex strictly inside that triangle bars the removal
+    island = [Pt(2, 3), Pt(1, 2), Pt(3, 2)]
+    assert not _removal_topology_ok([dented, island], 0, 3)
+    # a ring crossing the new edge (4,4)-(0,4) bars it too
+    across = [Pt(1, 5), Pt(1, 3), Pt(0, 3)]
+    assert not _removal_topology_ok([dented, across], 0, 3)
+    # a collinear vertex sweeps no area
+    flat = [Pt(0, 0), Pt(2, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)]
+    assert _removal_topology_ok([flat, island], 0, 1)
 
 
 def test_outer_convex_component_side_effect(hand_pairs):
