@@ -43,7 +43,6 @@ from .exact_core import (
     region_ok,
     segment_at,
     segment_intersection,
-    segment_param,
     segments_cross_properly,
     validate_region,
 )
@@ -180,7 +179,9 @@ def _atomize(edges: Sequence[_InputEdge],
             cuts[j].add(h)
     buckets: dict[tuple[Pt, Pt], tuple[bool, list[bool]]] = {}
     for e, cut in zip(edges, cuts):
-        pts_sorted = sorted(cut, key=lambda p: segment_param(e.a, e.b, p))
+        # lexicographic order is the order along the edge or its reverse,
+        # either of which gives the same undirected pieces
+        pts_sorted = sorted(cut)
         for p, q in zip(pts_sorted, pts_sorted[1:]):
             key = (p, q) if p < q else (q, p)
             slit, odd = buckets.get(key, (True, [False, False]))

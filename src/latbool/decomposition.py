@@ -45,7 +45,6 @@ from .exact_core import (
     point_on_segment,
     pt,
     segment_at,
-    segment_param,
     segments_cross_properly,
 )
 
@@ -260,23 +259,23 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                 seen_walls.add(key)
                 walls.append(Wall(v.pos, name, hit))
 
-    cells, cell_sets, edge_cell = _build_cells(region, walls)
+    cells, edge_cell = _build_cells(region, walls)
+    # each vertex maps to the first cell in `order` whose traced cycle
+    # visits it
     cell_index: dict[Pt, int] = {}
     positions = {v.pos for ring in region.rings for v in ring}
     order = sorted(
         range(len(cells)),
         key=lambda ci: (min(cells[ci].ring.pts), cells[ci].ring.pts))
-    for p in positions:
+    for ci in order:
+        for p in cells[ci].incident_vertices:
+            cell_index.setdefault(p, ci)
+    for p in positions - cell_index.keys():
+        # vertex swallowed by collinear collapse: locate geometrically
         for ci in order:
-            if p in cell_sets[ci]:
+            if cells[ci].contains(p):
                 cell_index[p] = ci
                 break
-        else:
-            # vertex swallowed by collinear collapse: locate geometrically
-            for ci in order:
-                if cells[ci].contains(p):
-                    cell_index[p] = ci
-                    break
 
     visible = _visible_reflex_lists(edges, reflex_pos, lines)
     return Decomposition(tuple(cells), tuple(walls), cell_index, visible,
@@ -284,7 +283,7 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
 
 
 def _build_cells(region: ExactRegion, walls: list[Wall]
-                 ) -> tuple[list[ConvexCell], list[set[Pt]], dict]:
+                 ) -> tuple[list[ConvexCell], dict]:
     wall_pts = sorted({w.hit for w in walls} | {w.source for w in walls})
     wall_xs = [p.x for p in wall_pts]
     directed: list[tuple[Pt, Pt]] = []
@@ -298,7 +297,8 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
                             bisect_right(wall_xs, hi_x)]
             cuts = [p for p in near
                     if p != a and p != b and point_on_segment(p, a, b)]
-            cuts.sort(key=lambda p: segment_param(a, b, p))
+            # lexicographic order, reversed when b < a, is the order along a-b
+            cuts.sort(reverse=b < a)
             chain = [a] + cuts + [b]
             first_piece[(a, b)] = (chain[0], chain[1])
             for u, v in zip(chain, chain[1:]):
@@ -309,7 +309,6 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
 
     cycles = trace_cycles(directed)
     cells: list[ConvexCell] = []
-    cell_sets: list[set[Pt]] = []
     piece_cell: dict[tuple[Pt, Pt], int] = {}
     positions = {v.pos for ring in region.rings for v in ring}
     for cyc in cycles:
@@ -320,13 +319,12 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
             raise InternalInvariantError("decomposition cell traced clockwise")
         idx = len(cells)
         cells.append(ConvexCell(ring, tuple(sorted(set(cyc) & positions))))
-        cell_sets.append(set(cyc))
         n = len(cyc)
         for i in range(n):
             piece_cell[(cyc[i], cyc[(i + 1) % n])] = idx
     edge_cell = {edge: piece_cell[piece]
                  for edge, piece in first_piece.items() if piece in piece_cell}
-    return cells, cell_sets, edge_cell
+    return cells, edge_cell
 
 
 def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
@@ -358,7 +356,7 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
             if fy is None or a.x == x or b.x == x:
                 continue
             foot_level = line.index[fy]
-            t = segment_param(a, b, Pt(x, fy))
+            t = x if a.x < b.x else -x  # the foot's order along a-b
             entries = found[(a, b)]
             for r in column:
                 # side = (b.x - a.x) * (r.y - fy): r left of a->b, or on it

@@ -6,16 +6,23 @@ no float ever enters a predicate.  Closed-set semantics throughout: a point
 
 The segment predicates (`orientation`, `point_on_segment`,
 `segment_intersection`, `segments_cross_properly`, `segment_at`,
-`segment_param`, `squared_distance` and `dot`) evaluate on Python ints, not
-in Fraction arithmetic (exact integer evaluation, as in Fortune & Van Wyk,
+`segment_param`, `squared_distance` and `dot`), `squared_point_distance`,
+`Ring.signed_area2` and `gap_midpoints` evaluate on Python ints, not in
+Fraction arithmetic (exact integer evaluation, as in Fortune & Van Wyk,
 SoCG 1993).  When every input coordinate is an int they use it as it is;
 otherwise `_scaled` brings all of them to one common denominator k and they
 work on the numerators.  A sign is the sign of one integer expression, with
-no gcd.  A returned coordinate or distance is built once, by `_ratio`, as an
-int when integral and as one Fraction otherwise, so every result equals the
-plain Fraction formula's by value and by type.  `cross` keeps the plain
-Fraction formula: only the oracle calls it, so the oracle's sign test stays
-independent of this kernel.
+no gcd.  A returned coordinate, distance or area is built once, by `_ratio`,
+as an int when integral and as one Fraction otherwise, so every result
+equals the plain Fraction formula's by value and by type.  `cross` keeps the
+plain Fraction formula: only the oracle calls it, so the oracle's sign test
+stays independent of this kernel.
+
+Canonical form is linear work.  `Ring.canonical` drops repeated and straight
+vertices in one pass and compares whole rotations only when its least vertex
+occurs twice; `Region.canonical` re-traces the boundary only when some
+vertex position is visited twice, the one case where a boundary has more
+than one ring decomposition.
 
 `orientation` and `dot` are also the pipeline's one turn predicate: the
 rotation rule of `trace_cycles`, `point_in_region`,
@@ -268,8 +275,12 @@ def squared_distance(p: Pt, seg: tuple[Pt, Pt]) -> Scalar:
 
 
 def squared_point_distance(p: Pt, q: Pt) -> Scalar:
-    dx, dy = p.x - q.x, p.y - q.y
-    return _norm(dx * dx + dy * dy)
+    (px, py), (qx, qy) = p, q
+    k = 1
+    if not (type(px) is type(py) is type(qx) is type(qy) is int):
+        k, (px, py, qx, qy) = _scaled(px, py, qx, qy)
+    dx, dy = px - qx, py - qy
+    return _ratio(dx * dx + dy * dy, k * k)
 
 
 def segment_at(a: Pt, b: Pt, v: Scalar, axis: int = 0) -> tuple[Scalar, ...]:
@@ -321,12 +332,11 @@ class Ring:
 
     @cached_property
     def signed_area2(self) -> Scalar:
-        a: Scalar = 0
-        n = len(self.pts)
-        for i in range(n):
-            p, q = self.pts[i], self.pts[(i + 1) % n]
-            a += p.x * q.y - q.x * p.y
-        return _norm(a)
+        k, c = _scaled(*[v for p in self.pts for v in p])
+        xs, ys = c[0::2], c[1::2]
+        a = sum(x0 * y1 - x1 * y0 for x0, y0, x1, y1
+                in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]))
+        return _ratio(a, k * k)
 
     @property
     def is_ccw(self) -> bool:
@@ -351,35 +361,30 @@ class Ring:
         return Ring(tuple(reversed(self.pts)))
 
     def canonical(self) -> "Ring":
-        """Drop repeated/forward-collinear vertices, rotate to lex-min start.
+        """Drop repeated and straight vertices, rotate to the lex-min start.
 
-        Exact reversals (out-and-back spurs) are preserved: they are genuine
-        degenerate geometry, not representational noise.
+        A straight vertex lies strictly between its neighbours.  Removing one
+        leaves the directions from each neighbour to its new neighbour as
+        they were, so whether a vertex is straight never depends on which
+        others are gone, and one filter drops them all.  Exact reversals
+        (out-and-back spurs) are preserved: they are genuine degenerate
+        geometry, not representational noise.
         """
-        pts = list(self.pts)
-        # drop consecutive duplicates
         out: list[Pt] = []
-        for p in pts:
+        for p in self.pts:
             if not out or out[-1] != p:
                 out.append(p)
         while len(out) > 1 and out[0] == out[-1]:
             out.pop()
-        # collapse forward-collinear runs (keep reversals)
-        changed = True
-        while changed and len(out) >= 3:
-            changed = False
-            for i in range(len(out)):
-                a = out[i - 1]
-                b = out[i]
-                c = out[(i + 1) % len(out)]
-                if orientation(a, b, c) == COLLINEAR and dot(b, a, c) < 0:
-                    # b is strictly between a and c going forward
-                    del out[i]
-                    changed = True
-                    break
+        out = [b for a, b, c in zip(out[-1:] + out[:-1], out,
+                                    out[1:] + out[:1])
+               if orientation(a, b, c) != COLLINEAR or dot(b, a, c) >= 0]
         if len(out) < 2:
             return Ring(tuple(out))
-        start = min(range(len(out)), key=lambda i: tuple(out[i:] + out[:i]))
+        start = out.index(min(out))
+        if out.count(out[start]) > 1:
+            start = min((i for i, p in enumerate(out) if p == out[start]),
+                        key=lambda i: out[i:] + out[:i])
         return Ring(tuple(out[start:] + out[:start]))
 
     def collapse_spurs(self) -> "Ring":
@@ -449,9 +454,18 @@ class Region:
                      for js in enc)
 
     def canonical(self) -> "Region":
-        rings = [r.canonical() for r in self.rings]
-        rings = _retrace_rings([r for r in rings if len(r.pts) >= 2])
-        rings.sort(key=lambda r: tuple(r.pts))
+        """Canonical rings in lexicographic order.
+
+        Only a vertex position visited twice lets one boundary be written as
+        different rings; with every position distinct each vertex has one
+        outgoing edge, and re-tracing would return the same rings.
+        """
+        rings = [r for r in (r.canonical() for r in self.rings)
+                 if len(r.pts) >= 2]
+        visits = sum(len(r.pts) for r in rings)
+        if len({p for r in rings for p in r.pts}) < visits:
+            rings = _retrace_rings(rings)
+        rings.sort(key=lambda r: r.pts)
         return Region(tuple(rings))
 
 
@@ -464,6 +478,8 @@ def _next_out(u: Pt, v: Pt, outs: list[tuple[Pt, int]]) -> tuple[Pt, int]:
     edge) ranks last; at a crack tip it is the only option and the trace
     correctly reverses.
     """
+    if len(outs) == 1:
+        return outs[0]
     best: Optional[tuple[Pt, int]] = None
     best_rank = 3
     for w, eid in outs:
@@ -640,10 +656,14 @@ def _segment_events(p: Pt, q: Pt, region: Region) -> list[Fraction]:
 
 def gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
     """Midpoints of the pieces of pq cut at the sorted parameters `events`."""
-    ts = [Fraction(0)] + list(events) + [Fraction(1)]
+    k, (px, py, qx, qy) = _scaled(*p, *q)
+    ts = [0, *events, 1]
     for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        yield pt(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
+        # the midpoint's parameter is n / d
+        n = t0.numerator * t1.denominator + t1.numerator * t0.denominator
+        d = 2 * t0.denominator * t1.denominator
+        yield Pt(_ratio(px * d + n * (qx - px), d * k),
+                 _ratio(py * d + n * (qy - py), d * k))
 
 
 # ---------------------------------------------------------------------------

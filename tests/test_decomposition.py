@@ -110,6 +110,23 @@ def test_cell_nvlp_equals_region_nvlp(hand_pairs):
                 brute_nvlp_region(pos, x.region), (name, pos)
 
 
+def test_vertex_cell_map_takes_the_first_cell_in_order(hand_pairs):
+    """Each vertex maps to the first cell, by least vertex and then by
+    ring, whose boundary visits it; a reflex vertex lies on several."""
+    shared = 0
+    for name, a, b in hand_pairs + random_pairs(16, seed=CORPUS_SEED):
+        x = exact_intersection(a, b)
+        d = reflex_vertical_decomposition(x)
+        order = sorted(d.cells, key=lambda c: (min(c.ring.pts), c.ring.pts))
+        for pos in {v.pos for ring in x.rings for v in ring}:
+            visits = [c for c in order if pos in c.incident_vertices]
+            shared += len(visits) > 1
+            want = visits[0] if visits else next(
+                c for c in order if c.contains(pos))
+            assert d.cell_of_vertex(pos) is want, (name, pos)
+    assert shared > 0
+
+
 def test_walls_stop_at_reflex_vertex_stack():
     # two notches aligned on one column: the walls meet at the vertices
     zig = Region((Ring((Pt(0, 0), Pt(6, 0), Pt(6, 6), Pt(4, 6), Pt(4, 4),

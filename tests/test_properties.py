@@ -25,12 +25,14 @@ from latbool.exact_core import (
     EXTERIOR,
     LEFT,
     RIGHT,
+    InternalInvariantError,
     PreconditionError,
     Pt,
     Region,
     Ring,
     _next_out,
     dot,
+    gap_midpoints,
     orientation,
     point_in_region,
     point_on_segment,
@@ -40,6 +42,8 @@ from latbool.exact_core import (
     segment_param,
     segments_cross_properly,
     squared_distance,
+    squared_point_distance,
+    trace_cycles,
 )
 from latbool.fixtures import _hull_ring, random_region
 from latbool.oracle import brute_nvlp
@@ -312,6 +316,27 @@ def ref_next_out(v, back, outs):
     return best
 
 
+def ref_signed_area2(ring):
+    a = 0
+    n = len(ring.pts)
+    for i in range(n):
+        p, q = ring.pts[i], ring.pts[(i + 1) % n]
+        a += p.x * q.y - q.x * p.y
+    return _exact(a)
+
+
+def ref_squared_point_distance(p, q):
+    dx, dy = p.x - q.x, p.y - q.y
+    return _exact(dx * dx + dy * dy)
+
+
+def ref_gap_midpoints(p, q, events):
+    ts = [Fraction(0)] + list(events) + [Fraction(1)]
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        yield pt(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
+
+
 def _same(x, y) -> bool:
     """Equal by value and by type, element by element."""
     if type(x) is not type(y):
@@ -382,6 +407,15 @@ SEGMENT_PAIRS = {
 def test_kernel_matches_fraction_formulas(kind, data):
     s, t = data.draw(SEGMENT_PAIRS[kind])
     (a, b), (c, d) = s, t
+    for ring in (Ring(()), Ring((a,)), Ring((a, b, c)), Ring((a, b, c, d))):
+        assert _same(ring.signed_area2, ref_signed_area2(ring))
+    for p, q in ((a, b), (a, c), (c, d), (d, d)):
+        assert _same(squared_point_distance(p, q),
+                     ref_squared_point_distance(p, q))
+    events = sorted(data.draw(hys.sets(
+        hys.fractions(0, 1, max_denominator=12), max_size=3)) - {0, 1})
+    assert _same(tuple(gap_midpoints(a, b, events)),
+                 tuple(ref_gap_midpoints(a, b, events)))
     assert _same(_outcome(segment_intersection, s, t),
                  _outcome(ref_segment_intersection, s, t))
     assert _same(segments_cross_properly(s, t),
@@ -414,8 +448,9 @@ def test_kernel_matches_fraction_formulas(kind, data):
     outs = [(w, eid) for eid, w in enumerate((c, d, a, _along(a, b, 2), a))
             if w != b]
     if a != b:
-        assert _same(_next_out(a, b, outs),
-                     ref_next_out(b, (a.x - b.x, a.y - b.y), outs))
+        for cands in (outs, outs[:1]):
+            assert _same(_next_out(a, b, cands),
+                         ref_next_out(b, (a.x - b.x, a.y - b.y), cands))
     # the interior sector at a lattice vertex, also at a straight vertex
     # and at a reversal
     v = pt(math.floor(b.x), math.floor(b.y))
@@ -424,3 +459,150 @@ def test_kernel_matches_fraction_formulas(kind, data):
             assert _same(_dir_in_sector(q, a, v, nxt), ref_dir_in_sector(
                 (q.x - v.x, q.y - v.y), (v.x - a.x, v.y - a.y),
                 (nxt.x - v.x, nxt.y - v.y)))
+
+
+# ---------------------------------------------------------------------------
+# canonical form against the restart loop and the unconditional re-trace
+#
+# ref_ring_canonical removes one straight vertex per scan, restarting from
+# the first vertex, and compares every rotation; ref_region_canonical always
+# re-traces the directed edges.  The one-pass filter, the rotation from the
+# least vertex and the re-trace only at a repeated vertex must agree.
+
+
+def ref_ring_canonical(ring):
+    out = []
+    for p in ring.pts:
+        if not out or out[-1] != p:
+            out.append(p)
+    while len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        for i in range(len(out)):
+            a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
+            if ref_orientation(a, b, c) == COLLINEAR and ref_dot(b, a, c) < 0:
+                del out[i]
+                changed = True
+                break
+    if len(out) < 2:
+        return Ring(tuple(out))
+    start = min(range(len(out)), key=lambda i: tuple(out[i:] + out[:i]))
+    return Ring(tuple(out[start:] + out[:start]))
+
+
+def ref_region_canonical(region):
+    rings = [r for r in map(ref_ring_canonical, region.rings)
+             if len(r.pts) >= 2]
+    directed = [(a, b) for r in rings for a, b in r.edges() if a != b]
+    if len(set(directed)) == len(directed):
+        try:
+            traced = [ref_ring_canonical(Ring(tuple(c)))
+                      for c in trace_cycles(directed)]
+            rings = [r for r in traced if len(r.pts) >= 2]
+        except InternalInvariantError:
+            pass
+    return Region(tuple(sorted(rings, key=lambda r: r.pts)))
+
+
+def _ring(*xys):
+    return Ring(tuple(pt(x, y) for x, y in xys))
+
+
+HALF = Fraction(1, 2)
+CANONICAL_RINGS = {
+    "collinear-runs": _ring((2, 0), (3, 0), (4, 0), (4, 2), (4, 3), (4, 4),
+                            (2, 4), (0, 4), (0, 2), (0, 1), (1, 0)),
+    "straight-start": _ring((1, 0), (2, 0), (2, 2), (0, 2), (0, 0)),
+    "rational-run": _ring((0, 0), (HALF, HALF), (1, 1), (0, 1)),
+    "spur": _ring((0, 0), (4, 0), (4, 2), (5, 2), (6, 2), (5, 2), (4, 2),
+                  (4, 4), (0, 4)),
+    "spur-at-start": _ring((3, 1), (0, 0), (4, 0), (4, 4), (0, 4), (0, 0)),
+    "duplicates": _ring((0, 0), (0, 0), (3, 0), (3, 0), (3, 3), (0, 0)),
+    "all-equal": _ring((1, 1), (1, 1), (1, 1)),
+    # the least vertex (0, 0) twice: the later visit, then the first,
+    # starts the least rotation
+    "least-twice": _ring((0, 0), (3, 0), (1, 1), (0, 0), (0, 3), (1, 2)),
+    "least-twice-first": _ring((0, 0), (0, 3), (1, 2), (0, 0), (3, 0),
+                               (1, 1)),
+    "two-points": _ring((3, 1), (1, 2)),
+    "two-points-run": _ring((0, 0), (1, 0), (2, 0)),
+    "one-point": _ring((5, 5),),
+}
+
+
+def _squares_pinched(one_ring):
+    """Two unit squares touching at (1, 1), as two rings or as one ring
+    visiting the pinch twice."""
+    if one_ring:
+        return Region((_ring((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2),
+                             (1, 1), (0, 1)),))
+    return Region((_ring((0, 0), (1, 0), (1, 1), (0, 1)),
+                   _ring((1, 1), (2, 1), (2, 2), (1, 2))))
+
+
+CANONICAL_REGIONS = {
+    "pinch-two-rings": _squares_pinched(False),
+    "pinch-one-ring": _squares_pinched(True),
+    # a hole touching its outer ring at (2, 0), written as one ring
+    "hole-pinch-one-ring": Region((_ring((0, 0), (2, 0), (1, 1), (2, 2),
+                                         (3, 1), (2, 0), (4, 0), (4, 4),
+                                         (0, 4)),)),
+    "apart": Region((_ring((0, 0), (2, 0), (1, HALF), (2, 2), (0, 2)),
+                     _ring((5, 5), (6, 5), (6, 6)))),
+    "nested": Region((_ring((0, 0), (9, 0), (9, 9), (0, 9)),
+                      _ring((3, 3), (3, 6), (6, 6), (6, 3)))),
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_RINGS)
+def test_ring_canonical_matches_restart_loop(name):
+    ring = CANONICAL_RINGS[name]
+    got = ring.canonical()
+    assert got == ref_ring_canonical(ring), name
+    assert got.canonical() == got
+
+
+@pytest.mark.parametrize("name", CANONICAL_REGIONS)
+def test_region_canonical_matches_unconditional_retrace(name):
+    region = CANONICAL_REGIONS[name]
+    got = region.canonical()
+    assert got == ref_region_canonical(region), name
+    assert got.canonical() == got
+
+
+def test_region_canonical_retraces_pinches():
+    """The two ways of writing a pinch give one canonical region."""
+    assert (_squares_pinched(True).canonical()
+            == _squares_pinched(False).canonical())
+
+
+small_points = hys.tuples(hys.integers(0, 3), hys.integers(0, 3)).map(
+    lambda t: Pt(*t))
+ring_strategy = hys.lists(small_points, min_size=1, max_size=12).map(
+    lambda ps: Ring(tuple(ps)))
+
+
+@hyp.given(ring_strategy)
+def test_ring_canonical_matches_restart_loop_random(ring):
+    got = ring.canonical()
+    assert got == ref_ring_canonical(ring)
+    assert got.canonical() == got
+
+
+@hyp.given(hys.lists(ring_strategy, min_size=1, max_size=3))
+def test_region_canonical_matches_retrace_random(rings):
+    region = Region(tuple(rings))
+    got = region.canonical()
+    assert got == ref_region_canonical(region)
+    assert got.canonical() == got
+
+
+@hyp.given(points, points, hys.sets(hys.fractions(-1, 2, max_denominator=8),
+                                    min_size=1, max_size=6))
+def test_lexicographic_cut_order_is_parameter_order(a, b, ts):
+    hyp.assume(a != b)
+    cut = {_along(a, b, t) for t in ts}
+    assert (sorted(cut, reverse=b < a)
+            == sorted(cut, key=lambda p: segment_param(a, b, p)))
