@@ -721,10 +721,15 @@ def complement_in_universe(region: Region, box: UniverseBox, margin: int = 3) ->
 def cancel_reversed_pairs(rings: Iterable[Ring]) -> Region:
     """The canonical region of `rings` after each ring that repeats an
     earlier one reversed (a filled/hole pair with zero area between them)
-    cancels it.  Degenerate rings never cancel."""
+    cancels it.  Degenerate rings never cancel.
+
+    The rings are canonical, as both callers pass them.  A canonical ring
+    and its reversed canonical copy have the same length, so the copy is
+    built only when a kept ring has that length."""
     out: list[Ring] = []
     for r in rings:
-        if not r.is_degenerate:
+        n = len(r.pts)
+        if not r.is_degenerate and any(len(e.pts) == n for e in out):
             rev = r.reversed_().canonical()
             for i, existing in enumerate(out):
                 if existing.pts == rev.pts:

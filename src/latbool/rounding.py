@@ -8,6 +8,12 @@ that removes every reflex turn not inherited from the exact region.
 Outer: enclose every non-representable vertex in its grid pixel, round the
 complement against the pixel set with the inner mode, complement back,
 then drop extraneous reflex vertices and zero-area debris.
+
+Each search looks only where its answer can be: the snap scans columns
+outward from the vertex and stops once no farther column can be nearer,
+the cleanup re-tests only the two neighbours of each removal, and the
+reflex simplification measures distances and topology only against edges
+and vertices whose bounding boxes can matter.
 """
 
 from __future__ import annotations
@@ -54,16 +60,30 @@ from .exact_core import (
 def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
     """Nearest lattice point of the closed convex cell, exact.
 
-    Scans integer columns of the cell; per column the admissible rows form
-    a closed rational interval, so the nearest candidates are the clamped
-    neighbors of p.y.  Ties break lexicographically (x, then y).  Returns
-    None iff the column scan proves the cell lattice-point-free.
+    Scans the integer columns of the cell outward from p.x, nearest first
+    (the right one of two equally near columns first); per column the
+    admissible rows form a closed rational interval, so the nearest
+    candidates are the clamped neighbors of p.y.  Every candidate of column
+    gx is at least (gx - p.x)^2 from p, so the scan stops at the first
+    column farther than that from the best squared distance found.  A
+    column exactly that far is still scanned, so ties break
+    lexicographically (x, then y) as over all columns.  Returns None iff
+    the scan proves the cell lattice-point-free.
     """
     if not _on_cell(p, cell):
         raise PreconditionError(f"{p} is not on the cell")
     x0, _, x1, _ = cell.ring.bbox
+    first, last = math.ceil(x0), math.floor(x1)
+    right = math.ceil(p.x)
+    left = right - 1
     best: Optional[tuple[Scalar, int, int]] = None
-    for gx in range(math.ceil(x0), math.floor(x1) + 1):
+    while left >= first or right <= last:
+        if right <= last and (left < first or right - p.x <= p.x - left):
+            gx, right = right, right + 1
+        else:
+            gx, left = left, left - 1
+        if best is not None and (gx - p.x) ** 2 > best[0]:
+            break
         interval = _column_interval(cell.ring, gx)
         if interval is None:
             continue
@@ -145,40 +165,67 @@ def convexify_cleanup(points: Sequence[Pt], protected: Sequence[bool],
     of vertices protected elsewhere, while an insertion spike can disguise
     a needed snap target as a removable reversal tip; taking insertions
     out first lets the real geometry settle.
+
+    Each round removes the removable occurrence of highest rank, the first
+    in list order among equals.  A removal changes only the turns at its
+    two neighbours, and only their new adjacency can repeat a point, so
+    the removable flags are kept per occurrence and re-tested there alone.
     """
     pts = list(points)
     prot = list(protected)
     rk = (list(rank) if rank is not None
           else [RANK_ORIGINAL if p else RANK_INSERTED for p in prot])
     _dedupe(pts, prot, rk)
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        n = len(pts)
-        candidates = [i for i in range(n)
-                      if not prot[i]
-                      and vertex_convexity(pts[i - 1], pts[i],
-                                           pts[(i + 1) % n]) == REFLEX]
-        if not candidates:
+    flag = ([_removable(pts, prot, i) for i in range(len(pts))]
+            if len(pts) >= 3 else [])
+    while len(pts) >= 3:
+        pick = -1
+        for i, f in enumerate(flag):
+            if f and (pick < 0 or rk[i] > rk[pick]):
+                pick = i
+        if pick < 0:
             break
-        pick = max(candidates, key=lambda i: (rk[i], -i))
-        del pts[pick], prot[pick], rk[pick]
-        _dedupe(pts, prot, rk)
-        changed = True
+        del pts[pick], prot[pick], rk[pick], flag[pick]
+        n = len(pts)
+        i, j = (pick - 1) % n, pick % n
+        if pts[i] == pts[j]:
+            # merged as _dedupe merges: into the earlier occurrence, which
+            # is the last one when the repeat wraps around
+            _merge_into(pts, prot, rk, i, j)
+            del flag[j]
+            touched: tuple[int, ...] = (i - (j < i),)
+        else:
+            touched = (i, j)
+        if len(pts) >= 3:
+            for k in touched:
+                flag[k] = _removable(pts, prot, k)
     return pts, prot
 
 
+def _removable(pts: list[Pt], prot: list[bool], i: int) -> bool:
+    return not prot[i] and vertex_convexity(
+        pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) == REFLEX
+
+
+def _merge_into(pts: list[Pt], prot: list[bool], rk: list[int],
+                i: int, j: int) -> None:
+    """Fold occurrence j into the equal occurrence i."""
+    prot[i] = prot[i] or prot[j]
+    rk[i] = min(rk[i], rk[j])
+    del pts[j], prot[j], rk[j]
+
+
 def _dedupe(pts: list[Pt], prot: list[bool], rk: list[int]) -> None:
-    i = 0
-    while len(pts) >= 2 and i < len(pts):
-        j = (i + 1) % len(pts)
-        if pts[i] == pts[j]:
-            prot[i] = prot[i] or prot[j]
-            rk[i] = min(rk[i], rk[j])
-            del pts[j], prot[j], rk[j]
-            i = 0
+    """Merge each run of equal consecutive points into its first
+    occurrence; a repeat across the wrap merges into the last one."""
+    k = 1
+    while k < len(pts):
+        if pts[k - 1] == pts[k]:
+            _merge_into(pts, prot, rk, k - 1, k)
         else:
-            i += 1
+            k += 1
+    if len(pts) >= 2 and pts[-1] == pts[0]:
+        _merge_into(pts, prot, rk, len(pts) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +401,16 @@ def simplify_reflex(pbar: Region, exact: ExactRegion) -> Region:
     exact edge (so the filled triangle keeps the Hausdorff bound) and the
     removal causes no topological change.  Greedy in boundary order,
     re-testing after each removal.
+
+    A vertex whose position the rings visit more than once (a pinch) is
+    kept.  The tests skip an exact edge unless its `_near_box` holds all
+    three points, a ring edge whose bounding box misses the new edge, and a
+    vertex outside the removed triangle's bounding box: none of them can
+    change the answer.
     """
     counterparts = {v.pos for ring in exact.rings for v in ring}
-    exact_edges = [(a, b) for a, b in exact.region.edges() if a != b]
+    exact_edges = [(a, b, _near_box(a, b))
+                   for a, b in exact.region.edges() if a != b]
     rings = [list(r.pts) for r in pbar.rings]
     changed = True
     while changed:
@@ -388,10 +442,23 @@ def simplify_reflex(pbar: Region, exact: ExactRegion) -> Region:
     return Region(tuple(r for r in out if len(r.pts) >= 2)).canonical()
 
 
-def _near_common_edge(triple: tuple[Pt, Pt, Pt],
-                      exact_edges: list[tuple[Pt, Pt]]) -> bool:
-    for e in exact_edges:
-        if all(squared_distance(v, e) < 2 for v in triple):
+def _near_box(a: Pt, b: Pt) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1): every point within sqrt(2) of the segment a-b lies
+    strictly inside this integer box, being less than 2 away from the
+    segment's bounding box along each axis."""
+    return (math.floor(min(a.x, b.x)) - 2, math.floor(min(a.y, b.y)) - 2,
+            math.ceil(max(a.x, b.x)) + 2, math.ceil(max(a.y, b.y)) + 2)
+
+
+def _near_common_edge(
+        triple: tuple[Pt, Pt, Pt],
+        exact_edges: list[tuple[Pt, Pt, tuple[int, int, int, int]]]) -> bool:
+    xs = [v.x for v in triple]
+    ys = [v.y for v in triple]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    for a, b, (bx0, by0, bx1, by1) in exact_edges:
+        if (bx0 < x0 and x1 < bx1 and by0 < y0 and y1 < by1
+                and all(squared_distance(v, (a, b)) < 2 for v in triple)):
             return True
     return False
 
@@ -402,12 +469,22 @@ def _removal_topology_ok(rings: list[list[Pt]], ri: int, i: int) -> bool:
     prev = pts[i - 1]
     r = pts[i]
     nxt = pts[(i + 1) % n]
+    # a pinch: the vertex test below skips every point at r, so another
+    # visit of r, whose edges may leave into the swept triangle, goes
+    # untested
+    if sum(other.count(r) for other in rings) > 1:
+        return False
     new_seg = (prev, nxt)
+    sx0, sx1 = min(prev.x, nxt.x), max(prev.x, nxt.x)
+    sy0, sy1 = min(prev.y, nxt.y), max(prev.y, nxt.y)
     skip = {((i - 1) % n, i), (i, (i + 1) % n)}
     for rj, other in enumerate(rings):
         m = len(other)
-        for j in range(m):
-            a, b = other[j], other[(j + 1) % m]
+        for j, (a, b) in enumerate(zip(other, other[1:] + other[:1])):
+            # a proper crossing point lies in both bounding boxes
+            if (a.x < sx0 and b.x < sx0 or a.x > sx1 and b.x > sx1
+                    or a.y < sy0 and b.y < sy0 or a.y > sy1 and b.y > sy1):
+                continue
             if a == b:
                 continue
             if rj == ri and (j, (j + 1) % m) in skip:
@@ -416,8 +493,13 @@ def _removal_topology_ok(rings: list[list[Pt]], ri: int, i: int) -> bool:
                 return False
     if orientation(prev, r, nxt) == COLLINEAR:
         return True
+    tx0, tx1 = min(sx0, r.x), max(sx1, r.x)
+    ty0, ty1 = min(sy0, r.y), max(sy1, r.y)
     for rj, other in enumerate(rings):
         for j, w in enumerate(other):
+            # a point strictly inside the triangle is strictly inside its box
+            if not (tx0 < w.x < tx1 and ty0 < w.y < ty1):
+                continue
             if rj == ri and j in {(i - 1) % n, i, (i + 1) % n}:
                 continue
             if w in (prev, r, nxt):

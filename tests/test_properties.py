@@ -45,11 +45,25 @@ from latbool.exact_core import (
     squared_point_distance,
     trace_cycles,
 )
-from latbool.fixtures import _hull_ring, random_region
+from latbool.fixtures import _hull_ring, random_pairs, random_region
 from latbool.oracle import brute_nvlp
-from latbool.rounding import _strictly_in_triangle, nvlp
+from latbool import rounding
+from latbool.rounding import (
+    RANK_INSERTED,
+    RANK_ORIGINAL,
+    _column_interval,
+    _near_box,
+    _near_common_edge,
+    _removal_topology_ok,
+    _row_candidates,
+    _strictly_in_triangle,
+    convexify_cleanup,
+    nvlp,
+    simplify_reflex,
+)
+from latbool.setops import sandwich
 
-from conftest import FAR
+from conftest import CORPUS_SEED, FAR
 
 rationals = hys.fractions(min_value=-50, max_value=50,
                           max_denominator=16)
@@ -606,3 +620,261 @@ def test_lexicographic_cut_order_is_parameter_order(a, b, ts):
     cut = {_along(a, b, t) for t in ts}
     assert (sorted(cut, reverse=b < a)
             == sorted(cut, key=lambda p: segment_param(a, b, p)))
+
+
+# ---------------------------------------------------------------------------
+# the rounding layer's local searches against the full scans they replaced
+#
+# nvlp scans columns outward from p and stops early, convexify_cleanup
+# re-tests only the neighbours of each removal, and simplify_reflex tests
+# only the edges and vertices whose boxes can matter.  Each ref_* below is
+# the scan over everything that it replaced; the local search must return
+# exactly the same result.
+
+
+def ref_nvlp(p, cell):
+    """Every integer column of the cell's bounding box."""
+    x0, _, x1, _ = cell.ring.bbox
+    best = None
+    for gx in range(math.ceil(x0), math.floor(x1) + 1):
+        interval = _column_interval(cell.ring, gx)
+        if interval is None:
+            continue
+        lo, hi = math.ceil(interval[0]), math.floor(interval[1])
+        if lo > hi:
+            continue
+        for gy in _row_candidates(p.y, lo, hi):
+            key = (squared_point_distance(p, Pt(gx, gy)), gx, gy)
+            if best is None or key < best:
+                best = key
+    return None if best is None else Pt(best[1], best[2])
+
+
+def _ref_dedupe(pts, prot, rk):
+    i = 0
+    while len(pts) >= 2 and i < len(pts):
+        j = (i + 1) % len(pts)
+        if pts[i] == pts[j]:
+            prot[i] = prot[i] or prot[j]
+            rk[i] = min(rk[i], rk[j])
+            del pts[j], prot[j], rk[j]
+            i = 0
+        else:
+            i += 1
+
+
+def ref_convexify_cleanup(points, protected, rank=None):
+    """Re-test every occurrence after each removal; dedupe from the start."""
+    pts = list(points)
+    prot = list(protected)
+    rk = (list(rank) if rank is not None
+          else [RANK_ORIGINAL if p else RANK_INSERTED for p in prot])
+    _ref_dedupe(pts, prot, rk)
+    while len(pts) >= 3:
+        n = len(pts)
+        candidates = [i for i in range(n)
+                      if not prot[i]
+                      and vertex_convexity(pts[i - 1], pts[i],
+                                           pts[(i + 1) % n]) == REFLEX]
+        if not candidates:
+            break
+        pick = max(candidates, key=lambda i: (rk[i], -i))
+        del pts[pick], prot[pick], rk[pick]
+        _ref_dedupe(pts, prot, rk)
+    return pts, prot
+
+
+def _ref_removal_topology_ok(rings, ri, i):
+    pts = rings[ri]
+    n = len(pts)
+    prev, r, nxt = pts[i - 1], pts[i], pts[(i + 1) % n]
+    if sum(other.count(r) for other in rings) > 1:
+        return False
+    skip = {((i - 1) % n, i), (i, (i + 1) % n)}
+    for rj, other in enumerate(rings):
+        m = len(other)
+        for j in range(m):
+            a, b = other[j], other[(j + 1) % m]
+            if a == b or (rj == ri and (j, (j + 1) % m) in skip):
+                continue
+            if segments_cross_properly((prev, nxt), (a, b)):
+                return False
+    if orientation(prev, r, nxt) == COLLINEAR:
+        return True
+    for rj, other in enumerate(rings):
+        for j, w in enumerate(other):
+            if rj == ri and j in {(i - 1) % n, i, (i + 1) % n}:
+                continue
+            if w not in (prev, r, nxt) and _strictly_in_triangle(
+                    w, prev, r, nxt):
+                return False
+    return True
+
+
+def ref_simplify_reflex(pbar, exact):
+    """Every exact edge, every ring edge and every vertex for each
+    candidate, restarting after each removal.  The pinch refusal is kept:
+    it is a rule of the simplification, not a filter."""
+    counterparts = {v.pos for ring in exact.rings for v in ring}
+    exact_edges = [(a, b) for a, b in exact.region.edges() if a != b]
+    rings = [list(r.pts) for r in pbar.rings]
+    changed = True
+    while changed:
+        changed = False
+        for ri, pts in enumerate(rings):
+            n = len(pts)
+            if n < 4:
+                continue
+            for i in range(n):
+                prev, r, nxt = pts[i - 1], pts[i], pts[(i + 1) % n]
+                if (r in counterparts
+                        or vertex_convexity(prev, r, nxt) != REFLEX
+                        or prev == nxt):
+                    continue
+                if not any(all(squared_distance(v, e) < 2
+                               for v in (prev, r, nxt))
+                           for e in exact_edges):
+                    continue
+                if not _ref_removal_topology_ok(rings, ri, i):
+                    continue
+                del pts[i]
+                changed = True
+                break
+            if changed:
+                break
+    out = [Ring(tuple(p)).canonical() for p in rings]
+    return Region(tuple(r for r in out if len(r.pts) >= 2)).canonical()
+
+
+# halves and quarters put p between two columns and make distance ties
+quarters = hys.fractions(min_value=0, max_value=24, max_denominator=4)
+
+
+@hyp.given(hys.lists(hys.tuples(quarters, quarters), min_size=3,
+                     max_size=7, unique=True),
+           hys.integers(0, 6), hys.fractions(0, 1, max_denominator=4))
+def test_nvlp_matches_full_column_scan(xys, k, t):
+    hull = _hull_ring(sorted(pt(x, y) for x, y in xys))
+    hyp.assume(hull is not None)
+    cell = ConvexCell(hull, hull.pts)
+    # the pipeline snaps cell vertices; points along an edge test more ties
+    a, b = hull.pts[k % len(hull.pts)], hull.pts[(k + 1) % len(hull.pts)]
+    for p in (a, pt(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))):
+        assert nvlp(p, cell) == ref_nvlp(p, cell)
+
+
+def test_nvlp_scans_the_left_column_at_an_equal_distance():
+    # p is half-way between columns 2 and 3; (2, 1) and (3, 1) tie at
+    # squared distance 1/4, which equals column 2's own lower bound
+    cell = ConvexCell(Ring((Pt(0, 0), Pt(5, 0), pt(HALF * 5, 3))), ())
+    p = pt(HALF * 5, 1)
+    assert nvlp(p, cell) == ref_nvlp(p, cell) == Pt(2, 1)
+
+
+cleanup_items = hys.lists(
+    hys.tuples(small_points, hys.booleans(), hys.integers(0, 2)),
+    max_size=14)
+
+
+@hyp.given(cleanup_items, hys.booleans())
+def test_convexify_cleanup_matches_restart_loop(items, ranked):
+    pts = [p for p, _, _ in items]
+    prot = [f for _, f, _ in items]
+    rank = [r for _, _, r in items] if ranked else None
+    assert (convexify_cleanup(pts, prot, rank)
+            == ref_convexify_cleanup(pts, prot, rank))
+
+
+@pytest.mark.parametrize("name, pts, prot, rank", [
+    # a repeat across the wrap: (0, 0) merges into its last occurrence,
+    # so the rotation and the tie break by list order move with it
+    ("wrap", [(0, 0), (2, 1), (4, 0), (4, 4), (2, 3), (0, 4), (0, 0)],
+     [False] * 7, [2, 1, 1, 0, 1, 0, 0]),
+    # removing a spike tip makes its two neighbours one point
+    ("spike", [(0, 0), (3, 0), (3, 2), (3, 0), (6, 0), (6, 6), (0, 6)],
+     [False, False, False, True, False, False, False], [0, 1, 2, 0, 0, 0, 0]),
+    # each removal turns its neighbour reflex: a cascade along the chain
+    ("cascade", [(0, 0), (1, 2), (2, 3), (3, 3), (4, 2), (5, 0), (5, 6),
+                 (0, 6)], [False] * 8, [0, 2, 1, 2, 1, 0, 0, 0]),
+])
+def test_convexify_cleanup_matches_restart_loop_cases(name, pts, prot, rank):
+    pts = [Pt(x, y) for x, y in pts]
+    assert (convexify_cleanup(pts, prot, rank)
+            == ref_convexify_cleanup(pts, prot, rank)), name
+
+
+@hyp.settings(deadline=None)
+@hyp.given(hys.integers(0, 10 ** 6), hys.data())
+def test_simplify_reflex_matches_unfiltered_scan(seed, data):
+    exact_region = random_region(random.Random(seed), span=8)
+    exact = exact_intersection(exact_region, exact_region)
+    # ring vertices near the exact boundary make most reflex turns
+    # candidates, and a repeated draw makes pinches
+    near = sorted(Pt(x, y) for x in range(-2, 11) for y in range(-2, 11)
+                  if any(squared_distance(Pt(x, y), e) < 2
+                         for e in exact_region.edges()))
+    rings = data.draw(hys.lists(
+        hys.lists(hys.sampled_from(near), min_size=3, max_size=10),
+        min_size=1, max_size=3))
+    pbar = Region(tuple(r for r in (Ring(tuple(ps)).canonical()
+                                    for ps in rings) if len(r.pts) >= 3))
+    assert simplify_reflex(pbar, exact) == ref_simplify_reflex(pbar, exact)
+
+
+grid6 = hys.tuples(hys.integers(0, 6), hys.integers(0, 6)).map(
+    lambda t: Pt(*t))
+
+
+@hyp.given(hys.lists(hys.lists(grid6, min_size=2, max_size=8), min_size=1,
+                     max_size=3), hys.integers(0, 100))
+def test_removal_topology_matches_unfiltered_scan(rings, k):
+    pts = rings[0]
+    i = k % len(pts)
+    hyp.assume(pts[i - 1] != pts[(i + 1) % len(pts)])
+    assert (_removal_topology_ok(rings, 0, i)
+            == _ref_removal_topology_ok(rings, 0, i))
+
+
+@hyp.given(hys.tuples(grid6, grid6, grid6),
+           hys.lists(hys.tuples(points, points), min_size=1, max_size=4))
+def test_near_common_edge_matches_unfiltered_scan(triple, edges):
+    edges = [((a, b) if a != b else (a, pt(a.x + 1, a.y))) for a, b in edges]
+    boxed = [(a, b, _near_box(a, b)) for a, b in edges]
+    assert _near_common_edge(triple, boxed) == any(
+        all(squared_distance(v, e) < 2 for v in triple) for e in edges)
+
+
+def test_simplify_reflex_matches_unfiltered_scan_on_corpus(monkeypatch):
+    calls = []
+    real = rounding.simplify_reflex
+
+    def recorded(pbar, exact):
+        calls.append((pbar, exact))
+        return real(pbar, exact)
+
+    monkeypatch.setattr(rounding, "simplify_reflex", recorded)
+    for _, a, b in random_pairs(24, seed=CORPUS_SEED):
+        for op in ("intersection", "union", "difference"):
+            sandwich(a, b, op)
+    removed = 0
+    for pbar, exact in calls:
+        got = real(pbar, exact)
+        assert got == ref_simplify_reflex(pbar, exact)
+        removed += pbar.vertex_count() - got.vertex_count()
+    assert removed > 0
+
+
+@hyp.given(points, points)
+def test_near_box_is_the_tight_integer_box(a, b):
+    """Every lattice point within sqrt(2) of a-b lies strictly inside the
+    box, and the box is no wider than that needs: its innermost lattice
+    lines are less than 2 from the segment's bounding box."""
+    hyp.assume(a != b)
+    x0, y0, x1, y1 = _near_box(a, b)
+    for c in (a, b):
+        for gx in range(math.floor(c.x) - 2, math.ceil(c.x) + 3):
+            for gy in range(math.floor(c.y) - 2, math.ceil(c.y) + 3):
+                if squared_distance(Pt(gx, gy), (a, b)) < 2:
+                    assert x0 < gx < x1 and y0 < gy < y1
+    assert min(a.x, b.x) - (x0 + 1) < 2 and (x1 - 1) - max(a.x, b.x) < 2
+    assert min(a.y, b.y) - (y0 + 1) < 2 and (y1 - 1) - max(a.y, b.y) < 2

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from latbool import rounding
 from latbool.arrangement import exact_intersection
 from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
 from latbool.exact_core import (
@@ -12,6 +14,7 @@ from latbool.exact_core import (
     region_ok,
     universe_for,
 )
+from latbool.lpr import parse_region
 from latbool.oracle import (
     brute_nvlp,
     check_hausdorff,
@@ -28,8 +31,11 @@ from latbool.rounding import (
     remove_zero_area,
     simplify_reflex,
 )
+from latbool.setops import sandwich
 
 from conftest import square
+
+DATA = Path(__file__).parent / "data"
 
 
 def _cell(*pts) -> ConvexCell:
@@ -111,6 +117,23 @@ def test_chain_through_visible_reflex():
     assert chain == [Pt(0, 0), Pt(2, 2), Pt(4, 0)]
 
 
+def test_nvlp_scans_only_the_columns_near_p(monkeypatch):
+    """A 1000-column cell whose nearest lattice point is next to p: the
+    outward scan stops after the few columns that can still win."""
+    calls = []
+    real = rounding._column_interval
+
+    def counted(ring, x):
+        calls.append(x)
+        return real(ring, x)
+
+    monkeypatch.setattr(rounding, "_column_interval", counted)
+    apex = pt(Fraction(1001, 2), Fraction(7, 2))
+    cell = _cell(Pt(0, 0), Pt(1000, 0), apex)
+    assert nvlp(apex, cell) == Pt(500, 3) == brute_nvlp(apex, cell.ring)
+    assert len(calls) <= 4
+
+
 # --- convexify ---------------------------------------------------------------
 
 def test_convexify_keeps_convex_ring():
@@ -141,6 +164,24 @@ def test_convexify_protected_reflex_survives():
     prot = [False, False, False, True, False, False]
     cleaned, kept = convexify_cleanup(pts, prot)
     assert Pt(2, 2) in cleaned
+
+
+def test_convexify_retests_only_the_neighbours(monkeypatch):
+    """A 200-vertex sawtooth loses its 98 reflex teeth one by one; each
+    removal re-tests two turns instead of all of them."""
+    calls = []
+    real = rounding.vertex_convexity
+
+    def counted(prev, v, nxt):
+        calls.append(v)
+        return real(prev, v, nxt)
+
+    monkeypatch.setattr(rounding, "vertex_convexity", counted)
+    pts = [Pt(i, i % 2) for i in range(198)] + [Pt(198, 10), Pt(0, 10)]
+    cleaned, _ = convexify_cleanup(pts, [False] * len(pts))
+    assert cleaned == ([Pt(i, 0) for i in range(0, 197, 2)]
+                       + [Pt(197, 1), Pt(198, 10), Pt(0, 10)])
+    assert len(calls) <= 3 * len(pts)
 
 
 # --- inner_round ---------------------------------------------------------------
@@ -272,6 +313,26 @@ def test_removal_topology_guards_the_swept_triangle():
     # a collinear vertex sweeps no area
     flat = [Pt(0, 0), Pt(2, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)]
     assert _removal_topology_ok([flat, island], 0, 1)
+
+
+def test_removal_topology_refuses_a_pinch():
+    # another visit of (2, 1) has an edge into the swept triangle; it ends
+    # on the new edge, so neither the crossing nor the vertex test sees it
+    dented = [Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(2, 1), Pt(0, 4)]
+    spike = [Pt(2, 1), Pt(2, 4)]
+    assert not _removal_topology_ok([dented, spike], 0, 3)
+
+
+def test_outer_rounding_of_a_pinched_hole_covers_the_exact_region():
+    """Two 160-vertex stars (perfbench's star_region, random.Random(7)):
+    the outer rounding of their intersection has a hole ring that visits
+    (144, 96) twice.  Removing one visit as a reflex vertex used to uncover
+    part of the exact region."""
+    a, b = (parse_region((DATA / f"star160-pinch.{s}.lpr").read_text())
+            for s in "AB")
+    _, exact, outer = sandwich(a, b, "intersection")
+    assert region_ok(outer)
+    assert check_inclusion(exact.region, outer) is None
 
 
 def test_outer_convex_component_side_effect(hand_pairs):
