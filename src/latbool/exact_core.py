@@ -456,9 +456,16 @@ class Region:
     def canonical(self) -> "Region":
         """Canonical rings in lexicographic order.
 
-        Only a vertex position visited twice lets one boundary be written as
-        different rings; with every position distinct each vertex has one
-        outgoing edge, and re-tracing would return the same rings.
+        Where a vertex position is visited twice, the directed edges are
+        re-traced; with every position distinct each vertex has one
+        outgoing edge, and re-tracing would return the same rings.  That
+        does not make the form unique for a point set: a vertex can also
+        lie inside another edge, and the same boundary then has a listing
+        without the split, whose positions are all distinct.  The exact
+        difference of corpus pair rand-166 is 4 rings, (18, 12) and
+        (17, 16) each visited twice; its outer rounding is the same closed
+        set as 2 rings, with (18, 12) inside the edge (18, 11)-(18, 16) and
+        (17, 16) inside (18, 16)-(15, 16), and both are fixed points.
         """
         rings = [r for r in (r.canonical() for r in self.rings)
                  if len(r.pts) >= 2]

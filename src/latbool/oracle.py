@@ -16,14 +16,18 @@ Two concessions to speed, neither of which approximates anything.  The
 inclusion check and the visibility test find boundary events in one
 bounding-box sweep instead of testing every edge pair; the sweep only skips
 pairs whose boxes miss, and every predicate it runs stays exact.  The
-Hausdorff check reads each sample row's membership off `IntMembership`'s
-integer edges as ranges of sample indices (`IntMembership.row_ranges`),
-the same rule evaluated for a whole row at once.
+Hausdorff check sweeps up the sample rows with the integer edges active at
+each row, reads the row's membership off them as ranges of sample indices
+(`_row_ranges`, `classify`'s rule evaluated for a whole row at once), tests
+a sample only against the reference edges near it, and skips the rows on
+which both regions have the same edges; it skips only work whose outcome
+is known.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -131,46 +135,61 @@ class IntMembership:
     def row_ranges(self, m: int, j: int) -> list[tuple[int, int]]:
         """Merged closed ranges of the i with (i/m, j/m) not exterior.
 
-        `classify`'s rule for a whole row at once.  The crossings of the
-        half-open rule lo.y <= y < hi.y, sorted and taken in pairs, bound
-        the ranges whose points the rightward ray sees an odd number of
-        times (each crossing itself is boundary); every boundary contact
-        the pairs miss adds its own range: a crossing at y == hi.y, and a
-        horizontal edge on the row.  Each left end becomes a sample index
-        by integer ceil division and each right end by floor division, so
-        an end strictly between two samples holds neither.
+        `classify`'s rule for a whole row at once, applied by `_row_ranges`
+        to every edge; the Hausdorff check applies it to the edges active
+        at the row only.
         """
         s = self._scale
-        y = j * s                       # the row, at scale s * m
-        crossings = []
-        spans = []
-        for ax, ay, bx, by in self._edges:
-            ay *= m
-            by *= m
-            if y < ay or y > by:
-                continue
-            if ay == by:
-                spans.append((-(-ax * m // s), bx * m // s))
-                continue
-            # the crossing's x times s * (by - ay), then times m
-            num = (ax * (by - ay) + (bx - ax) * (y - ay)) * m
-            den = s * (by - ay)
-            hit = (-(-num // den), num // den)
-            (crossings if y < by else spans).append(hit)
-        crossings.sort()
-        spans += [(lo[0], hi[1])
-                  for lo, hi in zip(crossings[::2], crossings[1::2])]
-        spans.sort()
-        merged: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            if lo > hi:
-                continue
-            if merged and lo <= merged[-1][1] + 1:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return merged
+        return _row_ranges([tuple(c * m for c in e) for e in self._edges],
+                           s, j * s)
+
+
+def _row_ranges(edges: Iterable[tuple[int, int, int, int]], s: int,
+                y: int) -> list[tuple[int, int]]:
+    """Merged closed ranges of the sample indices i whose sample (i * s, y)
+    the closed region bounded by `edges` holds.
+
+    The edges (ax, ay, bx, by), (ay, ax) <= (by, bx), are on the scale
+    s * m of samples 1/m apart: `IntMembership`'s integer edges, of scale
+    s, times m.  Sample row j is y = j * s.
+
+    The crossings of the half-open rule lo.y <= y < hi.y, sorted and taken
+    in pairs, bound the ranges whose points the rightward ray sees an odd
+    number of times (each crossing itself is boundary); every boundary
+    contact the pairs miss adds its own range: a crossing at y == hi.y,
+    and a horizontal edge on the row.  Each left end becomes a sample index
+    by integer ceil division and each right end by floor division, so an
+    end strictly between two samples holds neither.  An edge whose closed
+    y-range misses y contributes nothing, so the ranges depend only on the
+    multiset of edges at the row.
+    """
+    crossings = []
+    spans = []
+    for ax, ay, bx, by in edges:
+        if y < ay or y > by:
+            continue
+        if ay == by:
+            spans.append((-(-ax // s), bx // s))
+            continue
+        # the crossing's x times s * (by - ay)
+        num = ax * (by - ay) + (bx - ax) * (y - ay)
+        den = s * (by - ay)
+        hit = (-(-num // den), num // den)
+        (crossings if y < by else spans).append(hit)
+    crossings.sort()
+    spans += [(lo[0], hi[1])
+              for lo, hi in zip(crossings[::2], crossings[1::2])]
+    spans.sort()
+    merged: list[tuple[int, int]] = []
+    for lo, hi in spans:
+        if lo > hi:
+            continue
+        if merged and lo <= merged[-1][1] + 1:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -503,39 +522,109 @@ def check_hausdorff(small: Region, big: Region,
     region, with `big` the rounded superset).
 
     Sampling is the only approximation; each comparison is exact.  Every
-    sample (i/m, j/m), m = 1/`spacing`, in big's bounding box is covered:
-    row by row, `IntMembership.row_ranges` gives big's and small's closed
-    membership as ranges of i, and each i in big's ranges and in none of
-    small's is tested against every reference edge.  The first sample that
-    fails, bottom row first and left to right, is the witness.
+    sample (i/m, j/m), m = 1/`spacing`, in big's bounding box is covered,
+    the first one that fails, bottom row first and left to right, is the
+    witness.  One sweep up the rows keeps, per side, the integer edges
+    whose closed y-range holds the row, and `_row_ranges` gives big's and
+    small's closed membership from those as ranges of i.  Each i in big's
+    ranges and in none of small's is tested against the reference edges
+    whose box, widened by 2, holds the sample: a squared distance below 2
+    is below 2 on each axis.  A row that no edge of the multiset
+    difference of big's and small's undirected edges spans meets the same
+    edges on both sides, so it holds no sample of big \\ small and is
+    skipped.
     """
+    if spacing <= 0 or Fraction(spacing).numerator != 1:
+        raise PreconditionError("spacing must be 1/m for an integer m")
+    if mode not in ("inner", "outer"):
+        raise PreconditionError(f"mode must be 'inner' or 'outer', "
+                                f"not {mode!r}")
     if not assume_inclusion:
         w = check_inclusion(small, big)
         if w is not None:
             raise PreconditionError(f"small is not included in big: {w}")
     if big.bbox is None:
         return None
-    if spacing <= 0 or Fraction(spacing).numerator != 1:
-        raise PreconditionError("spacing must be 1/m for an integer m")
     m = Fraction(spacing).denominator
 
     in_big = IntMembership(big)
     in_small = IntMembership(small)
-    ref = in_big if mode == "inner" else in_small
-    # the reference edges (scale f) and the samples (scale m) meet on the
-    # scale f * m
-    f = ref._scale
-    ref_edges = [tuple(c * m for c in e) for e in ref._edges]
+    sb, ss = in_big._scale, in_small._scale
+    # each side's edges on the scale of its samples: its own scale times m
+    big_edges, small_edges = ([tuple(c * m for c in e) for e in scan._edges]
+                              for scan in (in_big, in_small))
+    big_rows, small_rows = _Sweep(big_edges, 0), _Sweep(small_edges, 0)
+    ref_edges, f = (big_edges, sb) if mode == "inner" else (small_edges, ss)
+    fm = f * m
+    pad = 2 * fm
+    ref_rows = _Sweep(ref_edges, pad)
     _, y0, _, y1 = big.bbox
-    for j in range(math.ceil(y0 * m), math.floor(y1 * m) + 1):
-        for i in _uncovered(in_big.row_ranges(m, j),
-                            in_small.row_ranges(m, j)):
-            if not any(_sq_dist_lt(e, i * f, j * f, f * m) for e in ref_edges):
+    last = None
+    for j in _differing_rows(in_big, in_small, m, math.ceil(y0 * m),
+                             math.floor(y1 * m)):
+        uncovered = _uncovered(_row_ranges(big_rows.at(j * sb), sb, j * sb),
+                               _row_ranges(small_rows.at(j * ss), ss, j * ss))
+        y = j * f
+        near = None
+        for i in uncovered:
+            x = i * f
+            if last is not None and _sq_dist_lt(last, x, y, fm):
+                continue
+            if near is None:
+                near = [(min(e[0], e[2]) - pad, max(e[0], e[2]) + pad, e)
+                        for e in ref_rows.at(y)]
+            for lo, hi, e in near:
+                if lo <= x <= hi and _sq_dist_lt(e, x, y, fm):
+                    last = e
+                    break
+            else:
                 q = pt(Fraction(i, m), Fraction(j, m))
                 return Witness("hausdorff", q,
                                f"sample in big\\small at squared distance >= 2 "
                                f"from {mode} reference boundary")
     return None
+
+
+class _Sweep:
+    """The integer edges (ax, ay, bx, by), ay <= by, whose closed y-range
+    widened by `pad` holds y, for y asked in increasing order."""
+
+    def __init__(self, edges: list[tuple[int, int, int, int]], pad: int):
+        self._order = sorted(edges, key=lambda e: e[1])
+        self._pad = pad
+        self._next = 0
+        self._active: list[tuple[int, int, int, int]] = []
+
+    def at(self, y: int) -> list[tuple[int, int, int, int]]:
+        order, k, pad = self._order, self._next, self._pad
+        while k < len(order) and order[k][1] - pad <= y:
+            self._active.append(order[k])
+            k += 1
+        self._next = k
+        self._active = [e for e in self._active if e[3] + pad >= y]
+        return self._active
+
+
+def _differing_rows(p: IntMembership, q: IntMembership, m: int, j0: int,
+                    j1: int) -> Iterator[int]:
+    """The rows j0 <= j <= j1, in increasing order, whose line y = j/m some
+    edge of the multiset difference of p's and q's undirected edges meets.
+
+    Multisets, not sets: the two crossings of an edge listed twice cancel,
+    so a region that lists an edge twice and one that lists it once differ
+    along it, although the sets of their edges agree.
+    """
+    s = math.lcm(p._scale, q._scale)
+    count = Counter(tuple(c * (s // p._scale) for c in e) for e in p._edges)
+    count.subtract(tuple(c * (s // q._scale) for c in e) for e in q._edges)
+    spans = sorted((-(-ay * m // s), by * m // s)
+                   for (_, ay, _, by), n in count.items() if n)
+    j = j0
+    for lo, hi in spans:
+        if lo > j1:
+            return
+        yield from range(max(lo, j), min(hi, j1) + 1)
+        j = max(j, hi + 1)
 
 
 def _uncovered(ranges: Sequence[tuple[int, int]],

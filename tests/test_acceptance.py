@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from latbool.decomposition import (
 )
 from latbool.exact_core import Pt, Ring, orientation, pt
 from latbool.fixtures import default_seed, hand_fixture_pairs, random_pairs
+from latbool.lpr import parse_region
 from latbool.oracle import (
     brute_nvlp,
     brute_nvlp_region,
@@ -35,6 +37,8 @@ from latbool.rounding import build_chain, nvlp
 OPS = ("intersection", "union", "difference")
 
 RANDOM_PAIRS = 200
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +260,14 @@ def test_criterion_8_scaling_soft():
           f"(1000 edges {t1 * 1000:.0f}ms, 2000 edges {t2 * 1000:.0f}ms, "
           f"ratio {ratio:.2f} < 4.5)")
     assert ratio < 4.5
+
+
+@pytest.mark.slow
+def test_star160_pinch_pair_passes_the_checklist():
+    """Every checklist item, for all 3 ops, on the two 160-vertex stars of
+    tests/data/star160-pinch.*.lpr (about a minute on 2 cores)."""
+    a, b = (parse_region((DATA / f"star160-pinch.{s}.lpr").read_text())
+            for s in "AB")
+    for op in OPS:
+        failed = [r for r in run_property_checklist(a, b, op) if not r.passed]
+        assert not failed, (op, failed)

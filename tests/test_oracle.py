@@ -24,12 +24,15 @@ from latbool.exact_core import (
     squared_distance,
     universe_for,
 )
+from latbool import oracle
 from latbool.fixtures import random_pairs
 from latbool.oracle import (
     IntMembership,
     Witness,
     _edge_rows,
+    _sq_dist_lt,
     _sweep_events,
+    _uncovered,
     _visible,
     brute_boolean,
     brute_nvlp,
@@ -364,6 +367,29 @@ def _hausdorff_reference(small: Region, big: Region, m: int, mode: str):
     return None
 
 
+def ref_check_hausdorff(small: Region, big: Region, m: int, mode: str):
+    """check_hausdorff without the sweep: every row of big's bounding box
+    through `IntMembership.row_ranges` over all edges of both sides, and
+    every sample of big \\ small against every reference edge."""
+    if big.bbox is None:
+        return None
+    in_big = IntMembership(big)
+    in_small = IntMembership(small)
+    ref = in_big if mode == "inner" else in_small
+    f = ref._scale
+    ref_edges = [tuple(c * m for c in e) for e in ref._edges]
+    _, y0, _, y1 = big.bbox
+    for j in range(math.ceil(y0 * m), math.floor(y1 * m) + 1):
+        for i in _uncovered(in_big.row_ranges(m, j),
+                            in_small.row_ranges(m, j)):
+            if not any(_sq_dist_lt(e, i * f, j * f, f * m)
+                       for e in ref_edges):
+                return Witness("hausdorff", pt(Fraction(i, m), Fraction(j, m)),
+                               f"sample in big\\small at squared distance >= 2 "
+                               f"from {mode} reference boundary")
+    return None
+
+
 def _assert_hausdorff_matches_reference(small, big, m, mode, name):
     w = check_hausdorff(small, big, Fraction(1, m), mode=mode,
                         assume_inclusion=True)
@@ -427,6 +453,149 @@ def test_check_hausdorff_matches_full_grid(hand_pairs):
                 found[mode] += _assert_hausdorff_matches_reference(
                     small, big, m, mode, name)
     assert min(found.values()) >= 3, found
+
+
+def _assert_sweep_matches_row_scan(small, big, m, mode, name) -> bool:
+    w = check_hausdorff(small, big, Fraction(1, m), mode=mode,
+                        assume_inclusion=True)
+    assert w == ref_check_hausdorff(small, big, m, mode), (name, m, mode)
+    return w is not None
+
+
+def _row_skip_cases() -> list[tuple[str, Region, Region, tuple[int, ...]]]:
+    """(name, small, big, spacings): pairs whose edges agree on most rows,
+    so that the sweep skips them, and pairs that differ only in how their
+    edges are listed."""
+    def ring(*xy):
+        return Ring(tuple(pt(x, y) for x, y in xy))
+
+    box = square(0, 0, 4, 4)
+    tall = Region((square(0, 0, 2, 40),))
+    # one horizontal edge, listed twice in `stacked` and not in `one_ring`
+    stacked = Region((square(0, 0, 2, 20), square(0, 20, 2, 40)))
+    one_ring = Region((ring((0, 0), (2, 0), (2, 20), (2, 40), (0, 40),
+                            (0, 20)),))
+    # the spike's edges end on the sample row y = 11/2, the only row with a
+    # sample at distance >= sqrt(2) from the square's boundary
+    spike = Region((ring((0, 0), (4, 0), (4, 4), (Fraction(33, 16), 4),
+                         (2, Fraction(11, 2)), (Fraction(31, 16), 4),
+                         (0, 4)),))
+    # an island whose edges start on the bottom row, far from the square
+    island = Region((box, square(10, 0, 11, 1)))
+    # the square's boundary cut at different points on the two sides
+    cut = Region((ring((0, 0), (2, 0), (4, 0), (4, 3), (4, 4), (1, 4),
+                       (0, 4), (0, 1)),))
+    # the square listed twice: each crossing cancels its copy, so only the
+    # boundary is left, yet the set of edges is the square's
+    twice = Region((box, box))
+    tri = ring((0, 0), (6, 0), (0, 6))
+    middle, _ = _crack_middle()
+    crack_free = Region(tuple(r.collapse_spurs() for r in middle.rings))
+    assert len(crack_free.edge_list()) == len(middle.edge_list()) - 2
+    cases = [
+        ("equal", tall, tall, (8, 1)),
+        ("equal-crack", middle, middle, (3,)),
+        ("horizontal", one_ring, stacked, (8, 3)),
+        ("horizontal-swapped", stacked, one_ring, (8,)),
+        ("spike", Region((box,)), spike, (8,)),
+        ("island", Region((box,)), island, (8, 1)),
+        ("cut", Region((box,)), cut, (8, 3)),
+        ("cut-swapped", cut, Region((box,)), (8,)),
+        ("twice", twice, Region((box,)), (8,)),
+        ("twice-triangle", Region((tri, tri)), Region((tri,)), (8,)),
+        ("crack", crack_free, middle, (8, 3)),
+        ("crack-swapped", middle, crack_free, (8,)),
+    ]
+    return cases + [(f"{name}-far", shifted(small, *FAR), shifted(big, *FAR),
+                     ms) for name, small, big, ms in cases]
+
+
+def test_check_hausdorff_sweep_matches_row_scan():
+    """The same None or witness as the scan of every row and every
+    reference edge: both modes of the checklist calls of 24 corpus pairs
+    and 3 ops, the same exact regions against an empty region and inside
+    their bounding box widened by 2, and pairs built to have rows that the
+    sweep skips."""
+    ops = ("intersection", "union", "difference")
+    cases = []
+    for name, a, b in random_pairs(24, seed=CORPUS_SEED):
+        for op in ops:
+            inner, exact, outer = sandwich(a, b, op)
+            exact = exact.region
+            cases += [(f"{name}.{op}", small, big, (8,)) for small, big in
+                      ((inner, exact), (exact, outer))]
+            if exact.is_empty:
+                continue
+            x0, y0, x1, y1 = exact.bbox
+            wide = Region((square(math.floor(x0) - 2, math.floor(y0) - 2,
+                                  math.ceil(x1) + 2, math.ceil(y1) + 2),))
+            cases += [(f"{name}.{op}-empty", Region(()), exact, (8, 4)),
+                      (f"{name}.{op}-wide", exact, wide, (8, 3))]
+    cases += _row_skip_cases()
+    found = {True: 0, False: 0}
+    for name, small, big, ms in cases:
+        for m in ms:
+            for mode in ("inner", "outer"):
+                found[_assert_sweep_matches_row_scan(small, big, m, mode,
+                                                     name)] += 1
+    assert min(found.values()) > 200, found
+
+
+def test_check_hausdorff_row_skip_cases():
+    """The row-skip pairs against small's boundary: the first far sample
+    where the two sides' membership differs, and None where it does not."""
+    far = {"spike": pt(2, Fraction(11, 2)), "island": Pt(10, 0),
+           "twice": pt(Fraction(3, 2), Fraction(3, 2)),
+           "twice-triangle": pt(Fraction(3, 2), Fraction(3, 2))}
+    for name, small, big, ms in _row_skip_cases():
+        want = far.get(name.removesuffix("-far"))
+        if want is not None and name.endswith("-far"):
+            want = pt(want.x + FAR[0], want.y + FAR[1])
+        for m in ms:
+            w = check_hausdorff(small, big, Fraction(1, m), mode="outer",
+                                assume_inclusion=True)
+            assert (w and w.point) == want, (name, m)
+
+
+def test_check_hausdorff_runs_the_row_rule_only_on_differing_rows(
+        monkeypatch):
+    """The row rule sees no row of a tall region checked against itself,
+    and only the rows of the one short edge in which two listings of a
+    tall region differ."""
+    rows: list[Fraction] = []
+    real = oracle._row_ranges
+
+    def counted(edges, s, y):
+        rows.append(Fraction(y, s))
+        return real(edges, s, y)
+
+    monkeypatch.setattr(oracle, "_row_ranges", counted)
+    tall = Region((square(0, 0, 2, 100),))
+    assert check_hausdorff(tall, tall) is None
+    assert rows == []
+    # the same rectangle as two rings, and as one ring through the same
+    # vertices: only their shared edge, listed twice, differs
+    stacked = Region((square(0, 0, 2, 50), square(0, 50, 2, 100)))
+    one_ring = Region((Ring((Pt(0, 0), Pt(2, 0), Pt(2, 50), Pt(2, 100),
+                             Pt(0, 100), Pt(0, 50))),))
+    assert check_hausdorff(one_ring, stacked, assume_inclusion=True) is None
+    # both sides on the one row y = 50 of that edge
+    assert rows == [400, 400]
+    rows.clear()
+    island = Region((square(0, 0, 2, 100), square(5, 50, 6, 51)))
+    assert check_hausdorff(tall, island) is None
+    assert rows == [j for j in range(400, 409) for _ in range(2)]
+
+
+def test_check_hausdorff_checks_its_arguments_first(unit_square):
+    empty = Region(())
+    for big in (empty, unit_square):
+        for spacing in (0, Fraction(2, 3), Fraction(-1, 8)):
+            with pytest.raises(PreconditionError, match="spacing"):
+                check_hausdorff(empty, big, spacing)
+        for mode in ("inenr", "Inner", ""):
+            with pytest.raises(PreconditionError, match="mode"):
+                check_hausdorff(empty, big, mode=mode)
 
 
 # ---------------------------------------------------------------------------
