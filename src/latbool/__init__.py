@@ -9,7 +9,6 @@ from .exact_core import (
     Ring,
     UniverseBox,
     complement_in_universe,
-    is_visible,
     orientation,
     point_in_region,
     pt,
@@ -19,6 +18,7 @@ from .exact_core import (
     validate_region,
 )
 from .lpr import parse_region, write_region
+from .oracle import is_visible
 from .rounding import inner_round, outer_round, pixel_set
 from .setops import OpRequest, apply, sandwich
 

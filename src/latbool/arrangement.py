@@ -39,10 +39,10 @@ from .exact_core import (
     UniverseBox,
     complement_in_universe,
     dot,
+    find_segment_intersections,
     orientation,
     region_ok,
     segment_at,
-    segment_intersection,
     segments_cross_properly,
     validate_region,
 )
@@ -105,45 +105,6 @@ def vertex_convexity(prev: Pt, v: Pt, nxt: Pt) -> str:
     if turn == RIGHT or dot(v, prev, nxt) > 0:
         return REFLEX
     return FLAT
-
-
-# ---------------------------------------------------------------------------
-# segment intersection enumeration (pair overlay with interval pruning)
-
-
-def find_segment_intersections(
-    segments: Sequence[tuple[Pt, Pt]]
-) -> list[tuple[int, int, object]]:
-    """All pairwise intersections among segments.
-
-    Sorted by x-interval with an active list so disjoint spans are never
-    compared; worst case stays quadratic, which is acceptable here.
-    """
-    n = len(segments)
-    idx = sorted(range(n), key=lambda i: min(segments[i][0].x,
-                                             segments[i][1].x))
-    out: list[tuple[int, int, object]] = []
-    active: list[int] = []
-    for i in idx:
-        a, b = segments[i]
-        xlo = min(a.x, b.x)
-        xhi = max(a.x, b.x)
-        ylo = min(a.y, b.y)
-        yhi = max(a.y, b.y)
-        still: list[int] = []
-        for j in active:
-            c, d = segments[j]
-            if max(c.x, d.x) < xlo:
-                continue
-            still.append(j)
-            if min(c.y, d.y) > yhi or max(c.y, d.y) < ylo:
-                continue
-            hit = segment_intersection((a, b), (c, d))
-            if hit is not None:
-                out.append((min(i, j), max(i, j), hit))
-        still.append(i)
-        active = still
-    return out
 
 
 class _InputEdge(NamedTuple):
@@ -328,7 +289,7 @@ def exact_overlay(a: Region, b: Region, op: str,
     Each operand and each complement taken is validated once.
     """
     if op not in OPS:
-        raise ValueError(f"op must be one of {OPS}")
+        raise PreconditionError(f"op must be one of {OPS}")
     _require_valid(A=a, B=b)
     for name, r in (("A", a), ("B", b)):
         if not box.contains_with_margin(r):

@@ -28,24 +28,19 @@ from typing import NamedTuple, Optional
 from .arrangement import REFLEX, ExactRegion
 from .exact_core import (
     COLLINEAR,
-    EXTERIOR,
     LEFT,
     RIGHT,
     InternalInvariantError,
     trace_cycles,
     PreconditionError,
     Pt,
-    Region,
     Ring,
     Scalar,
-    boundary_gap_midpoints,
     dot,
     orientation,
-    point_in_region,
     point_on_segment,
     pt,
     segment_at,
-    segments_cross_properly,
 )
 
 UP = "up"
@@ -369,30 +364,3 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
         entries.sort()
         out[e] = tuple(r for _, _, r in entries)
     return out
-
-
-def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
-    """Public exact test: is r vertically visible from the edge?
-
-    An independent per-pair check: the open vertical segment from r to its
-    foot on the edge must lie in the closed region.  Transversal crossings
-    of any boundary edge block visibility; this also makes zero-width cracks
-    opaque, as they must be.
-    """
-    a, b = edge
-    if a.x == b.x:
-        return False
-    hits = segment_at(a, b, r.x)
-    if not hits:
-        return False
-    foot = pt(r.x, hits[0])
-    if foot == r:
-        return True
-    seg = (r, foot)
-    for e in region.edges():
-        if e[0] != e[1] and segments_cross_properly(seg, e):
-            return False
-    for m in boundary_gap_midpoints(r, foot, region):
-        if point_in_region(m, region) == EXTERIOR:
-            return False
-    return True

@@ -30,6 +30,12 @@ rotation rule of `trace_cycles`, `point_in_region`,
 `_dir_in_sector`, and `rounding`'s reflex-removal checks
 (`_removal_topology_ok`, `_strictly_in_triangle`) decide every turn with
 them.  A collinear turn with `dot > 0` is a reversal.
+
+`find_segment_intersections` is the pipeline's one segment-pair sweep: the
+overlay (`arrangement`) cuts its edges at the hits, and `validate_region`
+reads crossings and overlaps off them.  The exact checks that only tests
+and the public API call (`is_visible`, `vertically_visible`) live in the
+oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -317,6 +323,45 @@ def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# segment intersection enumeration (pair overlay with interval pruning)
+
+
+def find_segment_intersections(
+    segments: Sequence[tuple[Pt, Pt]]
+) -> list[tuple[int, int, object]]:
+    """All pairwise intersections among segments.
+
+    Sorted by x-interval with an active list so disjoint spans are never
+    compared; worst case stays quadratic, which is acceptable here.
+    """
+    n = len(segments)
+    idx = sorted(range(n), key=lambda i: min(segments[i][0].x,
+                                             segments[i][1].x))
+    out: list[tuple[int, int, object]] = []
+    active: list[int] = []
+    for i in idx:
+        a, b = segments[i]
+        xlo = min(a.x, b.x)
+        xhi = max(a.x, b.x)
+        ylo = min(a.y, b.y)
+        yhi = max(a.y, b.y)
+        still: list[int] = []
+        for j in active:
+            c, d = segments[j]
+            if max(c.x, d.x) < xlo:
+                continue
+            still.append(j)
+            if min(c.y, d.y) > yhi or max(c.y, d.y) < ylo:
+                continue
+            hit = segment_intersection((a, b), (c, d))
+            if hit is not None:
+                out.append((min(i, j), max(i, j), hit))
+        still.append(i)
+        active = still
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rings and regions
 
 
@@ -557,12 +602,17 @@ def _ring_encloses(outer: Ring, inner: Ring) -> bool:
     """Does `outer` enclose `inner`'s area (boundaries not properly crossing)?
 
     Decided by the first boundary sample of `inner` that is off `outer`'s
-    boundary; shared boundary pieces are skipped.
+    boundary; shared boundary pieces are skipped.  A vertex outside
+    `outer`'s bounding box is exterior, so it decides without a
+    `point_in_region` call.
     """
     if outer.is_degenerate:
         return False
     region = Region((outer,))
+    x0, y0, x1, y1 = outer.bbox
     for v in inner.pts:
+        if not (x0 <= v.x <= x1 and y0 <= v.y <= y1):
+            return False
         c = point_in_region(v, region)
         if c != BOUNDARY:
             return c == INTERIOR
@@ -605,60 +655,6 @@ def point_in_region(p: Pt, region: Region) -> str:
         if turn == LEFT and py < b.y:
             inside = not inside
     return INTERIOR if inside else EXTERIOR
-
-
-def is_visible(p: Pt, q: Pt, region: Region) -> bool:
-    """True iff the closed segment pq lies inside the (closed) region.
-
-    Grazing contact with the boundary does not block visibility.  The open
-    segment is cut at every boundary event and each gap midpoint is
-    classified exactly.
-    """
-    cp = point_in_region(p, region)
-    cq = point_in_region(q, region)
-    if cp == EXTERIOR or cq == EXTERIOR:
-        raise PreconditionError("visibility endpoints must belong to the region")
-    if p == q:
-        return True
-    events = _segment_events(p, q, region)
-    for m in gap_midpoints(p, q, events):
-        if point_in_region(m, region) == EXTERIOR:
-            return False
-    return True
-
-
-def boundary_gap_midpoints(p: Pt, q: Pt, region: Region) -> list[Pt]:
-    """Midpoints of the maximal sub-segments of pq free of boundary events.
-
-    Classifying these points classifies the whole open segment: between two
-    consecutive boundary events the segment stays on one side.
-    """
-    return list(gap_midpoints(p, q, _segment_events(p, q, region)))
-
-
-def _segment_events(p: Pt, q: Pt, region: Region) -> list[Fraction]:
-    """Parameters t in (0,1) where pq meets the region boundary.
-
-    An edge whose closed bounding box misses pq's cannot meet pq and is
-    skipped before any exact predicate runs.
-    """
-    xlo, xhi = min(p.x, q.x), max(p.x, q.x)
-    ylo, yhi = min(p.y, q.y), max(p.y, q.y)
-    ts: set[Fraction] = set()
-    for a, b in region.edges():
-        if a == b:
-            continue
-        if ((a.x < xlo and b.x < xlo) or (a.x > xhi and b.x > xhi)
-                or (a.y < ylo and b.y < ylo) or (a.y > yhi and b.y > yhi)):
-            continue
-        hit = segment_intersection((p, q), (a, b))
-        if hit is None:
-            continue
-        for h in hit_points(hit):
-            t = segment_param(p, q, h)
-            if 0 < t < 1:
-                ts.add(t)
-    return sorted(ts)
 
 
 def gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
@@ -764,7 +760,9 @@ def validate_region(region: Region) -> list[Violation]:
 
     Vertex-on-vertex and vertex-on-edge incidences are allowed; proper edge
     crossings and broken nesting are errors.  Zero-area rings and reversal
-    spurs are flagged as `degenerate`, not invalid.
+    spurs are flagged as `degenerate`, not invalid.  The edge pairs that
+    meet come from the overlay's sweep (`find_segment_intersections`) and
+    are reported in the order of a double loop over the edges.
     """
     out: list[Violation] = []
     edges: list[tuple[int, int, Pt, Pt]] = []
@@ -782,28 +780,27 @@ def validate_region(region: Region) -> list[Violation]:
             out.append(Violation(
                 "degenerate", f"ring {ri} has zero area", "degenerate"))
 
-    for i in range(len(edges)):
+    hits = find_segment_intersections([(a, b) for _, _, a, b in edges])
+    for i, j, hit in sorted(hits, key=lambda h: h[:2]):
         ri, ei, a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            rj, ej, c, d = edges[j]
+        rj, ej, c, d = edges[j]
+        if isinstance(hit, Pt):
             if segments_cross_properly((a, b), (c, d)):
                 out.append(Violation(
                     "proper-crossing",
                     f"ring {ri} edge {ei} crosses ring {rj} edge {ej}",
                     "error"))
-            elif not (region.rings[ri].is_degenerate
-                      or region.rings[rj].is_degenerate):
-                hit = segment_intersection((a, b), (c, d))
-                if hit is not None and not isinstance(hit, Pt):
-                    # anti-parallel doubling is a zero-width pinch: parity
-                    # stays consistent; same-direction doubling breaks it.
-                    # The edges are collinear, so they run opposite ways
-                    # exactly when their lexicographic directions differ.
-                    anti = (a < b) != (c < d)
-                    out.append(Violation(
-                        "edge-overlap",
-                        f"ring {ri} edge {ei} overlaps ring {rj} edge {ej}",
-                        "degenerate" if anti else "error"))
+        elif not (region.rings[ri].is_degenerate
+                  or region.rings[rj].is_degenerate):
+            # anti-parallel doubling is a zero-width pinch: parity stays
+            # consistent; same-direction doubling breaks it.  The edges are
+            # collinear, so they run opposite ways exactly when their
+            # lexicographic directions differ.
+            anti = (a < b) != (c < d)
+            out.append(Violation(
+                "edge-overlap",
+                f"ring {ri} edge {ei} overlaps ring {rj} edge {ej}",
+                "degenerate" if anti else "error"))
 
     if not any(v.severity == "error" for v in out):
         # orientation must match nesting depth: even depth CCW, odd CW

@@ -10,11 +10,15 @@ The oracle classifies points without the pipeline's own routine
 time on denominator-cleared Python ints, with the same closed, half-open
 rule, so a fault in either shows up as a disagreement.  The oracle's
 visibility test (`_visible`) and interior probe (`region_interior_sample`)
-classify with it too.
+classify with it too.  The exact checks that only tests and the public API
+call live here as well, on the same routines: `is_visible` (is a closed
+segment inside a region?) and `vertically_visible` (the per-pair reference
+for the decomposition's visibility lists).
 
 Two concessions to speed, neither of which approximates anything.  The
-inclusion check and the visibility test find boundary events in one
-bounding-box sweep instead of testing every edge pair; the sweep only skips
+inclusion check, the visibility tests and the edge-pair count
+(`intersecting_pairs`) find meeting edges in one bounding-box sweep
+(`_sweep_pairs`) instead of testing every edge pair; the sweep only skips
 pairs whose boxes miss, and every predicate it runs stays exact.  The
 Hausdorff check sweeps up the sample rows with the integer edges active at
 each row, reads the row's membership off them as ranges of sample indices
@@ -272,6 +276,43 @@ def _visible(segments: Sequence[tuple[Pt, Pt]], region: Region,
             for (p, q), ts in zip(segments, events)]
 
 
+def is_visible(p: Pt, q: Pt, region: Region) -> bool:
+    """True iff the closed segment pq lies inside the (closed) region.
+
+    Grazing contact with the boundary does not block visibility.
+    """
+    scan = IntMembership(region)
+    if scan.classify(p) == EXTERIOR or scan.classify(q) == EXTERIOR:
+        raise PreconditionError("visibility endpoints must belong to the region")
+    if p == q:
+        return True
+    return _visible([(p, q)], region, scan)[0]
+
+
+def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
+    """Is r vertically visible from the edge?
+
+    An independent per-pair check of the decomposition's visibility lists:
+    the open vertical segment from r to its foot on the edge must lie in
+    the closed region.  Transversal crossings of any boundary edge block
+    visibility; this also makes zero-width cracks opaque, as they must be.
+    """
+    a, b = edge
+    if a.x == b.x:
+        return False
+    hits = segment_at(a, b, r.x)
+    if not hits:
+        return False
+    foot = pt(r.x, hits[0])
+    if foot == r:
+        return True
+    seg = (r, foot)
+    for e in region.edges():
+        if e[0] != e[1] and segments_cross_properly(seg, e):
+            return False
+    return _visible([seg], region, IntMembership(region))[0]
+
+
 # ---------------------------------------------------------------------------
 # lattice closure
 
@@ -463,20 +504,18 @@ def _edge_rows(edges: Iterable[tuple[Pt, Pt]]) -> list[EdgeRow]:
             for a, b in edges if a != b]
 
 
-def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
-                  ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Sorted parameters in (0, 1) where each edge meets the other side.
+def _sweep_pairs(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
+                 ) -> Iterator[tuple[int, int, object]]:
+    """(ip, iq, hit) for every edge ip of p and iq of q that meet.
 
     Both edge lists are swept together by low x with one active list per
-    side, as `arrangement.find_segment_intersections` sweeps the overlay's
+    side, as `exact_core.find_segment_intersections` sweeps the overlay's
     edges: each edge is tested only against the other side's active edges
     whose closed y-range overlaps its own, and every such pair is
     intersected once.  A common point of two closed segments lies in both
-    closed bounding boxes, so no event is lost.
+    closed bounding boxes, so no meeting pair is lost.
     """
     rows = (rows_p, rows_q)
-    events: tuple[list[set[Fraction]], ...] = (
-        [set() for _ in rows_p], [set() for _ in rows_q])
     active: list[list[int]] = [[], []]
     order = sorted([(r[2], 0, i) for i, r in enumerate(rows_p)]
                    + [(r[2], 1, i) for i, r in enumerate(rows_q)])
@@ -492,17 +531,29 @@ def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
             if o[4] > yhi or o[5] < ylo:
                 continue
             ip, iq = (i, k) if side == 0 else (k, i)
-            a, b = rows_p[ip][:2]
-            c, d = rows_q[iq][:2]
-            for h in hit_points(segment_intersection((a, b), (c, d))):
-                t = segment_param(a, b, h)
-                if 0 < t < 1:
-                    events[0][ip].add(t)
-                u = segment_param(c, d, h)
-                if 0 < u < 1:
-                    events[1][iq].add(u)
+            hit = segment_intersection(rows_p[ip][:2], rows_q[iq][:2])
+            if hit is not None:
+                yield ip, iq, hit
         active[1 - side] = still
         active[side].append(i)
+
+
+def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
+                  ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Sorted parameters in (0, 1) where each edge meets the other side,
+    from the pairs `_sweep_pairs` finds."""
+    events: tuple[list[set[Fraction]], ...] = (
+        [set() for _ in rows_p], [set() for _ in rows_q])
+    for ip, iq, hit in _sweep_pairs(rows_p, rows_q):
+        a, b = rows_p[ip][:2]
+        c, d = rows_q[iq][:2]
+        for h in hit_points(hit):
+            t = segment_param(a, b, h)
+            if 0 < t < 1:
+                events[0][ip].add(t)
+            u = segment_param(c, d, h)
+            if 0 < u < 1:
+                events[1][iq].add(u)
     return ([sorted(ts) for ts in events[0]], [sorted(ts) for ts in events[1]])
 
 
@@ -680,6 +731,8 @@ def brute_boolean(a: Region, b: Region, op: str,
     Samples touching any operand boundary are marked `skip`: regularization
     decides those by closure, not by local membership.
     """
+    if op not in ("intersection", "union", "difference"):
+        raise PreconditionError(f"unknown op {op!r}")
     in_a = IntMembership(a).classify
     in_b = IntMembership(b).classify
     out = []
@@ -695,10 +748,8 @@ def brute_boolean(a: Region, b: Region, op: str,
             res = ia and ib
         elif op == "union":
             res = ia or ib
-        elif op == "difference":
-            res = ia and not ib
         else:
-            raise ValueError(f"unknown op {op!r}")
+            res = ia and not ib
         out.append(SampleTruth(q, ca, cb, INTERIOR if res else EXTERIOR))
     return out
 
@@ -720,10 +771,6 @@ def properly_crossing_pairs(edges1: Sequence[tuple[Pt, Pt]],
 
 def intersecting_pairs(edges1: Sequence[tuple[Pt, Pt]],
                        edges2: Sequence[tuple[Pt, Pt]]) -> int:
-    """Pairs with any nonempty closed intersection (touch or overlap)."""
-    n = 0
-    for e1 in edges1:
-        for e2 in edges2:
-            if segment_intersection(e1, e2) is not None:
-                n += 1
-    return n
+    """Pairs with any nonempty closed intersection (touch or overlap),
+    found by `_sweep_pairs`."""
+    return sum(1 for _ in _sweep_pairs(_edge_rows(edges1), _edge_rows(edges2)))

@@ -32,6 +32,7 @@ from .arrangement import (
 )
 from .exact_core import (
     InternalInvariantError,
+    PreconditionError,
     Region,
     UniverseBox,
     complement_in_universe,
@@ -52,9 +53,9 @@ class OpRequest:
 
     def __post_init__(self):
         if self.op not in OPS:
-            raise ValueError(f"op must be one of {OPS}")
+            raise PreconditionError(f"op must be one of {OPS}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise PreconditionError(f"mode must be one of {MODES}")
 
 
 def apply(req: OpRequest) -> Union[Region, ExactRegion]:

@@ -37,6 +37,13 @@ def square(x0: int, y0: int, x1: int, y1: int) -> Ring:
     return Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
 
 
+def holed_square(n: int) -> Region:
+    """The square [0, 2n+1]^2 with an n x n grid of unit holes, 1 apart."""
+    holes = tuple(square(2 * i + 1, 2 * j + 1, 2 * i + 2, 2 * j + 2).reversed_()
+                  for i in range(n) for j in range(n))
+    return Region((square(0, 0, 2 * n + 1, 2 * n + 1),) + holes)
+
+
 def shifted(region: Region, dx: Scalar, dy: Scalar) -> Region:
     return Region(tuple(Ring(tuple(pt(p.x + dx, p.y + dy) for p in r.pts))
                         for r in region.rings))

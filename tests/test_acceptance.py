@@ -18,11 +18,7 @@ import pytest
 
 from latbool.arrangement import exact_intersection, find_segment_intersections
 from latbool.cli import run_property_checklist
-from latbool.decomposition import (
-    ConvexCell,
-    reflex_vertical_decomposition,
-    vertically_visible,
-)
+from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
 from latbool.exact_core import Pt, Ring, orientation, pt
 from latbool.fixtures import default_seed, hand_fixture_pairs, random_pairs
 from latbool.lpr import parse_region
@@ -31,6 +27,7 @@ from latbool.oracle import (
     brute_nvlp_region,
     lattice_closure,
     snap_segment_hits_closure_interior,
+    vertically_visible,
 )
 from latbool.rounding import build_chain, nvlp
 

@@ -11,10 +11,7 @@ from latbool.arrangement import (
     exact_intersection,
     vertex_convexity,
 )
-from latbool.decomposition import (
-    reflex_vertical_decomposition,
-    vertically_visible,
-)
+from latbool.decomposition import reflex_vertical_decomposition
 from latbool.exact_core import (
     PreconditionError,
     Pt,
@@ -24,7 +21,7 @@ from latbool.exact_core import (
     pt,
 )
 from latbool.fixtures import random_pairs
-from latbool.oracle import brute_nvlp, brute_nvlp_region
+from latbool.oracle import brute_nvlp, brute_nvlp_region, vertically_visible
 from latbool.setops import sandwich
 
 from conftest import CORPUS_SEED, shifted, square

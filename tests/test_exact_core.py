@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from latbool import exact_core
 from latbool.exact_core import (
     BOUNDARY,
     COLLINEAR,
@@ -18,7 +19,6 @@ from latbool.exact_core import (
     Ring,
     UniverseBox,
     complement_in_universe,
-    is_visible,
     orientation,
     point_in_region,
     pt,
@@ -32,9 +32,9 @@ from latbool.exact_core import (
     universe_for,
     validate_region,
 )
-from latbool.oracle import IntMembership
+from latbool.oracle import IntMembership, is_visible
 
-from conftest import FAR, membership_regions, shifted, square
+from conftest import FAR, holed_square, membership_regions, shifted, square
 
 
 def test_orientation_basis():
@@ -261,6 +261,26 @@ def test_validate_nesting_three_levels():
     assert flipped.parents == (2, None, 1)
     assert validate_region(flipped) == [Violation(
         "orientation", "ring 0 at depth 2 must be CCW", "error")]
+
+
+def test_validate_region_work_is_near_linear_on_many_holes(monkeypatch):
+    """On a square with 225 unit holes, the edge pairs come from the sweep
+    and a hole is tested for nesting only inside rings whose bounding box
+    holds its first vertex: at most 1 000 segment intersections (the 904
+    edge pairs meeting at ring corners) and one point classification per
+    hole."""
+    calls = {"segment_intersection": 0, "point_in_region": 0}
+    for name in calls:
+        real = getattr(exact_core, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(exact_core, name, counted)
+    assert validate_region(holed_square(15)) == []
+    assert calls["segment_intersection"] <= 1000, calls
+    assert calls["point_in_region"] <= 225, calls
 
 
 def _quarter_turns(region: Region, k: int) -> Region:

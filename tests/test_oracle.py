@@ -12,11 +12,9 @@ from latbool.exact_core import (
     Pt,
     Region,
     Ring,
-    _segment_events,
-    boundary_gap_midpoints,
     complement_in_universe,
+    gap_midpoints,
     hit_points,
-    is_visible,
     point_in_region,
     pt,
     segment_intersection,
@@ -39,13 +37,15 @@ from latbool.oracle import (
     check_hausdorff,
     check_inclusion,
     intersecting_pairs,
+    is_visible,
     lattice_closure,
     properly_crossing_pairs,
     region_interior_sample,
     snap_segment_hits_closure_interior,
 )
 
-from latbool.setops import sandwich
+from latbool.rounding import pixel_set
+from latbool.setops import _sandwich, sandwich
 
 from conftest import (
     CORPUS_SEED,
@@ -160,6 +160,46 @@ def test_brute_boolean_self_difference():
     assert all(r.expected in (EXTERIOR, "skip") for r in rows)
 
 
+def test_brute_boolean_rejects_an_unknown_op_first():
+    """No samples, or only samples on an operand boundary, need no op; an
+    unknown one is still a PreconditionError."""
+    a = Region((square(0, 0, 2, 2),))
+    for samples in ([], [Pt(0, 0), Pt(2, 1)]):
+        with pytest.raises(PreconditionError, match="unknown op"):
+            brute_boolean(a, a, "xor", samples)
+
+
+def ref_intersecting_pairs(edges1, edges2) -> int:
+    """intersecting_pairs as a double loop over every edge pair."""
+    return sum(1 for e1 in edges1 for e2 in edges2
+               if segment_intersection(e1, e2) is not None)
+
+
+def test_intersecting_pairs_matches_double_loop(corpus_sandwiches,
+                                                hand_pairs):
+    """The checklist's call, overlay edges against pixel edges, on 24
+    corpus pairs and 3 ops, both ways round; and each membership region
+    against itself (every edge overlaps its copy) and against itself
+    moved by 1 and by 1/2, also far from the origin."""
+    counts = []
+    for name, _, _, _, overlay in corpus_sandwiches:
+        edges = overlay.region.edge_list()
+        pix = pixel_set(overlay).edge_list()
+        want = ref_intersecting_pairs(edges, pix)
+        assert intersecting_pairs(edges, pix) == want, name
+        assert intersecting_pairs(pix, edges) == want, name
+        counts.append(want)
+    assert min(counts) == 0 and sum(counts) > 400, counts
+    for k, (name, region) in enumerate(membership_regions(hand_pairs)):
+        for moved in ((region, shifted(region, *FAR)) if k % 8 == 0
+                      else (region,)):
+            edges = moved.edge_list()
+            for dx in (0, 1, Fraction(1, 2)):
+                other = shifted(moved, dx, 0).edge_list()
+                assert intersecting_pairs(edges, other) == \
+                    ref_intersecting_pairs(edges, other), (name, dx)
+
+
 def test_pair_counts():
     e1 = [(Pt(0, 0), Pt(4, 4))]
     e2 = [(Pt(0, 4), Pt(4, 0)), (Pt(0, 1), Pt(0, 2))]
@@ -194,14 +234,14 @@ def _check_inclusion_reference(inner: Region, outer: Region):
         for v in (a, b):
             if point_in_region(v, outer) == EXTERIOR:
                 return Witness("vertex-outside", v, "inner vertex outside outer")
-        for m in boundary_gap_midpoints(a, b, outer):
+        for m in gap_midpoints(a, b, _brute_events(a, b, outer)):
             if point_in_region(m, outer) == EXTERIOR:
                 return Witness("edge-outside", m,
                                f"inner edge {a}-{b} leaves outer")
     for a, b in outer.edges():
         if a == b:
             continue
-        for m in boundary_gap_midpoints(a, b, inner):
+        for m in gap_midpoints(a, b, _brute_events(a, b, inner)):
             if point_in_region(m, inner) == INTERIOR:
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
@@ -257,7 +297,7 @@ def _assert_sweep_is_brute_force(p: Region, q: Region, name: str) -> None:
         assert len(events) == len(rows), name
         for (a, b, *_), got in zip(rows, events):
             want = _brute_events(a, b, other)
-            assert got == want == _segment_events(a, b, other), (name, a, b)
+            assert got == want, (name, a, b)
 
 
 def _crack_middle() -> tuple[Region, Region]:
@@ -510,27 +550,33 @@ def _row_skip_cases() -> list[tuple[str, Region, Region, tuple[int, ...]]]:
                      ms) for name, small, big, ms in cases]
 
 
-def test_check_hausdorff_sweep_matches_row_scan():
+@pytest.fixture(scope="module")
+def corpus_sandwiches():
+    """(name.op, inner, exact, outer, overlay) of `_sandwich`, which the
+    checklist runs, for 24 corpus pairs and 3 ops."""
+    return [(f"{name}.{op}", *_sandwich(a, b, op))
+            for name, a, b in random_pairs(24, seed=CORPUS_SEED)
+            for op in ("intersection", "union", "difference")]
+
+
+def test_check_hausdorff_sweep_matches_row_scan(corpus_sandwiches):
     """The same None or witness as the scan of every row and every
     reference edge: both modes of the checklist calls of 24 corpus pairs
     and 3 ops, the same exact regions against an empty region and inside
     their bounding box widened by 2, and pairs built to have rows that the
     sweep skips."""
-    ops = ("intersection", "union", "difference")
     cases = []
-    for name, a, b in random_pairs(24, seed=CORPUS_SEED):
-        for op in ops:
-            inner, exact, outer = sandwich(a, b, op)
-            exact = exact.region
-            cases += [(f"{name}.{op}", small, big, (8,)) for small, big in
-                      ((inner, exact), (exact, outer))]
-            if exact.is_empty:
-                continue
-            x0, y0, x1, y1 = exact.bbox
-            wide = Region((square(math.floor(x0) - 2, math.floor(y0) - 2,
-                                  math.ceil(x1) + 2, math.ceil(y1) + 2),))
-            cases += [(f"{name}.{op}-empty", Region(()), exact, (8, 4)),
-                      (f"{name}.{op}-wide", exact, wide, (8, 3))]
+    for name, inner, exact, outer, _ in corpus_sandwiches:
+        exact = exact.region
+        cases += [(name, small, big, (8,)) for small, big in
+                  ((inner, exact), (exact, outer))]
+        if exact.is_empty:
+            continue
+        x0, y0, x1, y1 = exact.bbox
+        wide = Region((square(math.floor(x0) - 2, math.floor(y0) - 2,
+                              math.ceil(x1) + 2, math.ceil(y1) + 2),))
+        cases += [(f"{name}-empty", Region(()), exact, (8, 4)),
+                  (f"{name}-wide", exact, wide, (8, 3))]
     cases += _row_skip_cases()
     found = {True: 0, False: 0}
     for name, small, big, ms in cases:
@@ -602,10 +648,22 @@ def test_check_hausdorff_checks_its_arguments_first(unit_square):
 # the oracle's visibility test and interior probe
 
 
+def ref_is_visible(p: Pt, q: Pt, region: Region) -> bool:
+    """is_visible as a per-edge scan: pq is cut at its events against every
+    edge, and point_in_region classifies the ends and each gap midpoint."""
+    if EXTERIOR in (point_in_region(p, region), point_in_region(q, region)):
+        raise PreconditionError("visibility endpoints must belong to the region")
+    if p == q:
+        return True
+    return all(point_in_region(m, region) != EXTERIOR
+               for m in gap_midpoints(p, q, _brute_events(p, q, region)))
+
+
 def test_visible_matches_is_visible(hand_pairs):
-    """Random segments between lattice points, vertices and edge midpoints
-    of each region, and every unit segment between its lattice points;
-    some regions also far from the origin."""
+    """_visible and is_visible against the per-edge scan, on random
+    segments between lattice points, vertices and edge midpoints of each
+    region, and every unit segment between its lattice points; some
+    regions also far from the origin."""
     rng = random.Random(5)
     kinds = set()
     for k, (name, region) in enumerate(membership_regions(hand_pairs)):
@@ -629,6 +687,7 @@ def test_visible_matches_is_visible(hand_pairs):
             segs += [(p, q) for p, q in (rng.sample(ends, 2)
                                          for _ in range(60)) if p != q]
             got = _visible(segs, moved, scan)
+            assert got == [ref_is_visible(p, q, moved) for p, q in segs], name
             assert got == [is_visible(p, q, moved) for p, q in segs], name
             kinds |= set(got)
     assert kinds == {True, False}

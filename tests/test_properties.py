@@ -21,8 +21,10 @@ from latbool.decomposition import (
     reflex_vertical_decomposition,
 )
 from latbool.exact_core import (
+    BOUNDARY,
     COLLINEAR,
     EXTERIOR,
+    INTERIOR,
     LEFT,
     RIGHT,
     InternalInvariantError,
@@ -44,8 +46,17 @@ from latbool.exact_core import (
     squared_distance,
     squared_point_distance,
     trace_cycles,
+    Violation,
+    complement_in_universe,
+    universe_for,
+    validate_region,
 )
-from latbool.fixtures import _hull_ring, random_pairs, random_region
+from latbool.fixtures import (
+    _hull_ring,
+    hand_fixture_pairs,
+    random_pairs,
+    random_region,
+)
 from latbool.oracle import brute_nvlp
 from latbool import rounding
 from latbool.rounding import (
@@ -63,7 +74,13 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
-from conftest import CORPUS_SEED, FAR
+from conftest import (
+    CORPUS_SEED,
+    FAR,
+    crack_middle_operands,
+    holed_square,
+    square,
+)
 
 rationals = hys.fractions(min_value=-50, max_value=50,
                           max_denominator=16)
@@ -878,3 +895,158 @@ def test_near_box_is_the_tight_integer_box(a, b):
                     assert x0 < gx < x1 and y0 < gy < y1
     assert min(a.x, b.x) - (x0 + 1) < 2 and (x1 - 1) - max(a.x, b.x) < 2
     assert min(a.y, b.y) - (y0 + 1) < 2 and (y1 - 1) - max(a.y, b.y) < 2
+
+
+# ---------------------------------------------------------------------------
+# validate_region against the double loop over every edge pair
+
+
+def _ref_ring_encloses(outer, inner):
+    """_ring_encloses without the bounding-box test: the first boundary
+    sample of inner off outer's boundary decides."""
+    if outer.is_degenerate:
+        return False
+    region = Region((outer,))
+    samples = list(inner.pts) + [pt(Fraction(a.x + b.x, 2),
+                                    Fraction(a.y + b.y, 2))
+                                 for a, b in inner.edges() if a != b]
+    for v in samples:
+        c = point_in_region(v, region)
+        if c != BOUNDARY:
+            return c == INTERIOR
+    return False
+
+
+def ref_validate_region(region):
+    """validate_region with every edge pair tested, and every ring
+    classified against every other one for its nesting."""
+    out = []
+    edges = []
+    for ri, ring in enumerate(region.rings):
+        if len(ring.pts) < 2:
+            out.append(Violation("ring-size", f"ring {ri} has <2 vertices",
+                                 "error"))
+            continue
+        for ei, (a, b) in enumerate(ring.edges()):
+            if a == b:
+                out.append(Violation(
+                    "repeated-vertex", f"ring {ri} edge {ei} is a point",
+                    "error"))
+            else:
+                edges.append((ri, ei, a, b))
+        if ring.is_degenerate:
+            out.append(Violation(
+                "degenerate", f"ring {ri} has zero area", "degenerate"))
+    for i in range(len(edges)):
+        ri, ei, a, b = edges[i]
+        for j in range(i + 1, len(edges)):
+            rj, ej, c, d = edges[j]
+            if segments_cross_properly((a, b), (c, d)):
+                out.append(Violation(
+                    "proper-crossing",
+                    f"ring {ri} edge {ei} crosses ring {rj} edge {ej}",
+                    "error"))
+            elif not (region.rings[ri].is_degenerate
+                      or region.rings[rj].is_degenerate):
+                hit = segment_intersection((a, b), (c, d))
+                if hit is not None and not isinstance(hit, Pt):
+                    anti = (a < b) != (c < d)
+                    out.append(Violation(
+                        "edge-overlap",
+                        f"ring {ri} edge {ei} overlaps ring {rj} edge {ej}",
+                        "degenerate" if anti else "error"))
+    if any(v.severity == "error" for v in out):
+        return out
+    rings = region.rings
+    enclosing = [[j for j, outer in enumerate(rings)
+                  if j != i and _ref_ring_encloses(outer, ring)]
+                 for i, ring in enumerate(rings)]
+    for ri, ring in enumerate(rings):
+        if ring.is_degenerate:
+            continue
+        depth = len(enclosing[ri])
+        if depth % 2 == 0 and not ring.is_ccw:
+            out.append(Violation(
+                "orientation", f"ring {ri} at depth {depth} must be CCW",
+                "error"))
+        if depth % 2 == 1 and ring.is_ccw:
+            out.append(Violation(
+                "orientation", f"ring {ri} at depth {depth} must be CW",
+                "error"))
+        if depth % 2 == 1 and not enclosing[ri]:
+            out.append(Violation(
+                "nesting", f"hole ring {ri} has no enclosing ring", "error"))
+    return out
+
+
+def _star(n, r_out, r_in, seed):
+    """A star polygon of n lattice vertices alternating between two radii."""
+    rng = random.Random(seed)
+    pts = []
+    for i in range(n):
+        th = 2 * math.pi * (i + 0.3 * (rng.random() - 0.5)) / n
+        r = (r_out if i % 2 == 0 else r_in) * (0.9 + 0.2 * rng.random())
+        pts.append(Pt(round(r * math.cos(th)), round(r * math.sin(th))))
+    return Region((Ring(tuple(pts)),))
+
+
+def _invalid_variants(region):
+    """The first ring reversed, the last ring moved right by 1 (a hole then
+    often crosses or runs along another ring) and the first ring listed
+    twice."""
+    rings = region.rings
+    last = Ring(tuple(Pt(p.x + 1, p.y) for p in rings[-1].pts))
+    return [Region((rings[0].reversed_(),) + rings[1:]),
+            Region(rings[:-1] + (last,)),
+            Region((rings[0],) + rings)]
+
+
+def _validation_cases():
+    """The acceptance corpus's operands, their invalid variants and their
+    complements; the rand-015 crack overlay, a square with a slit and one
+    with a hole on each side of its bounding box; a 640-vertex star, also
+    reversed; squares with 100 and 225 unit holes, and the smaller one
+    with a hole moved to cross its neighbour."""
+    star = _star(640, 400, 200, seed=640)
+    assert len(star.rings[0].pts) == 640
+    holes = holed_square(10)
+    moved = Ring(tuple(pt(p.x + Fraction(3, 2), p.y + Fraction(1, 2))
+                       for p in holes.rings[1].pts))
+    comp, pixels_comp, _ = crack_middle_operands()
+    middle = exact_intersection(comp, pixels_comp, check=False).region
+    slit = Region((square(0, 0, 4, 4), Ring((Pt(1, 1), Pt(2, 1)))))
+    # each hole's first vertex lies on a different side of the square
+    sides = Region((square(0, 0, 9, 9),
+                    _ring((0, 5), (2, 5), (2, 3), (0, 3)),
+                    _ring((9, 3), (7, 3), (7, 5), (9, 5)),
+                    _ring((5, 0), (3, 0), (3, 2), (5, 2)),
+                    _ring((3, 9), (5, 9), (5, 7), (3, 7))))
+    cases = [("star640", star),
+             ("star640-reversed", Region((star.rings[0].reversed_(),))),
+             ("holes100", holes), ("holes225", holed_square(15)),
+             ("holes100-crossing",
+              Region((holes.rings[0], moved) + holes.rings[2:])),
+             ("rand-015.middle", middle), ("slit", slit),
+             ("holes-on-sides", sides)]
+    pairs = hand_fixture_pairs() + random_pairs(200, seed=CORPUS_SEED)
+    for name, a, b in pairs:
+        box = universe_for([a, b])
+        for side, r in (("A", a), ("B", b)):
+            cases.append((f"{name}.{side}", r))
+            cases += [(f"{name}.{side}-bad{k}", v)
+                      for k, v in enumerate(_invalid_variants(r))]
+            cases.append((f"{name}.{side}c", complement_in_universe(r, box)))
+    return cases
+
+
+def test_validate_region_matches_double_loop():
+    """The same violations in the same order, on regions with none, with
+    degenerate overlaps only and with errors of every kind."""
+    kinds = set()
+    for name, region in _validation_cases():
+        got = validate_region(region)
+        assert got == ref_validate_region(region), name
+        kinds |= {(v.kind, v.severity) for v in got}
+    assert {("proper-crossing", "error"), ("edge-overlap", "error"),
+            ("edge-overlap", "degenerate"), ("orientation", "error"),
+            ("degenerate", "degenerate")} <= kinds, kinds

@@ -191,11 +191,19 @@ def test_invalid_operand_rejected_for_every_op():
 
 
 def test_bad_request_rejected():
+    """An unknown op or mode is a PreconditionError, raised before any
+    operand is validated: the invalid operand's error never shows."""
     a = Region((square(0, 0, 1, 1),))
-    with pytest.raises(ValueError):
-        OpRequest("xor", "inner", a, a)
-    with pytest.raises(ValueError):
-        OpRequest("union", "fast", a, a)
+    bow = Region((Ring((Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2))),))
+    for op, mode in (("xor", "inner"), ("union", "fast")):
+        with pytest.raises(PreconditionError, match="must be one of"):
+            OpRequest(op, mode, bow, a)
+    box = universe_for([a])
+    for run in (lambda: sandwich(bow, a, "xor"),
+                lambda: arrangement.exact_boolean(bow, a, "xor", box),
+                lambda: arrangement.exact_overlay(bow, a, "xor", box)):
+        with pytest.raises(PreconditionError, match="op must be one of"):
+            run()
 
 
 # invariant checks are explicit raises: they hold under python -O too
