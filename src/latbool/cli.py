@@ -18,8 +18,8 @@ from .arrangement import (
     REFLEX,
     ExactRegion,
     exact_from_overlay,
+    _tag_rings,
     exact_intersection,  # noqa: F401  perfbench's tracer test reads it here
-    vertex_convexity,
 )
 from .exact_core import (
     INTERIOR,
@@ -64,6 +64,9 @@ def run_property_checklist(a: Region, b: Region, op: str,
     With `against`, the provided region replaces the pipeline's rounded
     result for the given mode before checking (negative testing support).
     """
+    if against_mode not in ("inner", "outer"):
+        raise PreconditionError(f"against_mode must be 'inner' or 'outer', "
+                                f"not {against_mode!r}")
     results: list[PropertyResult] = []
     # _sandwich raises unless inner <= exact <= outer, so only a side that
     # `against` replaces needs its inclusion checked again
@@ -151,35 +154,26 @@ def _convexity_checks(add, op: str, exact: ExactRegion, inner: Region,
         # a convex vertex of the outer union corresponds to one of the union
         exact_convex = {v.pos for ring in exact.rings for v in ring
                         if v.convexity == CONVEX}
-        ok = True
-        detail = ""
-        for ring in outer.rings:
-            m = len(ring.pts)
-            for i, p in enumerate(ring.pts):
-                turn = vertex_convexity(ring.pts[i - 1], p,
-                                        ring.pts[(i + 1) % m])
-                if turn == CONVEX and p not in exact_convex:
-                    ok = False
-                    detail = f"extraneous convex vertex {p}"
-        add("union convex-vertex correspondence", ok, detail)
+        bad = [v.pos for ring in _tag_rings(outer.rings) for v in ring
+               if v.convexity == CONVEX and v.pos not in exact_convex]
+        add("union convex-vertex correspondence", not bad,
+            f"extraneous convex vertex {bad[-1]}" if bad else "")
         return
     reflex_lattice = {v.pos for ring in exact.rings for v in ring
                       if v.convexity == REFLEX and v.pos.is_lattice}
-    ok = True
-    detail = ""
-    for ring in inner.rings:
-        m = len(ring.pts)
-        for i, p in enumerate(ring.pts):
-            turn = vertex_convexity(ring.pts[i - 1], p, ring.pts[(i + 1) % m])
-            if turn == REFLEX and p not in reflex_lattice:
-                ok = False
-                detail = f"extraneous reflex vertex {p}"
-    add("inner concavity preservation", ok, detail)
-    _convex_component_check(add, exact, inner)
+    tagged = _tag_rings(inner.rings)
+    bad = [v.pos for ring in tagged for v in ring
+           if v.convexity == REFLEX and v.pos not in reflex_lattice]
+    add("inner concavity preservation", not bad,
+        f"extraneous reflex vertex {bad[-1]}" if bad else "")
+    _convex_component_check(add, exact, inner, tagged)
 
 
-def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
-    """A convex component with a nonempty inner image stays convex."""
+def _convex_component_check(add, exact: ExactRegion, inner: Region,
+                            tagged) -> None:
+    """A convex component with a nonempty inner image stays convex.
+
+    `tagged` holds the turn classes of `inner`'s rings (`_tag_rings`)."""
     convex_components = []
     for ri, ring in enumerate(exact.rings):
         if any(v.convexity == REFLEX for v in ring):
@@ -191,8 +185,7 @@ def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
             continue
         convex_components.append(
             IntMembership(Region((exact.region.rings[ri],))))
-    ok = True
-    detail = ""
+    bad = []
     for ii, iring in enumerate(inner.rings):
         if not iring.is_ccw or iring.is_degenerate:
             continue
@@ -201,13 +194,9 @@ def _convex_component_check(add, exact: ExactRegion, inner: Region) -> None:
             continue
         for host in convex_components:
             if host.classify(probe) == INTERIOR:
-                m = len(iring.pts)
-                for i, p in enumerate(iring.pts):
-                    if vertex_convexity(iring.pts[i - 1], p,
-                                        iring.pts[(i + 1) % m]) == REFLEX:
-                        ok = False
-                        detail = f"image of convex component has reflex {p}"
-    add("convex component preservation", ok, detail)
+                bad += [v.pos for v in tagged[ii] if v.convexity == REFLEX]
+    add("convex component preservation", not bad,
+        f"image of convex component has reflex {bad[-1]}" if bad else "")
 
 
 # ---------------------------------------------------------------------------

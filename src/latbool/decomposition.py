@@ -2,9 +2,11 @@
 
 Vertical walls are shot up and down from every reflex vertex (all lattice
 points by the intersection structure); the induced subdivision is a
-partition of the region into convex cells.  The decomposition also records,
-for every boundary edge, the reflex vertices vertically visible from it in
-projection order: exactly the vertices a rounded chain may visit.
+partition of the region into convex cells.  Cells are found by one lookup
+per vertex occurrence, keyed by the directed edge leaving it; there is no
+vertex->cell map.  The decomposition also records, for every boundary edge,
+the reflex vertices vertically visible from it in projection order: exactly
+the vertices a rounded chain may visit.
 
 Both the walls and the visibility lists come from one sweep over the
 distinct reflex x-coordinates, as in the trapezoidal decomposition (de Berg
@@ -43,13 +45,9 @@ from .exact_core import (
     segment_at,
 )
 
-UP = "up"
-DOWN = "down"
-
 
 class Wall(NamedTuple):
     source: Pt
-    direction: str
     hit: Pt
 
 
@@ -58,7 +56,6 @@ class ConvexCell:
     """One convex face of the decomposition (CCW boundary)."""
 
     ring: Ring
-    incident_vertices: tuple[Pt, ...]
 
     def contains(self, q: Pt) -> bool:
         for a, b in self.ring.edges():
@@ -71,26 +68,21 @@ class ConvexCell:
 class Decomposition:
     cells: tuple[ConvexCell, ...]
     walls: tuple[Wall, ...]
-    cell_index_of_vertex: dict
     visible_reflex: dict
     cell_of_edge_start: dict
-
-    def cell_of_vertex(self, v: Pt) -> ConvexCell:
-        idx = self.cell_index_of_vertex.get(v)
-        if idx is None:
-            raise PreconditionError(f"{v} is not a vertex of the decomposition")
-        return self.cells[idx]
 
     def cell_at_edge_start(self, u: Pt, v: Pt) -> ConvexCell:
         """The cell adjacent to the corner at u along the directed edge u->v.
 
-        This is the occurrence-accurate cell: on cracked regions different
-        occurrences of one position can see different cells, and snapping
-        must stay inside the occurrence's own side.
+        This is the one cell lookup, made once per vertex occurrence: on
+        cracked regions different occurrences of one position can see
+        different cells, and snapping must stay inside the occurrence's own
+        side.  Every directed boundary edge has its cell.
         """
         idx = self.cell_of_edge_start.get((u, v))
         if idx is None:
-            return self.cell_of_vertex(u)
+            raise PreconditionError(
+                f"{u}->{v} is not an edge of the decomposition")
         return self.cells[idx]
 
 
@@ -215,9 +207,9 @@ class _LineProfile:
 
 
 def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
-    """Build walls, cells, the vertex->cell map and per-edge visibility lists."""
+    """Build walls, cells, the edge->cell map and per-edge visibility lists."""
     if region.is_empty:
-        return Decomposition((), (), {}, {}, {})
+        return Decomposition((), (), {}, {})
     for ring in region.rings:
         for v in ring:
             if v.convexity == REFLEX and not v.pos.is_lattice:
@@ -241,7 +233,7 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                 continue
             prev = ring[i - 1].pos
             nxt = ring[(i + 1) % m].pos
-            for sign, name in ((1, UP), (-1, DOWN)):
+            for sign in (1, -1):
                 if not _dir_in_sector(Pt(v.pos.x, v.pos.y + sign), prev,
                                       v.pos, nxt):
                     continue
@@ -252,29 +244,11 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                 if key in seen_walls:
                     continue
                 seen_walls.add(key)
-                walls.append(Wall(v.pos, name, hit))
+                walls.append(Wall(v.pos, hit))
 
     cells, edge_cell = _build_cells(region, walls)
-    # each vertex maps to the first cell in `order` whose traced cycle
-    # visits it
-    cell_index: dict[Pt, int] = {}
-    positions = {v.pos for ring in region.rings for v in ring}
-    order = sorted(
-        range(len(cells)),
-        key=lambda ci: (min(cells[ci].ring.pts), cells[ci].ring.pts))
-    for ci in order:
-        for p in cells[ci].incident_vertices:
-            cell_index.setdefault(p, ci)
-    for p in positions - cell_index.keys():
-        # vertex swallowed by collinear collapse: locate geometrically
-        for ci in order:
-            if cells[ci].contains(p):
-                cell_index[p] = ci
-                break
-
     visible = _visible_reflex_lists(edges, reflex_pos, lines)
-    return Decomposition(tuple(cells), tuple(walls), cell_index, visible,
-                         edge_cell)
+    return Decomposition(tuple(cells), tuple(walls), visible, edge_cell)
 
 
 def _build_cells(region: ExactRegion, walls: list[Wall]
@@ -305,7 +279,6 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
     cycles = trace_cycles(directed)
     cells: list[ConvexCell] = []
     piece_cell: dict[tuple[Pt, Pt], int] = {}
-    positions = {v.pos for ring in region.rings for v in ring}
     for cyc in cycles:
         ring = Ring(tuple(cyc)).canonical()
         if len(ring.pts) < 3 or ring.is_degenerate:
@@ -313,7 +286,7 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
         if not ring.is_ccw:
             raise InternalInvariantError("decomposition cell traced clockwise")
         idx = len(cells)
-        cells.append(ConvexCell(ring, tuple(sorted(set(cyc) & positions))))
+        cells.append(ConvexCell(ring))
         n = len(cyc)
         for i in range(n):
             piece_cell[(cyc[i], cyc[(i + 1) % n])] = idx

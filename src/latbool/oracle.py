@@ -64,7 +64,6 @@ class Witness(NamedTuple):
     kind: str
     point: Optional[Pt]
     context: str
-    measure: Optional[Scalar] = None
 
 
 class LatticeClosure(NamedTuple):

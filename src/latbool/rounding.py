@@ -103,9 +103,9 @@ def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
 
 
 def _on_cell(p: Pt, cell: ConvexCell) -> bool:
-    if p in cell.incident_vertices or p in cell.ring.pts:
-        return True
-    return cell.contains(p)
+    # `contains` is closed: it also accepts a vertex that the canonical
+    # form dropped from the cell ring as straight
+    return p in cell.ring.pts or cell.contains(p)
 
 
 def _column_interval(ring: Ring, x: int) -> Optional[tuple[Scalar, Scalar]]:
@@ -126,14 +126,9 @@ def _row_candidates(py: Scalar, lo: int, hi: int) -> list[int]:
 
 
 def build_chain(p: Pt, q: Pt, decomposition: Decomposition,
-                vp: Optional[Pt], vq: Optional[Pt]) -> Optional[list[Pt]]:
-    """Rounded counterpart of the edge pq: vp -> visible reflex -> vq.
-
-    None when an endpoint has no nearest visible lattice point; the caller
-    drops the whole incident component (it contains no lattice point).
-    """
-    if vp is None or vq is None:
-        return None
+                vp: Pt, vq: Pt) -> list[Pt]:
+    """Rounded counterpart of the edge pq: vp -> visible reflex -> vq, where
+    vp and vq are the lattice points that p and q snap to."""
     mids = decomposition.visible_reflex.get((p, q), ())
     chain = [vp]
     for r in mids:
@@ -265,9 +260,6 @@ def inner_round(region: ExactRegion) -> Region:
             nxt = ring[(i + 1) % m]
             chain = build_chain(v.pos, nxt.pos, decomposition,
                                 snap[i], snap[(i + 1) % m])
-            if chain is None:
-                raise InternalInvariantError(
-                    f"no rounded chain for edge {v.pos}->{nxt.pos}")
             pts.append(chain[0])
             prot.append(v.convexity == REFLEX)
             rk.append(RANK_ORIGINAL if v.pos.is_lattice else RANK_SNAPPED)
@@ -336,7 +328,7 @@ def _unit_cell_union_rings(cells: set[tuple[int, int]]) -> list[Ring]:
             directed.append((Pt(cx, cy + 1), Pt(cx, cy)))
         if (cx + 1, cy) not in cells:
             directed.append((Pt(cx + 1, cy), Pt(cx + 1, cy + 1)))
-    return [Ring(tuple(c)).canonical() for c in trace_cycles(directed)]
+    return [Ring(tuple(c)) for c in trace_cycles(directed)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +360,7 @@ def outer_round(region: ExactRegion, box: UniverseBox) -> Region:
             if not p.is_lattice:
                 raise InternalInvariantError(
                     "outer rounding produced a non-lattice vertex")
-    return out.canonical()
+    return out
 
 
 def _check_outer_margin(region: ExactRegion, box: UniverseBox,
@@ -438,8 +430,7 @@ def simplify_reflex(pbar: Region, exact: ExactRegion) -> Region:
                 break
             if changed:
                 break
-    out = [Ring(tuple(p)).canonical() for p in rings]
-    return Region(tuple(r for r in out if len(r.pts) >= 2)).canonical()
+    return Region(tuple(Ring(tuple(p)) for p in rings)).canonical()
 
 
 def _near_box(a: Pt, b: Pt) -> tuple[int, int, int, int]:

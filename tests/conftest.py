@@ -49,6 +49,16 @@ def shifted(region: Region, dx: Scalar, dy: Scalar) -> Region:
                         for r in region.rings))
 
 
+def occurrence_cells(x, d):
+    """(position, cell) for each vertex occurrence of the exact region x,
+    with the cell that inner rounding snaps it in: the one at the corner
+    along the occurrence's outgoing edge, from the decomposition d."""
+    for ring in x.rings:
+        m = len(ring)
+        for i, v in enumerate(ring):
+            yield v.pos, d.cell_at_edge_start(v.pos, ring[(i + 1) % m].pos)
+
+
 def crack_middle_operands() -> tuple[Region, Region, Region]:
     """(comp, pixels_comp, exact) for rand-015's difference: the operands of
     outer_round's middle overlay, whose slit pixel leaves a doubled crack

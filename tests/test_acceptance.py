@@ -31,6 +31,8 @@ from latbool.oracle import (
 )
 from latbool.rounding import build_chain, nvlp
 
+from conftest import occurrence_cells
+
 OPS = ("intersection", "union", "difference")
 
 RANDOM_PAIRS = 200
@@ -124,8 +126,7 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
         if x.is_empty:
             continue
         d = reflex_vertical_decomposition(x)
-        for pos in sorted({v.pos for ring in x.rings for v in ring}):
-            cell = d.cell_of_vertex(pos)
+        for pos, cell in occurrence_cells(x, d):
             checks += 1
             if nvlp(pos, cell) != brute_nvlp(pos, cell.ring):
                 failures.append((name, pos))
@@ -147,7 +148,7 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
             continue
         made += 1
         checks += 1
-        if nvlp(p, ConvexCell(ring, ring.pts)) != brute_nvlp(p, ring):
+        if nvlp(p, ConvexCell(ring)) != brute_nvlp(p, ring):
             failures.append(("random-cell", p))
     # engineered ties, resolved lexicographically: the four corners around
     # (1/2, 1/2) are equidistant, (0, 0) wins by (x, y) order
@@ -155,13 +156,13 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
     tie_p = pt(Fraction(1, 2), Fraction(1, 2))
     checks += 1
     got = brute_nvlp(tie_p, tie_cell)
-    got2 = nvlp(tie_p, ConvexCell(tie_cell, tie_cell.pts))
+    got2 = nvlp(tie_p, ConvexCell(tie_cell))
     if got != Pt(0, 0) or got2 != Pt(0, 0):
         failures.append(("tie", got, got2))
     apex = pt(Fraction(5, 2), Fraction(5, 2))
     tri = Ring((Pt(0, 0), Pt(5, 0), apex))
     checks += 1
-    if nvlp(apex, ConvexCell(tri, tri.pts)) != Pt(2, 2):
+    if nvlp(apex, ConvexCell(tri)) != Pt(2, 2):
         failures.append(("tie-e2", None))
     _report("criterion 6 (NVLP == brute NVLP incl. ties)", checks, failures)
     assert not failures
@@ -181,24 +182,19 @@ def test_criterion_7_supporting_invariants(corpus):
         closure = lattice_closure(region)
         for ring in x.rings:
             m = len(ring)
-            snaps = []
-            for i, v in enumerate(ring):
-                if v.pos.is_lattice:
-                    snaps.append(v.pos)
-                else:
-                    nxt = ring[(i + 1) % m]
-                    snaps.append(nvlp(v.pos,
-                                      d.cell_at_edge_start(v.pos, nxt.pos)))
+            cells = [d.cell_at_edge_start(v.pos, ring[(i + 1) % m].pos)
+                     for i, v in enumerate(ring)]
+            snaps = [v.pos if v.pos.is_lattice else nvlp(v.pos, cell)
+                     for v, cell in zip(ring, cells)]
             if any(s is None for s in snaps):
                 continue
             for i, v in enumerate(ring):
                 nxt = ring[(i + 1) % m]
-                # locality: one incident cell already yields the global
-                # nearest visible lattice point
+                # locality: the cell the snap used already yields the
+                # global nearest visible lattice point
                 if not v.pos.is_lattice:
                     checks += 1
-                    cell = d.cell_of_vertex(v.pos)
-                    if brute_nvlp(v.pos, cell.ring) != \
+                    if brute_nvlp(v.pos, cells[i].ring) != \
                             brute_nvlp_region(v.pos, region):
                         failures.append(("cell-locality", name, v.pos))
                 # the snap segment never enters the lattice-closure interior

@@ -8,7 +8,13 @@ from click.testing import CliRunner
 
 from latbool import cli, oracle, setops
 from latbool.cli import main, run_property_checklist
-from latbool.exact_core import InternalInvariantError, Pt, Region, Ring
+from latbool.exact_core import (
+    InternalInvariantError,
+    PreconditionError,
+    Pt,
+    Region,
+    Ring,
+)
 from latbool.lpr import LprError, parse_region, write_region
 
 from conftest import count_overlays, square
@@ -218,6 +224,17 @@ def test_checklist_all_pass_on_e2(e2_pair):
         results = run_property_checklist(a, b, op)
         assert all(r.passed for r in results), [r for r in results
                                                 if not r.passed]
+
+
+def test_checklist_rejects_unknown_against_mode(e2_pair, monkeypatch):
+    a, b = e2_pair
+    calls = []
+    monkeypatch.setattr(cli, "_sandwich",
+                        lambda *args: calls.append(args))
+    with pytest.raises(PreconditionError, match="inenr"):
+        run_property_checklist(a, b, "intersection", against=Region(()),
+                               against_mode="inenr")
+    assert calls == []
 
 
 def test_checklist_builds_one_operand_overlay(hand_pairs, monkeypatch):

@@ -24,7 +24,7 @@ from latbool.fixtures import random_pairs
 from latbool.oracle import brute_nvlp, brute_nvlp_region, vertically_visible
 from latbool.setops import sandwich
 
-from conftest import CORPUS_SEED, shifted, square
+from conftest import CORPUS_SEED, occurrence_cells, shifted, square
 
 
 def _identity_exact(region):
@@ -38,20 +38,25 @@ def test_convex_region_single_cell(e2_pair):
     assert len(d.cells) == 1
     assert not d.walls
     assert all(not v for v in d.visible_reflex.values())
-    apex = pt(Fraction(5, 2), Fraction(5, 2))
-    assert d.cell_of_vertex(apex) is d.cells[0]
+    assert all(cell is d.cells[0] for _, cell in occurrence_cells(x, d))
 
 
 def test_l_shape_decomposition():
     l_region = Region((Ring((Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2),
                              Pt(2, 4), Pt(0, 4))),))
-    d = reflex_vertical_decomposition(_identity_exact(l_region))
+    x = _identity_exact(l_region)
+    d = reflex_vertical_decomposition(x)
     assert len(d.walls) == 1
     assert d.walls[0].source == Pt(2, 2) and d.walls[0].hit == Pt(2, 0)
     assert len(d.cells) == 2
-    # vertex (4,2) maps to the right cell [2,4]x[0,2]
-    cell = d.cell_of_vertex(Pt(4, 2))
-    assert cell.ring.canonical() == square(2, 0, 4, 2).canonical()
+    right = square(2, 0, 4, 2).canonical()
+    left = square(0, 0, 2, 4).canonical()
+    # the reflex corner (2,2) lies on both cells; its outgoing edge, up to
+    # (2,4), bounds the left one
+    want = {Pt(0, 0): left, Pt(4, 0): right, Pt(4, 2): right,
+            Pt(2, 2): left, Pt(2, 4): left, Pt(0, 4): left}
+    got = {pos: cell.ring.canonical() for pos, cell in occurrence_cells(x, d)}
+    assert got == want
 
 
 def test_hole_emits_four_walls_and_area_partition():
@@ -99,29 +104,11 @@ def test_cell_nvlp_equals_region_nvlp(hand_pairs):
         if x.is_empty:
             continue
         d = reflex_vertical_decomposition(x)
-        for pos in sorted({v.pos for ring in x.rings for v in ring}):
+        for pos, cell in occurrence_cells(x, d):
             if pos.is_lattice:
                 continue
-            cell = d.cell_of_vertex(pos)
             assert brute_nvlp(pos, cell.ring) == \
                 brute_nvlp_region(pos, x.region), (name, pos)
-
-
-def test_vertex_cell_map_takes_the_first_cell_in_order(hand_pairs):
-    """Each vertex maps to the first cell, by least vertex and then by
-    ring, whose boundary visits it; a reflex vertex lies on several."""
-    shared = 0
-    for name, a, b in hand_pairs + random_pairs(16, seed=CORPUS_SEED):
-        x = exact_intersection(a, b)
-        d = reflex_vertical_decomposition(x)
-        order = sorted(d.cells, key=lambda c: (min(c.ring.pts), c.ring.pts))
-        for pos in {v.pos for ring in x.rings for v in ring}:
-            visits = [c for c in order if pos in c.incident_vertices]
-            shared += len(visits) > 1
-            want = visits[0] if visits else next(
-                c for c in order if c.contains(pos))
-            assert d.cell_of_vertex(pos) is want, (name, pos)
-    assert shared > 0
 
 
 def test_walls_stop_at_reflex_vertex_stack():
@@ -147,10 +134,9 @@ def test_empty_region_decomposition():
     assert x.is_empty
     d = reflex_vertical_decomposition(x)
     assert d.cells == () and d.walls == ()
-    assert d.cell_index_of_vertex == {} and d.visible_reflex == {}
-    assert d.cell_of_edge_start == {}
+    assert d.visible_reflex == {} and d.cell_of_edge_start == {}
     with pytest.raises(PreconditionError):
-        d.cell_of_vertex(Pt(0, 0))
+        d.cell_at_edge_start(Pt(0, 0), Pt(2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +169,7 @@ def _check_visibility_lists(x) -> int:
     region = x.region
     edges = {(a, b) for a, b in region.edges() if a != b}
     assert set(d.visible_reflex) == edges
+    assert set(d.cell_of_edge_start) == edges
     reflex = sorted(x.reflex_positions())
     checked = 0
     for (a, b), listed in d.visible_reflex.items():

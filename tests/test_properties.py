@@ -133,7 +133,7 @@ def test_nvlp_matches_brute_on_random_cells(seed):
     ring = Ring((p, b, c))
     if ring.is_degenerate:
         hyp.assume(False)
-    cell = ConvexCell(ring, ring.pts)
+    cell = ConvexCell(ring)
     assert nvlp(p, cell) == brute_nvlp(p, ring)
 
 
@@ -469,7 +469,7 @@ def test_kernel_matches_fraction_formulas(kind, data):
         assert _same(vertex_convexity(p, q, r), ref_vertex_convexity(p, q, r))
     for ring in (Ring((a, b, c)), Ring((a, b, c, d))):
         for q in (a, c, d, _along(a, b, Fraction(1, 2))):
-            assert _same(ConvexCell(ring, ring.pts).contains(q),
+            assert _same(ConvexCell(ring).contains(q),
                          ref_cell_contains(ring, q))
     for w in (d, c, _along(a, b, Fraction(1, 2))):
         assert _same(_strictly_in_triangle(w, a, b, c),
@@ -773,7 +773,7 @@ quarters = hys.fractions(min_value=0, max_value=24, max_denominator=4)
 def test_nvlp_matches_full_column_scan(xys, k, t):
     hull = _hull_ring(sorted(pt(x, y) for x, y in xys))
     hyp.assume(hull is not None)
-    cell = ConvexCell(hull, hull.pts)
+    cell = ConvexCell(hull)
     # the pipeline snaps cell vertices; points along an edge test more ties
     a, b = hull.pts[k % len(hull.pts)], hull.pts[(k + 1) % len(hull.pts)]
     for p in (a, pt(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))):
@@ -783,7 +783,7 @@ def test_nvlp_matches_full_column_scan(xys, k, t):
 def test_nvlp_scans_the_left_column_at_an_equal_distance():
     # p is half-way between columns 2 and 3; (2, 1) and (3, 1) tie at
     # squared distance 1/4, which equals column 2's own lower bound
-    cell = ConvexCell(Ring((Pt(0, 0), Pt(5, 0), pt(HALF * 5, 3))), ())
+    cell = ConvexCell(Ring((Pt(0, 0), Pt(5, 0), pt(HALF * 5, 3))))
     p = pt(HALF * 5, 1)
     assert nvlp(p, cell) == ref_nvlp(p, cell) == Pt(2, 1)
 

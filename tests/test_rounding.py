@@ -33,14 +33,13 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
-from conftest import square
+from conftest import occurrence_cells, square
 
 DATA = Path(__file__).parent / "data"
 
 
 def _cell(*pts) -> ConvexCell:
-    ring = Ring(tuple(pts))
-    return ConvexCell(ring, tuple(ring.pts))
+    return ConvexCell(Ring(tuple(pts)))
 
 
 def _identity(region: Region):
@@ -85,8 +84,7 @@ def test_nvlp_matches_brute_on_fixture_cells(hand_pairs):
         if x.is_empty:
             continue
         d = reflex_vertical_decomposition(x)
-        for pos in sorted({v.pos for ring in x.rings for v in ring}):
-            cell = d.cell_of_vertex(pos)
+        for pos, cell in occurrence_cells(x, d):
             assert nvlp(pos, cell) == brute_nvlp(pos, cell.ring), (name, pos)
 
 
@@ -101,12 +99,6 @@ def test_chain_plain_edge(e2_pair):
     assert chain == [Pt(0, 0), Pt(5, 0)]
     chain = build_chain(apex, Pt(0, 0), d, Pt(2, 2), Pt(0, 0))
     assert chain == [Pt(2, 2), Pt(0, 0)]
-
-
-def test_chain_none_when_endpoint_unroundable(e2_pair):
-    a, b = e2_pair
-    d = reflex_vertical_decomposition(exact_intersection(a, b))
-    assert build_chain(Pt(0, 0), Pt(5, 0), d, None, Pt(5, 0)) is None
 
 
 def test_chain_through_visible_reflex():
