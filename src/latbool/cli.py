@@ -39,8 +39,8 @@ from .oracle import (
 from .rounding import pixel_set
 from .setops import (
     InternalInvariantError,
-    _apply_in_box,
     _operand_overlay,
+    _round_in_box,
     _sandwich,
 )
 from .svg import render_svg
@@ -226,14 +226,8 @@ def _run_op(op: str, mode: str, file_a: str, file_b: str, out: str) -> None:
     try:
         overlay, box = _operand_overlay(a, b, op)
         exact = exact_from_overlay(overlay, op, box)
-        if mode == "exact":
-            result_region = exact.region
-        else:
-            result = _apply_in_box(op, mode, overlay, box)
-            if not isinstance(result, Region):
-                raise InternalInvariantError(
-                    f"{mode} mode returned {type(result).__name__}")
-            result_region = result
+        result_region = (exact.region if mode == "exact"
+                         else _round_in_box(op, mode, overlay, box))
     except (PreconditionError, LprError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)

@@ -14,9 +14,7 @@ otherwise `_scaled` brings all of them to one common denominator k and they
 work on the numerators.  A sign is the sign of one integer expression, with
 no gcd.  A returned coordinate, distance or area is built once, by `_ratio`,
 as an int when integral and as one Fraction otherwise, so every result
-equals the plain Fraction formula's by value and by type.  `cross` keeps the
-plain Fraction formula: only the oracle calls it, so the oracle's sign test
-stays independent of this kernel.
+equals the plain Fraction formula's by value and by type.
 
 Canonical form is linear work.  `Ring.canonical` drops repeated and straight
 vertices in one pass and compares whole rotations only when its least vertex
@@ -33,9 +31,8 @@ them.  A collinear turn with `dot > 0` is a reversal.
 
 `find_segment_intersections` is the pipeline's one segment-pair sweep: the
 overlay (`arrangement`) cuts its edges at the hits, and `validate_region`
-reads crossings and overlaps off them.  The exact checks that only tests
-and the public API call (`is_visible`, `vertically_visible`) live in the
-oracle.
+reads crossings and overlaps off them.  The public `is_visible` lives in
+the oracle.
 """
 
 from __future__ import annotations
@@ -117,15 +114,6 @@ def _ratio(num: int, den: int) -> Scalar:
     """num / den as an exact scalar: an int when integral, else one Fraction."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
-
-
-def cross(o: Pt, a: Pt, b: Pt) -> Scalar:
-    """Exact 2x2 determinant of (a-o, b-o), in plain Fraction arithmetic.
-
-    The pipeline's predicates do not call it; it is the oracle's own sign
-    test, kept apart from the integer kernel.
-    """
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def dot(o: Pt, a: Pt, b: Pt) -> Scalar:
@@ -289,26 +277,23 @@ def squared_point_distance(p: Pt, q: Pt) -> Scalar:
     return _ratio(dx * dx + dy * dy, k * k)
 
 
-def segment_at(a: Pt, b: Pt, v: Scalar, axis: int = 0) -> tuple[Scalar, ...]:
-    """Where the closed segment a-b meets the line p[axis] == v.
+def segment_at(a: Pt, b: Pt, x: Scalar) -> tuple[Scalar, ...]:
+    """The y-values where the closed segment a-b meets the line x = `x`.
 
-    With axis 0 the line is x = v and the result holds y-values; with
-    axis 1 it is y = v and the result holds x-values.  A segment lying on
-    the line gives both endpoints, one meeting it gives one value, one
-    missing it gives none.
+    A segment lying on the line gives both endpoints, one meeting it gives
+    one value, one missing it gives none.
     """
-    u = 1 - axis
-    a0, a1, b0, b1 = a[axis], a[u], b[axis], b[u]
+    (ax, ay), (bx, by) = a, b
     k = 1
-    if not (type(a0) is type(a1) is type(b0) is type(b1) is type(v) is int):
-        k, (a0, a1, b0, b1, v) = _scaled(a0, a1, b0, b1, v)
-    if a0 == b0:
-        return (a[u], b[u]) if a0 == v else ()
-    if a0 > b0:
-        a0, a1, b0, b1 = b0, b1, a0, a1
-    if not a0 <= v <= b0:
+    if not (type(ax) is type(ay) is type(bx) is type(by) is type(x) is int):
+        k, (ax, ay, bx, by, x) = _scaled(ax, ay, bx, by, x)
+    if ax == bx:
+        return (a.y, b.y) if ax == x else ()
+    if ax > bx:
+        ax, ay, bx, by = bx, by, ax, ay
+    if not ax <= x <= bx:
         return ()
-    return (_ratio(a1 * (b0 - a0) + (v - a0) * (b1 - a1), (b0 - a0) * k),)
+    return (_ratio(ay * (bx - ax) + (x - ax) * (by - ay), (bx - ax) * k),)
 
 
 def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
@@ -673,6 +658,9 @@ def gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
 # universe box and complement
 
 
+MARGIN = 3  # lattice units an operand keeps from its universe box's sides
+
+
 class UniverseBox(NamedTuple):
     """Finite integer box standing in for the plane in complements."""
 
@@ -683,7 +671,8 @@ class UniverseBox(NamedTuple):
         (x0, y0), (x1, y1) = self.min, self.max
         return Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
 
-    def contains_with_margin(self, region: Region, margin: int = 3) -> bool:
+    def contains_with_margin(self, region: Region,
+                             margin: int = MARGIN) -> bool:
         if region.is_empty:
             return True
         x0, y0, x1, y1 = region.bbox
@@ -691,8 +680,8 @@ class UniverseBox(NamedTuple):
                 and x1 <= self.max.x - margin and y1 <= self.max.y - margin)
 
 
-def universe_for(regions: Iterable[Region], margin: int = 3) -> UniverseBox:
-    """Smallest integer box covering the operands with the given margin."""
+def universe_for(regions: Iterable[Region]) -> UniverseBox:
+    """Smallest integer box covering the operands with `MARGIN` to spare."""
     xs: list[Scalar] = []
     ys: list[Scalar] = []
     for r in regions:
@@ -701,14 +690,15 @@ def universe_for(regions: Iterable[Region], margin: int = 3) -> UniverseBox:
             xs.extend([x0, x1])
             ys.extend([y0, y1])
     if not xs:
-        return UniverseBox(Pt(-margin, -margin), Pt(margin, margin))
+        return UniverseBox(Pt(-MARGIN, -MARGIN), Pt(MARGIN, MARGIN))
     return UniverseBox(
-        Pt(math.floor(min(xs)) - margin, math.floor(min(ys)) - margin),
-        Pt(math.ceil(max(xs)) + margin, math.ceil(max(ys)) + margin),
+        Pt(math.floor(min(xs)) - MARGIN, math.floor(min(ys)) - MARGIN),
+        Pt(math.ceil(max(xs)) + MARGIN, math.ceil(max(ys)) + MARGIN),
     )
 
 
-def complement_in_universe(region: Region, box: UniverseBox, margin: int = 3) -> Region:
+def complement_in_universe(region: Region, box: UniverseBox,
+                           margin: int = MARGIN) -> Region:
     """closure(box \\ region).  The box boundary becomes the outer ring.
 
     An involution: complementing twice gives back the canonical region.
@@ -814,10 +804,6 @@ def validate_region(region: Region) -> list[Violation]:
             if depth % 2 == 1 and ring.is_ccw:
                 out.append(Violation(
                     "orientation", f"ring {ri} at depth {depth} must be CW", "error"))
-            parent = region.parents[ri]
-            if depth % 2 == 1 and parent is None:
-                out.append(Violation(
-                    "nesting", f"hole ring {ri} has no enclosing ring", "error"))
     return out
 
 

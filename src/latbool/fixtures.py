@@ -16,6 +16,7 @@ from .exact_core import (INTERIOR, Pt, Region, Ring, orientation,
                          point_in_region, region_ok)
 
 DEFAULT_SEED = 20050317
+SPAN_LIMIT = 64  # random_pairs keeps every coordinate in [0, SPAN_LIMIT]
 
 
 def default_seed() -> int:
@@ -77,8 +78,7 @@ def hand_fixture_pairs() -> list[tuple[str, Region, Region]]:
 
 
 def random_region(rng: random.Random, span: int = 32,
-                  offset: tuple[int, int] = (0, 0),
-                  allow_hole: bool = True) -> Region:
+                  offset: tuple[int, int] = (0, 0)) -> Region:
     """A valid random lattice region inside [offset, offset+span]^2."""
     for _ in range(200):
         kind = rng.choice(("star", "star", "rect", "hull", "staircase"))
@@ -88,7 +88,7 @@ def random_region(rng: random.Random, span: int = 32,
         ox, oy = offset
         ring = Ring(tuple(Pt(p.x + ox, p.y + oy) for p in ring.pts))
         rings = [ring]
-        if allow_hole and rng.random() < 0.3:
+        if rng.random() < 0.3:
             hole = _hole_inside(rng, ring)
             if hole is not None:
                 rings.append(hole)
@@ -200,8 +200,8 @@ def _hole_inside(rng: random.Random, outer: Ring) -> Optional[Ring]:
     return None
 
 
-def random_pairs(count: int, seed: Optional[int] = None,
-                 span_limit: int = 64) -> list[tuple[str, Region, Region]]:
+def random_pairs(count: int, seed: Optional[int] = None
+                 ) -> list[tuple[str, Region, Region]]:
     """Seeded corpus of operand pairs with coordinates inside [0, 64]^2.
 
     Mixed scales: small pairs dominate so exhaustive oracle checks stay
@@ -216,8 +216,8 @@ def random_pairs(count: int, seed: Optional[int] = None,
         elif roll < 0.9:
             span = rng.randint(15, 30)
         else:
-            span = rng.randint(31, min(58, span_limit - 6))
-        max_off = max(0, span_limit - span - 2)
+            span = rng.randint(31, SPAN_LIMIT - 6)
+        max_off = max(0, SPAN_LIMIT - span - 2)
         off_a = (rng.randint(0, max_off), rng.randint(0, max_off))
         # keep operands overlapping often: offset B near A
         shift = max(1, span // 3)

@@ -1,19 +1,21 @@
-"""Independent brute-force ground truth.
+"""Independent ground truth that certifies the pipeline's answers.
 
-Everything here is deliberately exhaustive and simple: full lattice
-enumerations, dense grid sampling, per-candidate scans.  The pipeline is
-judged against this module, never the other way round.  Exhaustive scans
-are capped at coordinates <= 256; acceptance fixtures respect the cap.
+`sandwich` checks its inclusion chain with `check_inclusion`; `verify`'s
+checklist adds `check_hausdorff`, `intersecting_pairs` and the interior
+probe `region_interior_sample`.  The checks are deliberately simple: dense
+grid sampling and per-edge scans.  The pipeline is judged against this
+module, never the other way round.
 
 The oracle classifies points without the pipeline's own routine
 (`exact_core.point_in_region`): `IntMembership` classifies one point at a
 time on denominator-cleared Python ints, with the same closed, half-open
 rule, so a fault in either shows up as a disagreement.  The oracle's
-visibility test (`_visible`) and interior probe (`region_interior_sample`)
-classify with it too.  The exact checks that only tests and the public API
-call live here as well, on the same routines: `is_visible` (is a closed
-segment inside a region?) and `vertically_visible` (the per-pair reference
-for the decomposition's visibility lists).
+visibility test (`_visible`) and interior probe classify with it too, and
+so does the public `is_visible` (is a closed segment inside a region?).
+The exhaustive references that only the tests compare against (brute
+nearest lattice points, the lattice closure, sampled Boolean truth,
+per-pair vertical visibility) are built on these routines in
+`tests/brute.py`.
 
 Two concessions to speed, neither of which approximates anything.  The
 inclusion check, the visibility tests and the edge-pair count
@@ -43,19 +45,13 @@ from .exact_core import (
     PreconditionError,
     Pt,
     Region,
-    Ring,
     Scalar,
-    cross,
     gap_midpoints,
     pt,
     segment_at,
     segment_intersection,
     segment_param,
-    segments_cross_properly,
-    squared_point_distance,
 )
-
-ORACLE_COORD_CAP = 256
 
 
 class Witness(NamedTuple):
@@ -64,18 +60,6 @@ class Witness(NamedTuple):
     kind: str
     point: Optional[Pt]
     context: str
-
-
-class LatticeClosure(NamedTuple):
-    """L(P): lattice points, unit segments and unit squares inside a region.
-
-    Segments are keyed by their low endpoint and axis ('h' right, 'v' up);
-    squares by their bottom-left corner.
-    """
-
-    points: frozenset[Pt]
-    segments: frozenset[tuple[Pt, str]]
-    squares: frozenset[Pt]
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +119,6 @@ class IntMembership:
                 inside = not inside
         return INTERIOR if inside else EXTERIOR
 
-    def row_ranges(self, m: int, j: int) -> list[tuple[int, int]]:
-        """Merged closed ranges of the i with (i/m, j/m) not exterior.
-
-        `classify`'s rule for a whole row at once, applied by `_row_ranges`
-        to every edge; the Hausdorff check applies it to the edges active
-        at the row only.
-        """
-        s = self._scale
-        return _row_ranges([tuple(c * m for c in e) for e in self._edges],
-                           s, j * s)
-
 
 def _row_ranges(edges: Iterable[tuple[int, int, int, int]], s: int,
                 y: int) -> list[tuple[int, int]]:
@@ -195,71 +168,6 @@ def _row_ranges(edges: Iterable[tuple[int, int, int, int]], s: int,
     return merged
 
 
-# ---------------------------------------------------------------------------
-# brute NVLP
-
-
-def brute_nvlp(p: Pt, cell: Ring) -> Optional[Pt]:
-    """Exhaustive nearest lattice point of a closed convex cell.
-
-    Scans the full bounding box, filters by closed membership, minimizes
-    the exact squared distance, breaks ties lexicographically (x, then y).
-    """
-    if not _in_convex_cell(p, cell):
-        # vertices may sit mid-edge after collinear collapse; closed
-        # membership is the real requirement
-        raise PreconditionError("p must lie on the closed cell")
-    x0, y0, x1, y1 = cell.bbox
-    best: Optional[tuple[Scalar, int, int]] = None
-    for gx in range(math.ceil(x0), math.floor(x1) + 1):
-        for gy in range(math.ceil(y0), math.floor(y1) + 1):
-            g = Pt(gx, gy)
-            if not _in_convex_cell(g, cell):
-                continue
-            d = squared_point_distance(p, g)
-            key = (d, gx, gy)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    return Pt(best[1], best[2])
-
-
-def _in_convex_cell(g: Pt, cell: Ring) -> bool:
-    for a, b in cell.edges():
-        if a == b:
-            continue
-        if cross(a, b, g) < 0:
-            return False
-    return True
-
-
-def brute_nvlp_region(p: Pt, region: Region) -> Optional[Pt]:
-    """Nearest lattice point of the whole region visible from p.
-
-    The hardest oracle: full scan plus an exact segment-visibility test per
-    candidate.  Cross-checks that one convex cell already determines the
-    answer.
-    """
-    if region.bbox is None:
-        return None
-    scan = IntMembership(region)
-    if scan.classify(p) == EXTERIOR:
-        raise PreconditionError("p must belong to the region")
-    x0, y0, x1, y1 = region.bbox
-    points = [Pt(gx, gy) for gx in range(math.ceil(x0), math.floor(x1) + 1)
-              for gy in range(math.ceil(y0), math.floor(y1) + 1)
-              if scan.classify(Pt(gx, gy)) != EXTERIOR]
-    if p in points:
-        return p
-    seen = _visible([(p, g) for g in points], region, scan)
-    best = min(((squared_point_distance(p, g), g.x, g.y)
-                for g, ok in zip(points, seen) if ok), default=None)
-    if best is None:
-        return None
-    return Pt(best[1], best[2])
-
-
 def _visible(segments: Sequence[tuple[Pt, Pt]], region: Region,
              scan: IntMembership) -> list[bool]:
     """Which closed segments pq, p != q and both ends in the region, lie in
@@ -286,139 +194,6 @@ def is_visible(p: Pt, q: Pt, region: Region) -> bool:
     if p == q:
         return True
     return _visible([(p, q)], region, scan)[0]
-
-
-def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
-    """Is r vertically visible from the edge?
-
-    An independent per-pair check of the decomposition's visibility lists:
-    the open vertical segment from r to its foot on the edge must lie in
-    the closed region.  Transversal crossings of any boundary edge block
-    visibility; this also makes zero-width cracks opaque, as they must be.
-    """
-    a, b = edge
-    if a.x == b.x:
-        return False
-    hits = segment_at(a, b, r.x)
-    if not hits:
-        return False
-    foot = pt(r.x, hits[0])
-    if foot == r:
-        return True
-    seg = (r, foot)
-    for e in region.edges():
-        if e[0] != e[1] and segments_cross_properly(seg, e):
-            return False
-    return _visible([seg], region, IntMembership(region))[0]
-
-
-# ---------------------------------------------------------------------------
-# lattice closure
-
-
-def lattice_closure(region: Region) -> LatticeClosure:
-    """All lattice points, unit segments and unit squares inside the region."""
-    if region.bbox is None:
-        return LatticeClosure(frozenset(), frozenset(), frozenset())
-    x0, y0, x1, y1 = region.bbox
-    if max(abs(v) for v in (x0, y0, x1, y1)) > ORACLE_COORD_CAP:
-        raise PreconditionError("oracle scans are capped at coordinates <= 256")
-    scan = IntMembership(region)
-    points: set[Pt] = set()
-    for gx in range(math.ceil(x0), math.floor(x1) + 1):
-        for gy in range(math.ceil(y0), math.floor(y1) + 1):
-            g = Pt(gx, gy)
-            if scan.classify(g) != EXTERIOR:
-                points.add(g)
-    units = [(g, axis, other) for g in points for axis, other in
-             (("h", Pt(g.x + 1, g.y)), ("v", Pt(g.x, g.y + 1)))
-             if other in points]
-    seen = _visible([(g, other) for g, _, other in units], region, scan)
-    segments = {(g, axis) for (g, axis, _), ok in zip(units, seen) if ok}
-    squares: set[Pt] = set()
-    for g in points:
-        if ((g, "h") in segments and (g, "v") in segments
-                and (Pt(g.x, g.y + 1), "h") in segments
-                and (Pt(g.x + 1, g.y), "v") in segments
-                and _unit_square_inside(g, region, scan)):
-            squares.add(g)
-    return LatticeClosure(frozenset(points), frozenset(segments),
-                          frozenset(squares))
-
-
-def _unit_square_inside(g: Pt, region: Region, scan: IntMembership) -> bool:
-    """Closed unit square with bottom-left g fully inside the region.
-
-    All four sides are already known to be inside; reject if any boundary
-    edge enters the open square, otherwise the open square is uniform and
-    the center decides.
-    """
-    for a, b in region.edges():
-        if a == b:
-            continue
-        if _segment_meets_open_box(a, b, g.x, g.y, g.x + 1, g.y + 1):
-            return False
-    center = pt(Fraction(2 * g.x + 1, 2), Fraction(2 * g.y + 1, 2))
-    return scan.classify(center) != EXTERIOR
-
-
-def _segment_meets_open_box(a: Pt, b: Pt, x0: Scalar, y0: Scalar,
-                            x1: Scalar, y1: Scalar) -> bool:
-    """Does the closed segment contain a point of the open axis box?"""
-    lo, hi = Fraction(0), Fraction(1)
-    dx = b.x - a.x
-    dy = b.y - a.y
-    for d, start, wlo, whi in ((dx, a.x, x0, x1), (dy, a.y, y0, y1)):
-        if d == 0:
-            if not (wlo < start < whi):
-                return False
-        else:
-            t0 = Fraction(wlo - start, d)
-            t1 = Fraction(whi - start, d)
-            if t0 > t1:
-                t0, t1 = t1, t0
-            lo = max(lo, t0)
-            hi = min(hi, t1)
-    return lo < hi
-
-
-def snap_segment_hits_closure_interior(p: Pt, g: Pt,
-                                       closure: LatticeClosure
-                                       ) -> Optional[Witness]:
-    """Does the snap segment p->g intersect the interior of L(P)?
-
-    The interior of the closure is the union of the open unit squares plus
-    the relative interiors of segments flanked by squares on both sides.
-    """
-    for sq in closure.squares:
-        if p == g:
-            if sq.x < p.x < sq.x + 1 and sq.y < p.y < sq.y + 1:
-                return Witness("closure-interior", p, f"point inside square {sq}")
-            continue
-        if _segment_meets_open_box(p, g, sq.x, sq.y, sq.x + 1, sq.y + 1):
-            return Witness("closure-interior", p,
-                           f"snap segment enters open square {sq}")
-    for (s0, axis) in closure.segments:
-        if axis == "h":
-            flanked = (Pt(s0.x, s0.y - 1) in closure.squares
-                       and s0 in closure.squares)
-            s1 = Pt(s0.x + 1, s0.y)
-        else:
-            flanked = (Pt(s0.x - 1, s0.y) in closure.squares
-                       and s0 in closure.squares)
-            s1 = Pt(s0.x, s0.y + 1)
-        if not flanked:
-            continue
-        if p == g:
-            continue
-        hit = segment_intersection((p, g), (s0, s1))
-        if hit is None:
-            continue
-        for h in hit_points(hit):
-            if h != s0 and h != s1:
-                return Witness("closure-interior", h,
-                               f"snap segment meets flanked segment {s0}-{s1}")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -713,59 +488,7 @@ def _sq_dist_lt(edge: tuple[int, int, int, int], px: int, py: int,
 
 
 # ---------------------------------------------------------------------------
-# sampled boolean ground truth
-
-
-class SampleTruth(NamedTuple):
-    point: Pt
-    in_a: str
-    in_b: str
-    expected: str  # interior | exterior | skip (boundary-grazing)
-
-
-def brute_boolean(a: Region, b: Region, op: str,
-                  samples: Iterable[Pt]) -> list[SampleTruth]:
-    """Membership-level ground truth under closed-regularized semantics.
-
-    Samples touching any operand boundary are marked `skip`: regularization
-    decides those by closure, not by local membership.
-    """
-    if op not in ("intersection", "union", "difference"):
-        raise PreconditionError(f"unknown op {op!r}")
-    in_a = IntMembership(a).classify
-    in_b = IntMembership(b).classify
-    out = []
-    for q in samples:
-        ca = in_a(q)
-        cb = in_b(q)
-        if ca == BOUNDARY or cb == BOUNDARY:
-            out.append(SampleTruth(q, ca, cb, "skip"))
-            continue
-        ia = ca == INTERIOR
-        ib = cb == INTERIOR
-        if op == "intersection":
-            res = ia and ib
-        elif op == "union":
-            res = ia or ib
-        else:
-            res = ia and not ib
-        out.append(SampleTruth(q, ca, cb, INTERIOR if res else EXTERIOR))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# brute edge-pair counts
-
-
-def properly_crossing_pairs(edges1: Sequence[tuple[Pt, Pt]],
-                            edges2: Sequence[tuple[Pt, Pt]]) -> int:
-    """Pairs crossing at a point interior to both segments."""
-    n = 0
-    for e1 in edges1:
-        for e2 in edges2:
-            if segments_cross_properly(e1, e2):
-                n += 1
-    return n
+# edge-pair counts
 
 
 def intersecting_pairs(edges1: Sequence[tuple[Pt, Pt]],

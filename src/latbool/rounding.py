@@ -34,6 +34,7 @@ from .decomposition import (
 )
 from .exact_core import (
     COLLINEAR,
+    MARGIN,
     InternalInvariantError,
     MarginError,
     PreconditionError,
@@ -149,8 +150,7 @@ RANK_INSERTED = 2
 
 
 def convexify_cleanup(points: Sequence[Pt], protected: Sequence[bool],
-                      rank: Optional[Sequence[int]] = None
-                      ) -> tuple[list[Pt], list[bool]]:
+                      rank: Sequence[int]) -> tuple[list[Pt], list[bool]]:
     """Remove every unprotected reflex occurrence, cascading until stable.
 
     Protected occurrences are the ring positions where the exact region
@@ -161,15 +161,15 @@ def convexify_cleanup(points: Sequence[Pt], protected: Sequence[bool],
     a needed snap target as a removable reversal tip; taking insertions
     out first lets the real geometry settle.
 
-    Each round removes the removable occurrence of highest rank, the first
-    in list order among equals.  A removal changes only the turns at its
-    two neighbours, and only their new adjacency can repeat a point, so
-    the removable flags are kept per occurrence and re-tested there alone.
+    `rank` gives each occurrence's `RANK_*` class.  Each round removes the
+    removable occurrence of highest rank, the first in list order among
+    equals.  A removal changes only the turns at its two neighbours, and
+    only their new adjacency can repeat a point, so the removable flags are
+    kept per occurrence and re-tested there alone.
     """
     pts = list(points)
     prot = list(protected)
-    rk = (list(rank) if rank is not None
-          else [RANK_ORIGINAL if p else RANK_INSERTED for p in prot])
+    rk = list(rank)
     _dedupe(pts, prot, rk)
     flag = ([_removable(pts, prot, i) for i in range(len(pts))]
             if len(pts) >= 3 else [])
@@ -363,8 +363,7 @@ def outer_round(region: ExactRegion, box: UniverseBox) -> Region:
     return out
 
 
-def _check_outer_margin(region: ExactRegion, box: UniverseBox,
-                        margin: int = 3) -> None:
+def _check_outer_margin(region: ExactRegion, box: UniverseBox) -> None:
     """Complement-side inputs may legally fill the box; everything that the
     pixel construction can touch must keep the margin."""
     bbox = region.region.bbox
@@ -375,8 +374,8 @@ def _check_outer_margin(region: ExactRegion, box: UniverseBox,
             and x1 <= box.max.x and y1 <= box.max.y):
         raise MarginError("region exceeds the universe box")
     for v in region.non_lattice_positions():
-        if not (box.min.x + margin <= v.x <= box.max.x - margin
-                and box.min.y + margin <= v.y <= box.max.y - margin):
+        if not (box.min.x + MARGIN <= v.x <= box.max.x - MARGIN
+                and box.min.y + MARGIN <= v.y <= box.max.y - MARGIN):
             raise MarginError(
                 f"non-representable vertex {v} too close to the universe box")
 

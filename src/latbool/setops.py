@@ -61,7 +61,9 @@ class OpRequest:
 def apply(req: OpRequest) -> Union[Region, ExactRegion]:
     """Run one operation in one mode; rounded modes return lattice regions."""
     overlay, box = _operand_overlay(req.a, req.b, req.op)
-    return _apply_in_box(req.op, req.mode, overlay, box)
+    if req.mode == "exact":
+        return exact_from_overlay(overlay, req.op, box)
+    return _round_in_box(req.op, req.mode, overlay, box)
 
 
 def _operand_overlay(a: Region, b: Region, op: str
@@ -71,11 +73,9 @@ def _operand_overlay(a: Region, b: Region, op: str
     return exact_overlay(a, b, op, box), box
 
 
-def _apply_in_box(op: str, mode: str, overlay: ExactRegion,
-                  box: UniverseBox) -> Union[Region, ExactRegion]:
-    """One mode of `op`, derived from its overlay."""
-    if mode == "exact":
-        return exact_from_overlay(overlay, op, box)
+def _round_in_box(op: str, mode: str, overlay: ExactRegion,
+                  box: UniverseBox) -> Region:
+    """The "inner" or "outer" rounding of `op`, derived from its overlay."""
     if op == "union":
         # the overlay is the complement side: its rounding modes swap
         if mode == "outer":
@@ -98,12 +98,9 @@ def _sandwich(a: Region, b: Region, op: str
               ) -> tuple[Region, ExactRegion, Region, ExactRegion]:
     """`sandwich` plus the overlay all three results were derived from."""
     overlay, box = _operand_overlay(a, b, op)
-    exact = _apply_in_box(op, "exact", overlay, box)
-    inner = _apply_in_box(op, "inner", overlay, box)
-    outer = _apply_in_box(op, "outer", overlay, box)
-    if not (isinstance(exact, ExactRegion) and isinstance(inner, Region)
-            and isinstance(outer, Region)):
-        raise InternalInvariantError("sandwich modes returned wrong types")
+    exact = exact_from_overlay(overlay, op, box)
+    inner = _round_in_box(op, "inner", overlay, box)
+    outer = _round_in_box(op, "outer", overlay, box)
     w = check_inclusion(inner, exact.region)
     if w is not None:
         raise InternalInvariantError(f"inner not included in exact: {w}")

@@ -22,15 +22,15 @@ from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
 from latbool.exact_core import Pt, Ring, orientation, pt
 from latbool.fixtures import default_seed, hand_fixture_pairs, random_pairs
 from latbool.lpr import parse_region
-from latbool.oracle import (
+from latbool.rounding import build_chain, nvlp
+
+from brute import (
     brute_nvlp,
     brute_nvlp_region,
     lattice_closure,
     snap_segment_hits_closure_interior,
     vertically_visible,
 )
-from latbool.rounding import build_chain, nvlp
-
 from conftest import occurrence_cells
 
 OPS = ("intersection", "union", "difference")

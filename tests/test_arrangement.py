@@ -26,8 +26,8 @@ from latbool.exact_core import (
     universe_for,
 )
 from latbool.fixtures import random_pairs
-from latbool.oracle import brute_boolean, properly_crossing_pairs
 
+from brute import brute_boolean, properly_crossing_pairs
 from conftest import CORPUS_SEED, FAR, crack_middle_operands, shifted, square
 
 

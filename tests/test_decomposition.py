@@ -21,9 +21,9 @@ from latbool.exact_core import (
     pt,
 )
 from latbool.fixtures import random_pairs
-from latbool.oracle import brute_nvlp, brute_nvlp_region, vertically_visible
 from latbool.setops import sandwich
 
+from brute import brute_nvlp, brute_nvlp_region, vertically_visible
 from conftest import CORPUS_SEED, occurrence_cells, shifted, square
 
 

@@ -117,13 +117,13 @@ def test_segment_at_rational_line():
     assert y == 1 and isinstance(y, int)
 
 
-def test_segment_at_both_axes():
-    a, b = Pt(0, 0), Pt(4, 2)
-    assert segment_at(a, b, 1, axis=1) == (2,)
-    assert segment_at(a, b, Fraction(1, 2), axis=1) == (1,)
-    assert segment_at(a, b, 3, axis=1) == ()
-    assert segment_at(Pt(0, 3), Pt(4, 3), 3, axis=1) == (0, 4)
-    assert segment_at(Pt(0, 3), Pt(4, 3), 2, axis=1) == ()
+def test_segment_at_steep_and_horizontal_segments():
+    a, b = Pt(0, 0), Pt(2, 4)
+    assert segment_at(a, b, 1) == (2,)
+    assert segment_at(a, b, Fraction(1, 2)) == (1,)
+    assert segment_at(a, b, 3) == ()
+    assert segment_at(Pt(3, 0), Pt(3, 4), 3) == (0, 4)
+    assert segment_at(Pt(3, 0), Pt(3, 4), 2) == ()
     assert segment_at(Pt(0, 3), Pt(4, 3), 1) == (3,)
 
 
@@ -239,7 +239,8 @@ def test_validate_vertex_on_edge_ok():
 def test_validate_hole_outside_parent():
     bad = Region((square(0, 0, 2, 2), square(5, 5, 6, 6).reversed_()))
     kinds = {v.kind for v in validate_region(bad) if v.severity == "error"}
-    assert kinds  # orientation/nesting violation reported
+    # a hole outside every ring is at depth 0, where it must be CCW
+    assert kinds == {"orientation"}
 
 
 def test_validate_degenerate_flagged_not_error():

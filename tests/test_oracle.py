@@ -32,21 +32,24 @@ from latbool.oracle import (
     _sweep_events,
     _uncovered,
     _visible,
-    brute_boolean,
-    brute_nvlp,
     check_hausdorff,
     check_inclusion,
     intersecting_pairs,
     is_visible,
-    lattice_closure,
-    properly_crossing_pairs,
     region_interior_sample,
-    snap_segment_hits_closure_interior,
 )
 
 from latbool.rounding import pixel_set
 from latbool.setops import _sandwich, sandwich
 
+from brute import (
+    brute_boolean,
+    brute_nvlp,
+    lattice_closure,
+    properly_crossing_pairs,
+    row_ranges,
+    snap_segment_hits_closure_interior,
+)
 from conftest import (
     CORPUS_SEED,
     FAR,
@@ -366,7 +369,7 @@ def _assert_rows_match_classify(region: Region, m: int, name: str) -> None:
     x0, y0, x1, y1 = region.bbox
     cols = range(math.floor(x0 * m) - 1, math.ceil(x1 * m) + 2)
     for j in range(math.floor(y0 * m) - 1, math.ceil(y1 * m) + 2):
-        ranges = scan.row_ranges(m, j)
+        ranges = row_ranges(scan, m, j)
         assert all(lo <= hi for lo, hi in ranges), (name, j)
         assert all(r[1] + 1 < s[0] for r, s in zip(ranges, ranges[1:])), (
             name, j)
@@ -409,7 +412,7 @@ def _hausdorff_reference(small: Region, big: Region, m: int, mode: str):
 
 def ref_check_hausdorff(small: Region, big: Region, m: int, mode: str):
     """check_hausdorff without the sweep: every row of big's bounding box
-    through `IntMembership.row_ranges` over all edges of both sides, and
+    through `row_ranges` over all edges of both sides, and
     every sample of big \\ small against every reference edge."""
     if big.bbox is None:
         return None
@@ -420,8 +423,8 @@ def ref_check_hausdorff(small: Region, big: Region, m: int, mode: str):
     ref_edges = [tuple(c * m for c in e) for e in ref._edges]
     _, y0, _, y1 = big.bbox
     for j in range(math.ceil(y0 * m), math.floor(y1 * m) + 1):
-        for i in _uncovered(in_big.row_ranges(m, j),
-                            in_small.row_ranges(m, j)):
+        for i in _uncovered(row_ranges(in_big, m, j),
+                            row_ranges(in_small, m, j)):
             if not any(_sq_dist_lt(e, i * f, j * f, f * m)
                        for e in ref_edges):
                 return Witness("hausdorff", pt(Fraction(i, m), Fraction(j, m)),

@@ -57,7 +57,6 @@ from latbool.fixtures import (
     random_pairs,
     random_region,
 )
-from latbool.oracle import brute_nvlp
 from latbool import rounding
 from latbool.rounding import (
     RANK_INSERTED,
@@ -74,6 +73,7 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
+from brute import brute_nvlp
 from conftest import (
     CORPUS_SEED,
     FAR,
@@ -252,15 +252,14 @@ def ref_squared_distance(p, seg):
     return _exact(Fraction(c * c, ab2))
 
 
-def ref_segment_at(a, b, v, axis=0):
-    u = 1 - axis
-    if a[axis] == b[axis]:
-        return (a[u], b[u]) if a[axis] == v else ()
-    lo, hi = (a, b) if a[axis] < b[axis] else (b, a)
-    if not lo[axis] <= v <= hi[axis]:
+def ref_segment_at(a, b, x):
+    if a.x == b.x:
+        return (a.y, b.y) if a.x == x else ()
+    lo, hi = (a, b) if a.x < b.x else (b, a)
+    if not lo.x <= x <= hi.x:
         return ()
-    return (_exact(lo[u] + Fraction((v - lo[axis]) * (hi[u] - lo[u]),
-                                    hi[axis] - lo[axis])),)
+    return (_exact(lo.y + Fraction((x - lo.x) * (hi.y - lo.y),
+                                   hi.x - lo.x)),)
 
 
 def ref_segment_param(a, b, p):
@@ -459,11 +458,8 @@ def test_kernel_matches_fraction_formulas(kind, data):
                      _outcome(ref_squared_distance, p, s))
         if a != b:
             assert _same(segment_param(a, b, p), ref_segment_param(a, b, p))
-    for axis in (0, 1):
-        for v in (a[axis], b[axis], c[axis], d[axis],
-                  _exact(Fraction(a[axis] + b[axis], 2))):
-            assert _same(segment_at(a, b, v, axis),
-                         ref_segment_at(a, b, v, axis))
+    for x in (a.x, b.x, c.x, d.x, _exact(Fraction(a.x + b.x, 2))):
+        assert _same(segment_at(a, b, x), ref_segment_at(a, b, x))
     # the pipeline's turn tests
     for p, q, r in ((a, b, c), (a, b, d), (c, d, a), (b, a, c)):
         assert _same(vertex_convexity(p, q, r), ref_vertex_convexity(p, q, r))
@@ -680,12 +676,11 @@ def _ref_dedupe(pts, prot, rk):
             i += 1
 
 
-def ref_convexify_cleanup(points, protected, rank=None):
+def ref_convexify_cleanup(points, protected, rank):
     """Re-test every occurrence after each removal; dedupe from the start."""
     pts = list(points)
     prot = list(protected)
-    rk = (list(rank) if rank is not None
-          else [RANK_ORIGINAL if p else RANK_INSERTED for p in prot])
+    rk = list(rank)
     _ref_dedupe(pts, prot, rk)
     while len(pts) >= 3:
         n = len(pts)
@@ -797,7 +792,8 @@ cleanup_items = hys.lists(
 def test_convexify_cleanup_matches_restart_loop(items, ranked):
     pts = [p for p, _, _ in items]
     prot = [f for _, f, _ in items]
-    rank = [r for _, _, r in items] if ranked else None
+    rank = ([r for _, _, r in items] if ranked
+            else [RANK_ORIGINAL if f else RANK_INSERTED for f in prot])
     assert (convexify_cleanup(pts, prot, rank)
             == ref_convexify_cleanup(pts, prot, rank))
 

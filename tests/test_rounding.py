@@ -15,12 +15,10 @@ from latbool.exact_core import (
     universe_for,
 )
 from latbool.lpr import parse_region
-from latbool.oracle import (
-    brute_nvlp,
-    check_hausdorff,
-    check_inclusion,
-)
+from latbool.oracle import check_hausdorff, check_inclusion
 from latbool.rounding import (
+    RANK_INSERTED,
+    RANK_ORIGINAL,
     _removal_topology_ok,
     build_chain,
     convexify_cleanup,
@@ -33,6 +31,7 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
+from brute import brute_nvlp
 from conftest import occurrence_cells, square
 
 DATA = Path(__file__).parent / "data"
@@ -130,19 +129,19 @@ def test_nvlp_scans_only_the_columns_near_p(monkeypatch):
 
 def test_convexify_keeps_convex_ring():
     ring = square(0, 0, 4, 4)
-    pts, _ = convexify_cleanup(ring.pts, [False] * 4)
+    pts, _ = convexify_cleanup(ring.pts, [False] * 4, [RANK_INSERTED] * 4)
     assert tuple(pts) == ring.pts
 
 
 def test_convexify_removes_single_dent():
     pts = [Pt(0, 0), Pt(2, 1), Pt(4, 0), Pt(4, 4), Pt(0, 4)]
-    cleaned, _ = convexify_cleanup(pts, [False] * 5)
+    cleaned, _ = convexify_cleanup(pts, [False] * 5, [RANK_INSERTED] * 5)
     assert Pt(2, 1) not in cleaned
 
 
 def test_convexify_cascade():
     pts = [Pt(0, 0), Pt(2, 1), Pt(3, 1), Pt(5, 0), Pt(5, 5), Pt(0, 5)]
-    cleaned, _ = convexify_cleanup(pts, [False] * 6)
+    cleaned, _ = convexify_cleanup(pts, [False] * 6, [RANK_INSERTED] * 6)
     assert Pt(2, 1) not in cleaned and Pt(3, 1) not in cleaned
     from latbool.arrangement import REFLEX, vertex_convexity
     n = len(cleaned)
@@ -154,7 +153,8 @@ def test_convexify_cascade():
 def test_convexify_protected_reflex_survives():
     pts = [Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2), Pt(2, 4), Pt(0, 4)]
     prot = [False, False, False, True, False, False]
-    cleaned, kept = convexify_cleanup(pts, prot)
+    rank = [RANK_ORIGINAL if p else RANK_INSERTED for p in prot]
+    cleaned, kept = convexify_cleanup(pts, prot, rank)
     assert Pt(2, 2) in cleaned
 
 
@@ -170,7 +170,8 @@ def test_convexify_retests_only_the_neighbours(monkeypatch):
 
     monkeypatch.setattr(rounding, "vertex_convexity", counted)
     pts = [Pt(i, i % 2) for i in range(198)] + [Pt(198, 10), Pt(0, 10)]
-    cleaned, _ = convexify_cleanup(pts, [False] * len(pts))
+    cleaned, _ = convexify_cleanup(pts, [False] * len(pts),
+                                   [RANK_INSERTED] * len(pts))
     assert cleaned == ([Pt(i, 0) for i in range(0, 197, 2)]
                        + [Pt(197, 1), Pt(198, 10), Pt(0, 10)])
     assert len(calls) <= 3 * len(pts)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latbool import arrangement, exact_core, rounding, setops
-from latbool.arrangement import exact_intersection
+from latbool.arrangement import ExactRegion, exact_intersection
 from latbool.exact_core import (
     InternalInvariantError,
     PreconditionError,
@@ -123,13 +123,18 @@ def test_all_lattice_results_equal_across_modes(hand_pairs):
 
 
 def test_sandwich_equals_separate_applies(hand_pairs):
+    """`sandwich` returns (Region, ExactRegion, Region), and `apply` gives
+    the same object of the same type in each mode."""
     pairs = hand_pairs[::3] + random_pairs(12, seed=CORPUS_SEED)[::2]
     for name, a, b in pairs:
         for op in ("intersection", "union", "difference"):
-            inner, exact, outer = sandwich(a, b, op)
-            assert exact == apply(OpRequest(op, "exact", a, b)), (name, op)
-            assert inner == apply(OpRequest(op, "inner", a, b)), (name, op)
-            assert outer == apply(OpRequest(op, "outer", a, b)), (name, op)
+            triple = sandwich(a, b, op)
+            assert [type(r) for r in triple] == [Region, ExactRegion,
+                                                 Region], (name, op)
+            for mode, want in zip(("inner", "exact", "outer"), triple):
+                got = apply(OpRequest(op, mode, a, b))
+                assert type(got) is type(want), (name, op, mode)
+                assert got == want, (name, op, mode)
 
 
 def test_operand_swap(hand_pairs):
@@ -212,19 +217,6 @@ def test_bad_request_rejected():
 def test_internal_invariant_error_reexported():
     assert setops.InternalInvariantError is exact_core.InternalInvariantError
     assert issubclass(InternalInvariantError, AssertionError)
-
-
-def test_sandwich_rejects_wrong_result_types(monkeypatch):
-    a = Region((square(0, 0, 4, 4),))
-    real = setops._apply_in_box
-
-    def exact_as_plain_region(op, mode, overlay, box):
-        out = real(op, mode, overlay, box)
-        return out.region if mode == "exact" else out
-
-    monkeypatch.setattr(setops, "_apply_in_box", exact_as_plain_region)
-    with pytest.raises(InternalInvariantError):
-        sandwich(a, a, "intersection")
 
 
 def test_outer_round_rejects_non_lattice_vertex(monkeypatch):
