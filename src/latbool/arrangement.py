@@ -10,6 +10,11 @@ the result flips are traced into rings.  A plain pair overlay with
 interval pruning stands in for a full event-queue intersection sweep;
 complexity is a soft goal only.
 
+All of it runs on int points (`exact_core._to_frame`): the operands are
+scaled by the lcm d0 of their denominators (1 for lattice operands), and
+once the hits are known by the lcm d1 of theirs.  The tagged rings are
+mapped back once at the end.
+
 Zero-area (degenerate) rings of an operand act as slits: where both sides
 of a slit piece land inside the result, the piece is kept as a doubled
 "crack" edge.  Cracks cut reflex corners at non-representable vertices,
@@ -18,13 +23,12 @@ which is exactly what the outer rounding pipeline needs them for.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact_core import (
+    COLLINEAR,
     LEFT,
     RIGHT,
     InternalInvariantError,
@@ -35,14 +39,14 @@ from .exact_core import (
     Pt,
     Region,
     Ring,
-    Scalar,
     UniverseBox,
+    _from_frame,
+    _to_frame,
     complement_in_universe,
     dot,
     find_segment_intersections,
     orientation,
     region_ok,
-    segment_at,
     segments_cross_properly,
     validate_region,
 )
@@ -132,12 +136,11 @@ class _Atomic(NamedTuple):
 
 
 def _atomize(edges: Sequence[_InputEdge],
-             hits: Iterable[tuple[int, int, object]]) -> list[_Atomic]:
+             hits: Iterable[tuple[int, int, tuple[Pt, ...]]]) -> list[_Atomic]:
     cuts: list[set[Pt]] = [set((e.a, e.b)) for e in edges]
-    for i, j, hit in hits:
-        for h in hit_points(hit):
-            cuts[i].add(h)
-            cuts[j].add(h)
+    for i, j, pts in hits:
+        cuts[i].update(pts)
+        cuts[j].update(pts)
     buckets: dict[tuple[Pt, Pt], tuple[bool, list[bool]]] = {}
     for e, cut in zip(edges, cuts):
         # lexicographic order is the order along the edge or its reverse,
@@ -159,22 +162,20 @@ def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
     atoms spanning the sweep line changes only where one starts or ends.
     A non-vertical atom's right side is below it, where the parity is the
     one above its predecessor on the line.  A vertical atom's right side is
-    east of it, where the parity is the one above the predecessor of its
-    midpoint once the atoms starting at its x are in.  Below every atom
-    both operands are out, and an operand's parity flips across an atom
-    where an odd number of its edges lie along it.  The atoms starting at
-    one x go in bottom to top, by y and then by slope, so that each finds
-    its final predecessor, also within a fan sharing its left endpoint.
+    east of it, where the parity is the one above its predecessor once the
+    atoms starting at its x are in.  Below every atom both operands are
+    out, and an operand's parity flips across an atom where an odd number
+    of its edges lie along it.  The atoms starting at one x go in bottom to
+    top, by y and then by slope, so that each finds its final predecessor,
+    also within a fan sharing its left endpoint.
+
+    An atom s on the line is below the atom p->q starting there when p is
+    above s, or when s passes through p and q is above s's direction: two
+    `orientation` tests.  A vertical atom is steeper than every atom
+    through its lower end, and no atom passes through its interior.
     """
     right: list[tuple[bool, bool]] = [(False, False)] * len(atoms)
-    slope: dict[int, Fraction] = {}
     status: list[int] = []  # non-vertical atoms spanning x, bottom to top
-    x: Scalar = 0
-
-    def level(j: int) -> tuple[Scalar, Fraction]:
-        e = atoms[j]
-        y = e.a.y if e.a.x == x else segment_at(e.a, e.b, x)[0]
-        return y, slope[j]
 
     def above(pos: int) -> tuple[bool, bool]:
         """The parity just above status[pos - 1], or out below everything."""
@@ -182,6 +183,28 @@ def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
             return False, False
         j = status[pos - 1]
         return tuple(p != odd for p, odd in zip(right[j], atoms[j].odd))
+
+    def position(e: _Atomic) -> int:
+        """The number of atoms in `status` below the atom e."""
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            s = atoms[status[mid]]
+            turn = orientation(s.a, s.b, e.a)
+            if turn == COLLINEAR:
+                turn = orientation(e.a, s.b, e.b)
+            if turn == LEFT:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def bottom_to_top(i: int, j: int) -> int:
+        """Order two atoms starting on the line by y, then by slope."""
+        p, q = atoms[i].a, atoms[j].a
+        if p != q:
+            return -1 if p.y < q.y else 1
+        return -orientation(p, atoms[i].b, atoms[j].b)
 
     i = 0
     while i < len(atoms):
@@ -192,16 +215,12 @@ def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
         status = [j for j in status if atoms[j].b.x > x]
         vertical = [j for j in range(start, i) if atoms[j].b.x == x]
         rising = [j for j in range(start, i) if atoms[j].b.x != x]
-        for j in rising:
-            e = atoms[j]
-            slope[j] = Fraction(e.b.y - e.a.y, e.b.x - e.a.x)
-        for key, j in sorted((level(j), j) for j in rising):
-            pos = bisect_left(status, key, key=level)
+        for j in sorted(rising, key=cmp_to_key(bottom_to_top)):
+            pos = position(atoms[j])
             right[j] = above(pos)
             status.insert(pos, j)
         for j in vertical:
-            mid = Fraction(atoms[j].a.y + atoms[j].b.y, 2)
-            right[j] = above(bisect_left(status, (mid,), key=level))
+            right[j] = above(position(atoms[j]))
     return right
 
 
@@ -212,15 +231,22 @@ def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
 def overlay_intersection(a: Region, b: Region) -> ExactRegion:
     """closure(A interior intersect B interior) with its stats."""
     edges = _gather_edges(a, 0) + _gather_edges(b, 1)
-    hits = find_segment_intersections([(e.a, e.b) for e in edges])
+    d0, frame0 = _to_frame(p for e in edges for p in (e.a, e.b))
+    segments = [(frame0[e.a], frame0[e.b]) for e in edges]
+    hits = find_segment_intersections(segments)
     h = 0
     for i, j, hit in hits:
         if edges[i].operand != edges[j].operand and isinstance(hit, Pt):
-            if segments_cross_properly((edges[i].a, edges[i].b),
-                                       (edges[j].a, edges[j].b)):
+            if segments_cross_properly(segments[i], segments[j]):
                 h += 1
+    hit_pts = [(i, j, hit_points(hit)) for i, j, hit in hits]
+    d1, frame1 = _to_frame([*frame0.values(),
+                            *(p for _, _, pts in hit_pts for p in pts)])
+    atoms = _atomize(
+        [e._replace(a=frame1[s], b=frame1[t])
+         for e, (s, t) in zip(edges, segments)],
+        [(i, j, tuple(frame1[p] for p in pts)) for i, j, pts in hit_pts])
     directed: list[tuple[Pt, Pt]] = []
-    atoms = _atomize(edges, hits)
     for e, right in zip(atoms, _right_parities(atoms)):
         in_r = all(right)
         in_l = all(p != odd for p, odd in zip(right, e.odd))
@@ -230,10 +256,12 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
             directed.append((e.a, e.b))
             directed.append((e.b, e.a))
 
-    cycles = trace_cycles(directed)
-    rings = _cycles_to_rings(cycles)
-    k = len({v for ring in rings for v in ring.pts if not v.is_lattice})
-    return ExactRegion(_tag_rings(rings), OverlayStats(n=len(edges), k=k, h=h))
+    tagged = _tag_rings(_cycles_to_rings(trace_cycles(directed)))
+    back = _from_frame({v.pos for ring in tagged for v in ring}, d0 * d1)
+    rings = tuple(tuple(ExactVertex(back[v.pos], v.convexity) for v in ring)
+                  for ring in tagged)
+    k = sum(1 for p in back.values() if not p.is_lattice)
+    return ExactRegion(rings, OverlayStats(n=len(edges), k=k, h=h))
 
 
 def _cycles_to_rings(cycles: list[list[Pt]]) -> list[Ring]:

@@ -19,6 +19,10 @@ With E edges, R reflex vertices and L <= R distinct reflex x-coordinates,
 the profiles cost O(L E log E), the walls O(R), and the lists O(L E) plus
 O(1) per tested (edge, vertex) pair and a sort.  Cutting the edges at wall
 endpoints searches only the endpoints inside each edge's x-range.
+
+The profiles, walls and lists are computed in the integer frame of the
+region's vertices (`exact_core._to_frame`), the cells in that frame scaled
+again by the wall ends' denominators; every result is mapped back once.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .exact_core import (
     Pt,
     Ring,
     Scalar,
+    _from_frame,
+    _to_frame,
     dot,
     orientation,
     point_on_segment,
@@ -218,11 +224,13 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
 
     edges = [(a, b) for ring in region.region.rings for a, b in ring.edges()
              if a != b]
-    reflex_pos = sorted(region.reflex_positions())
+    d, frame = _to_frame(p for e in edges for p in e)
+    fedges = [(frame[a], frame[b]) for a, b in edges]
+    reflex_pos = sorted(frame[p] for p in region.reflex_positions())
     lines: dict[int, _LineProfile] = {}
     for r in reflex_pos:
         if r.x not in lines:
-            lines[r.x] = _LineProfile(r.x, edges)
+            lines[r.x] = _LineProfile(r.x, fedges)
 
     walls: list[Wall] = []
     seen_walls: set[tuple[Pt, Pt]] = set()
@@ -231,53 +239,60 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
         for i, v in enumerate(ring):
             if v.convexity != REFLEX:
                 continue
-            prev = ring[i - 1].pos
-            nxt = ring[(i + 1) % m].pos
+            prev = frame[ring[i - 1].pos]
+            nxt = frame[ring[(i + 1) % m].pos]
+            pos = frame[v.pos]
             for sign in (1, -1):
-                if not _dir_in_sector(Pt(v.pos.x, v.pos.y + sign), prev,
-                                      v.pos, nxt):
+                if not _dir_in_sector(Pt(pos.x, pos.y + sign), prev, pos,
+                                      nxt):
                     continue
-                hit = lines[v.pos.x].wall_hit(v.pos.y, sign)
+                hit = lines[pos.x].wall_hit(pos.y, sign)
                 if hit is None:
                     continue
-                key = (v.pos, hit) if v.pos < hit else (hit, v.pos)
+                key = (pos, hit) if pos < hit else (hit, pos)
                 if key in seen_walls:
                     continue
                 seen_walls.add(key)
-                walls.append(Wall(v.pos, hit))
+                walls.append(Wall(pos, hit))
 
-    cells, edge_cell = _build_cells(region, walls)
-    visible = _visible_reflex_lists(edges, reflex_pos, lines)
+    cells, edge_cell, walls = _build_cells(edges, fedges, walls, d)
+    visible = _visible_reflex_lists(edges, fedges, reflex_pos, lines,
+                                    _from_frame(reflex_pos, d))
     return Decomposition(tuple(cells), tuple(walls), visible, edge_cell)
 
 
-def _build_cells(region: ExactRegion, walls: list[Wall]
-                 ) -> tuple[list[ConvexCell], dict]:
-    wall_pts = sorted({w.hit for w in walls} | {w.source for w in walls})
+def _build_cells(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
+                 walls: list[Wall], d: int
+                 ) -> tuple[list[ConvexCell], dict, list[Wall]]:
+    """The cells, the cell of each edge's first piece, and the walls mapped
+    back.  `fedges` and `walls` are in the vertex frame of lcm d."""
+    d2, frame = _to_frame([*(p for e in fedges for p in e),
+                           *(w.hit for w in walls)])
+    wall_pts = sorted({frame[w.hit] for w in walls}
+                      | {frame[w.source] for w in walls})
     wall_xs = [p.x for p in wall_pts]
     directed: list[tuple[Pt, Pt]] = []
     first_piece: dict[tuple[Pt, Pt], tuple[Pt, Pt]] = {}
-    for ring in region.region.rings:
-        for a, b in ring.edges():
-            if a == b:
-                continue
-            lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-            near = wall_pts[bisect_left(wall_xs, lo_x):
-                            bisect_right(wall_xs, hi_x)]
-            cuts = [p for p in near
-                    if p != a and p != b and point_on_segment(p, a, b)]
-            # lexicographic order, reversed when b < a, is the order along a-b
-            cuts.sort(reverse=b < a)
-            chain = [a] + cuts + [b]
-            first_piece[(a, b)] = (chain[0], chain[1])
-            for u, v in zip(chain, chain[1:]):
-                directed.append((u, v))
-    for w in walls:
-        directed.append((w.source, w.hit))
-        directed.append((w.hit, w.source))
+    for edge, (a, b) in zip(edges, fedges):
+        a, b = frame[a], frame[b]
+        lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        near = wall_pts[bisect_left(wall_xs, lo_x):
+                        bisect_right(wall_xs, hi_x)]
+        cuts = [p for p in near
+                if p != a and p != b and point_on_segment(p, a, b)]
+        # lexicographic order, reversed when b < a, is the order along a-b
+        cuts.sort(reverse=b < a)
+        chain = [a] + cuts + [b]
+        first_piece[edge] = (chain[0], chain[1])
+        for u, v in zip(chain, chain[1:]):
+            directed.append((u, v))
+    fwalls = [(frame[w.source], frame[w.hit]) for w in walls]
+    for u, v in fwalls:
+        directed.append((u, v))
+        directed.append((v, u))
 
     cycles = trace_cycles(directed)
-    cells: list[ConvexCell] = []
+    cell_rings: list[Ring] = []
     piece_cell: dict[tuple[Pt, Pt], int] = {}
     for cyc in cycles:
         ring = Ring(tuple(cyc)).canonical()
@@ -285,18 +300,24 @@ def _build_cells(region: ExactRegion, walls: list[Wall]
             continue
         if not ring.is_ccw:
             raise InternalInvariantError("decomposition cell traced clockwise")
-        idx = len(cells)
-        cells.append(ConvexCell(ring))
+        idx = len(cell_rings)
+        cell_rings.append(ring)
         n = len(cyc)
         for i in range(n):
             piece_cell[(cyc[i], cyc[(i + 1) % n])] = idx
     edge_cell = {edge: piece_cell[piece]
                  for edge, piece in first_piece.items() if piece in piece_cell}
-    return cells, edge_cell
+    back = _from_frame({p for ring in cell_rings for p in ring.pts}
+                       | {p for w in fwalls for p in w}, d * d2)
+    cells = [ConvexCell(Ring(tuple(back[p] for p in ring.pts)))
+             for ring in cell_rings]
+    return cells, edge_cell, [Wall(back[u], back[v]) for u, v in fwalls]
 
 
-def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
-                          lines: dict[int, _LineProfile]) -> dict:
+def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
+                          fedges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
+                          lines: dict[int, _LineProfile],
+                          back: dict[Pt, Pt]) -> dict:
     """Per DIRECTED edge: vertically visible reflex vertices, interior side.
 
     Each list is in projection order: by the foot's parameter along the
@@ -304,7 +325,8 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
     of the directed edge, or on it) matters where a crack edge carries faces
     on both sides: each direction owns the obstacles of its own face only.
     In crack-free regions every visible reflex vertex is on the interior
-    side anyway.  Vertical edges see nothing.
+    side anyway.  Vertical edges see nothing.  All but `edges` are in the
+    vertex frame; `back` maps the reflex vertices out of it.
     """
     found: dict[tuple[Pt, Pt], list] = {}
     first: list[int] = []
@@ -318,14 +340,14 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
     for x, column in columns.items():
         line = lines[x]
         for k in first:
-            a, b = edges[k]
+            a, b = fedges[k]
             fy = line.ys[k]
             # feet at the edge endpoints belong to the neighbor edges
             if fy is None or a.x == x or b.x == x:
                 continue
             foot_level = line.index[fy]
             t = x if a.x < b.x else -x  # the foot's order along a-b
-            entries = found[(a, b)]
+            entries = found[edges[k]]
             for r in column:
                 # side = (b.x - a.x) * (r.y - fy): r left of a->b, or on it
                 if (r.y - fy) * (b.x - a.x) < 0:
@@ -335,5 +357,5 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]], reflex_pos: list[Pt],
     out: dict = {}
     for e, entries in found.items():
         entries.sort()
-        out[e] = tuple(r for _, _, r in entries)
+        out[e] = tuple(back[r] for _, _, r in entries)
     return out

@@ -22,6 +22,13 @@ occurs twice; `Region.canonical` re-traces the boundary only when some
 vertex position is visited twice, the one case where a boundary has more
 than one ring decomposition.
 
+The overlay and the decomposition clear denominators once per call, not
+once per predicate: `_to_frame` scales their points by one d > 0 to int
+points, and `_from_frame` maps their results back.  Scaling keeps
+lexicographic order, equality and every turn sign, so no result changes.
+Where the lcm of the denominators is too long, d is 1 and the points are
+used as they are.
+
 `orientation` and `dot` are also the pipeline's one turn predicate: the
 rotation rule of `trace_cycles`, `point_in_region`,
 `arrangement.vertex_convexity`, `decomposition.ConvexCell.contains` and
@@ -114,6 +121,46 @@ def _ratio(num: int, den: int) -> Scalar:
     """num / den as an exact scalar: an int when integral, else one Fraction."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
+
+
+# The largest frame scale.  Many distinct denominators (large overlays of
+# rational operands) make the lcm grow with their number; then every frame
+# coordinate is a long int, and the per-predicate scaling of a few
+# coordinates at a time is cheaper.
+_FRAME_LIMIT = 2 ** 256
+
+
+def _to_frame(points: Iterable[Pt]) -> tuple[int, dict[Pt, Pt]]:
+    """The lcm d of the points' denominators, and each distinct point
+    (x, y) mapped to the int point (x * d, y * d).  When d would exceed
+    `_FRAME_LIMIT`, d is 1 and every point maps to itself."""
+    pts = dict.fromkeys(points)
+    d = 1
+    for x, y in pts:
+        if type(x) is not int:
+            d = math.lcm(d, x.denominator)
+        if type(y) is not int:
+            d = math.lcm(d, y.denominator)
+        if d > _FRAME_LIMIT:
+            d = 1
+            break
+    if d == 1:
+        return 1, {p: p for p in pts}
+    for p in pts:
+        x, y = p
+        pts[p] = Pt(x * d if type(x) is int
+                    else x.numerator * (d // x.denominator),
+                    y * d if type(y) is int
+                    else y.numerator * (d // y.denominator))
+    return d, pts
+
+
+def _from_frame(points: Iterable[Pt], d: int) -> dict[Pt, Pt]:
+    """Each distinct int point (X, Y) of the frame of lcm d mapped back to
+    (X / d, Y / d), an int when integral and one Fraction otherwise."""
+    if d == 1:
+        return {p: p for p in points}
+    return {p: Pt(_ratio(p.x, d), _ratio(p.y, d)) for p in points}
 
 
 def dot(o: Pt, a: Pt, b: Pt) -> Scalar:
@@ -317,28 +364,29 @@ def find_segment_intersections(
     """All pairwise intersections among segments.
 
     Sorted by x-interval with an active list so disjoint spans are never
-    compared; worst case stays quadratic, which is acceptable here.
+    compared; each segment's box is computed once.  Worst case stays
+    quadratic, which is acceptable here.
     """
-    n = len(segments)
-    idx = sorted(range(n), key=lambda i: min(segments[i][0].x,
-                                             segments[i][1].x))
+    boxes = []
+    for a, b in segments:
+        xlo, xhi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        ylo, yhi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        boxes.append((xlo, xhi, ylo, yhi))
+    idx = sorted(range(len(segments)), key=lambda i: boxes[i][0])
     out: list[tuple[int, int, object]] = []
     active: list[int] = []
     for i in idx:
-        a, b = segments[i]
-        xlo = min(a.x, b.x)
-        xhi = max(a.x, b.x)
-        ylo = min(a.y, b.y)
-        yhi = max(a.y, b.y)
+        seg = segments[i]
+        xlo, _, ylo, yhi = boxes[i]
         still: list[int] = []
         for j in active:
-            c, d = segments[j]
-            if max(c.x, d.x) < xlo:
+            _, cxhi, cylo, cyhi = boxes[j]
+            if cxhi < xlo:
                 continue
             still.append(j)
-            if min(c.y, d.y) > yhi or max(c.y, d.y) < ylo:
+            if cylo > yhi or cyhi < ylo:
                 continue
-            hit = segment_intersection((a, b), (c, d))
+            hit = segment_intersection(seg, segments[j])
             if hit is not None:
                 out.append((min(i, j), max(i, j), hit))
         still.append(i)
@@ -716,23 +764,28 @@ def cancel_reversed_pairs(rings: Iterable[Ring]) -> Region:
     earlier one reversed (a filled/hole pair with zero area between them)
     cancels it.  Degenerate rings never cancel.
 
-    The rings are canonical, as both callers pass them.  A canonical ring
-    and its reversed canonical copy have the same length, so the copy is
-    built only when a kept ring has that length."""
-    out: list[Ring] = []
+    The rings are canonical, as both callers pass them.  Reversing a
+    canonical ring leaves no repeated or straight vertex, so its canonical
+    copy starts at the same least vertex.  Kept rings are therefore found
+    by their start vertex, and the copy is built only when a kept ring
+    starts there; the first kept ring equal to it cancels."""
+    kept: list[Optional[Ring]] = []
+    starts: dict[Pt, list[int]] = {}  # positions in `kept`, in order
     for r in rings:
-        n = len(r.pts)
-        if not r.is_degenerate and any(len(e.pts) == n for e in out):
-            rev = r.reversed_().canonical()
-            for i, existing in enumerate(out):
-                if existing.pts == rev.pts:
-                    del out[i]
-                    break
-            else:
-                out.append(r)
-        else:
-            out.append(r)
-    return Region(tuple(out)).canonical()
+        if r.is_degenerate:
+            kept.append(r)
+            continue
+        live = starts.setdefault(r.pts[0], [])
+        if live:
+            rev = r.reversed_().canonical().pts
+            match = next((i for i in live if kept[i].pts == rev), None)
+            if match is not None:
+                live.remove(match)
+                kept[match] = None
+                continue
+        live.append(len(kept))
+        kept.append(r)
+    return Region(tuple(r for r in kept if r is not None)).canonical()
 
 
 # ---------------------------------------------------------------------------

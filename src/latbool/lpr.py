@@ -33,8 +33,6 @@ class LprError(ValueError):
         if line is not None:
             loc = f" (line {line}" + (f", field {column}" if column else "") + ")"
         super().__init__(message + loc)
-        self.line = line
-        self.column = column
 
 
 def _parse_scalar(tok: str, line: int, col: int,

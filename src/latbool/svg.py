@@ -11,6 +11,8 @@ from typing import Sequence
 
 from .exact_core import Region
 
+SCALE = 24  # pixels per lattice unit of the figure's width and height
+
 LAYER_STYLES = (
     {"fill": "#4477aa", "fill_opacity": "0.25", "stroke": "#4477aa",
      "stroke_width": "0.06", "dash": None},                      # exact
@@ -41,7 +43,7 @@ def _region_path(region: Region) -> str:
     return " ".join(parts)
 
 
-def render_svg(layers: Sequence[tuple[str, Region]], scale: int = 24) -> str:
+def render_svg(layers: Sequence[tuple[str, Region]]) -> str:
     """One <path> per region, even-odd fill, on top of a unit grid."""
     boxes = [r.bbox for _, r in layers if r.bbox is not None]
     if boxes:
@@ -51,8 +53,8 @@ def render_svg(layers: Sequence[tuple[str, Region]], scale: int = 24) -> str:
         y1 = math.ceil(max(b[3] for b in boxes)) + 1
     else:
         x0, y0, x1, y1 = -1, -1, 1, 1
-    width = (x1 - x0) * scale
-    height = (y1 - y0) * scale
+    width = (x1 - x0) * SCALE
+    height = (y1 - y0) * SCALE
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="{x0} {y0} {x1 - x0} {y1 - y0}">',

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from latbool import arrangement
+from latbool import arrangement, exact_core
 from latbool.arrangement import (
     CONVEX,
     REFLEX,
+    ExactVertex,
     exact_boolean,
     exact_intersection,
     find_segment_intersections,
 )
+from latbool.decomposition import Wall, reflex_vertical_decomposition
 from latbool.exact_core import (
     BOUNDARY,
     INTERIOR,
@@ -19,6 +21,7 @@ from latbool.exact_core import (
     Pt,
     Region,
     Ring,
+    _from_frame,
     complement_in_universe,
     point_in_region,
     pt,
@@ -208,18 +211,25 @@ def test_piece_sides_match_offset_points(hand_pairs, monkeypatch):
         seen["directed"] = list(directed)
         return []  # only the classification is checked, not the rings
 
+    def from_frame(points, d):
+        seen["d"] = d  # the overlay's frame, to map the pieces back
+        return _from_frame(points, d)
+
     monkeypatch.setattr(arrangement, "_atomize", atomize)
     monkeypatch.setattr(arrangement, "trace_cycles", trace)
+    monkeypatch.setattr(arrangement, "_from_frame", from_frame)
     cracks = 0
     for name, a, b in cases:
         exact_intersection(a, b, check=False)
         pieces = seen["pieces"]
+        back = _from_frame({p for e in pieces for p in (e.a, e.b)}, seen["d"])
+        unframed = [e._replace(a=back[e.a], b=back[e.b]) for e in pieces]
         want: list[tuple[Pt, Pt]] = []
-        for e in pieces:
+        for e, u in zip(pieces, unframed):
             sides = []
-            for q in _offset_points(e, pieces):
+            for q in _offset_points(u, unframed):
                 where = (point_in_region(q, a), point_in_region(q, b))
-                assert BOUNDARY not in where, (name, e, q)
+                assert BOUNDARY not in where, (name, u, q)
                 sides.append(where == (INTERIOR, INTERIOR))
             in_l, in_r = sides
             if in_l != in_r:
@@ -229,3 +239,74 @@ def test_piece_sides_match_offset_points(hand_pairs, monkeypatch):
                 cracks += 1
         assert Counter(seen["directed"]) == Counter(want), name
     assert cracks > 0
+
+
+def _frame_cases(hand_pairs):
+    """The overlay inputs of the hand pairs and of a corpus sample, and the
+    middle overlay of rand-015 with rational operand vertices."""
+    cases = []
+    for name, a, b in hand_pairs + random_pairs(16, seed=CORPUS_SEED):
+        cases += _overlay_inputs(name, a, b)
+    comp, pixels_comp, _ = crack_middle_operands()
+    cases.append(("rand-015.middle", comp, pixels_comp))
+    return cases
+
+
+@pytest.mark.parametrize("s, dx, dy", [(3, 0, 0), (1, *FAR)],
+                         ids=["scaled", "far"])
+def test_overlay_and_decomposition_commute_with_scaling_and_translation(
+        hand_pairs, s, dx, dy):
+    """Mapping the operands by p -> s*p + (dx, dy) maps the overlay's
+    tagged rings and the decomposition's walls, cells, edge->cell map and
+    visibility lists the same way, and changes nothing else."""
+    def f(p: Pt) -> Pt:
+        return pt(p.x * s + dx, p.y * s + dy)
+
+    def moved(region: Region) -> Region:
+        return Region(tuple(Ring(tuple(f(p) for p in ring.pts))
+                            for ring in region.rings))
+
+    cases = _frame_cases(hand_pairs)
+    walls = 0
+    for name, a, b in cases:
+        x = exact_intersection(a, b, check=False)
+        y = exact_intersection(moved(a), moved(b), check=False)
+        assert y.rings == tuple(
+            tuple(ExactVertex(f(v.pos), v.convexity) for v in ring)
+            for ring in x.rings), name
+        # k counts non-lattice vertices, which scaling can make lattice
+        assert (y.stats.n, y.stats.h) == (x.stats.n, x.stats.h), name
+        if s == 1:
+            assert y.stats == x.stats, name
+        dec_x = reflex_vertical_decomposition(x)
+        dec_y = reflex_vertical_decomposition(y)
+        assert dec_y.walls == tuple(Wall(f(w.source), f(w.hit))
+                                  for w in dec_x.walls), name
+        assert [c.ring for c in dec_y.cells] == [
+            Ring(tuple(f(p) for p in c.ring.pts)) for c in dec_x.cells], name
+        assert dec_y.cell_of_edge_start == {
+            (f(u), f(v)): i
+            for (u, v), i in dec_x.cell_of_edge_start.items()}, name
+        assert dec_y.visible_reflex == {
+            (f(u), f(v)): tuple(map(f, seen))
+            for (u, v), seen in dec_x.visible_reflex.items()}, name
+        walls += len(dec_x.walls)
+    assert walls > 0
+
+
+def test_overlay_and_decomposition_agree_without_a_frame(hand_pairs,
+                                                         monkeypatch):
+    """With `_FRAME_LIMIT` at 0 every frame is the identity, as for inputs
+    whose denominators have a large lcm: the overlay and the decomposition
+    then run on the points as they are, with the same results."""
+    def run(a, b):
+        x = exact_intersection(a, b, check=False)
+        d = reflex_vertical_decomposition(x)
+        return (x.rings, x.stats, d.walls, [c.ring for c in d.cells],
+                d.cell_of_edge_start, d.visible_reflex)
+
+    cases = _frame_cases(hand_pairs)
+    framed = [run(a, b) for _, a, b in cases]
+    monkeypatch.setattr(exact_core, "_FRAME_LIMIT", 0)
+    for (name, a, b), want in zip(cases, framed):
+        assert run(a, b) == want, name

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from latbool.exact_core import (
     Region,
     Ring,
     UniverseBox,
+    cancel_reversed_pairs,
     complement_in_universe,
     orientation,
     point_in_region,
@@ -207,6 +209,42 @@ def test_complement_involution(hand_pairs):
             twice = complement_in_universe(
                 complement_in_universe(r, box), box, margin=0)
             assert twice.canonical() == r.canonical()
+
+
+def ref_cancel_reversed_pairs(rings):
+    """Each non-degenerate ring scans the kept rings in order; the first
+    one equal to its reversed canonical copy cancels it."""
+    out = []
+    for r in rings:
+        if not r.is_degenerate:
+            rev = r.reversed_().canonical()
+            for i, existing in enumerate(out):
+                if existing.pts == rev.pts:
+                    del out[i]
+                    break
+            else:
+                out.append(r)
+        else:
+            out.append(r)
+    return Region(tuple(out)).canonical()
+
+
+def test_cancel_reversed_pairs_three_mutually_reversed_copies():
+    ccw = square(0, 0, 2, 2).canonical()
+    cw = ccw.reversed_().canonical()
+    # each pair cancels once; the third copy is kept
+    assert cancel_reversed_pairs([ccw, cw, ccw]) == Region((ccw,))
+    assert cancel_reversed_pairs([cw, ccw, cw]) == Region((cw,))
+    assert cancel_reversed_pairs([ccw, ccw, cw]) == Region((ccw,))
+    assert cancel_reversed_pairs([ccw, cw, ccw, cw]) == Region(())
+    # a slit and its reverse never cancel; an unrelated ring of the same
+    # length is kept
+    slit = Ring((Pt(5, 5), Pt(6, 5), Pt(7, 5), Pt(6, 5))).canonical()
+    other = square(3, 0, 4, 1).canonical()
+    rings = [ccw, cw, ccw, slit, slit.reversed_().canonical(), other]
+    for order in itertools.permutations(rings):
+        assert (cancel_reversed_pairs(order)
+                == ref_cancel_reversed_pairs(order)), order
 
 
 def test_complement_margin_error():

@@ -1,5 +1,6 @@
 """Property-based checks over random exact inputs."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,9 @@ from latbool.exact_core import (
     Pt,
     Region,
     Ring,
+    _from_frame,
     _next_out,
+    _to_frame,
     dot,
     gap_midpoints,
     orientation,
@@ -57,7 +60,7 @@ from latbool.fixtures import (
     random_pairs,
     random_region,
 )
-from latbool import rounding
+from latbool import exact_core, rounding
 from latbool.rounding import (
     RANK_INSERTED,
     RANK_ORIGINAL,
@@ -85,6 +88,52 @@ from conftest import (
 rationals = hys.fractions(min_value=-50, max_value=50,
                           max_denominator=16)
 points = hys.tuples(rationals, rationals).map(lambda t: pt(*t))
+
+
+FRAME_POINTS = {
+    "rational": points,
+    "far": points.map(lambda p: pt(p.x + FAR[0], p.y + FAR[1])),
+}
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("kind", FRAME_POINTS)
+@hyp.given(data=hys.data())
+def test_frame_round_trips_and_keeps_order_and_turns(kind, data):
+    """`_to_frame` gives every point int coordinates, and `_from_frame`
+    maps them back to the same values of the same types.  Lexicographic
+    order, equality and the signs of `orientation` and `dot` are the same
+    in the frame as on the points."""
+    pts = data.draw(hys.lists(FRAME_POINTS[kind], min_size=1, max_size=6))
+    d, frame = _to_frame(pts)
+    assert set(frame) == set(pts)
+    assert all(type(v) is int for q in frame.values() for v in q)
+    back = _from_frame(frame.values(), d)
+    for p, q in frame.items():
+        assert [(type(v), v) for v in back[q]] == [(type(v), v) for v in p]
+    for p, q in itertools.product(frame, repeat=2):
+        assert (p < q) == (frame[p] < frame[q])
+        assert (p == q) == (frame[p] == frame[q])
+    for a, b, c in itertools.product(frame, repeat=3):
+        fa, fb, fc = frame[a], frame[b], frame[c]
+        assert orientation(a, b, c) == orientation(fa, fb, fc)
+        assert _sign(dot(a, b, c)) == _sign(dot(fa, fb, fc))
+
+
+def test_frame_is_the_identity_past_its_limit():
+    """Past `_FRAME_LIMIT` the frame is the identity: the points are used as
+    they are, and still map back to themselves."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    pts = [pt(Fraction(1, p), p) for p in primes]
+    assert math.prod(primes) > exact_core._FRAME_LIMIT
+    d, frame = _to_frame(pts)
+    assert d == 1 and all(p is q for p, q in frame.items())
+    assert _from_frame(frame.values(), d) == frame
+    d, frame = _to_frame(pts[:3])
+    assert d == 2 * 3 * 5 and frame[pts[2]] == Pt(6, 150)
 
 
 @hyp.given(points, points, points)
