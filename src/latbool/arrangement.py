@@ -33,7 +33,6 @@ from .exact_core import (
     RIGHT,
     InternalInvariantError,
     MarginError,
-    hit_points,
     trace_cycles,
     PreconditionError,
     Pt,
@@ -239,7 +238,8 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
         if edges[i].operand != edges[j].operand and isinstance(hit, Pt):
             if segments_cross_properly(segments[i], segments[j]):
                 h += 1
-    hit_pts = [(i, j, hit_points(hit)) for i, j, hit in hits]
+    hit_pts = [(i, j, (hit,) if isinstance(hit, Pt) else hit)
+               for i, j, hit in hits]
     d1, frame1 = _to_frame([*frame0.values(),
                             *(p for _, _, pts in hit_pts for p in pts)])
     atoms = _atomize(

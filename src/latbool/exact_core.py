@@ -6,15 +6,15 @@ no float ever enters a predicate.  Closed-set semantics throughout: a point
 
 The segment predicates (`orientation`, `point_on_segment`,
 `segment_intersection`, `segments_cross_properly`, `segment_at`,
-`segment_param`, `squared_distance` and `dot`), `squared_point_distance`,
-`Ring.signed_area2` and `gap_midpoints` evaluate on Python ints, not in
-Fraction arithmetic (exact integer evaluation, as in Fortune & Van Wyk,
-SoCG 1993).  When every input coordinate is an int they use it as it is;
-otherwise `_scaled` brings all of them to one common denominator k and they
-work on the numerators.  A sign is the sign of one integer expression, with
-no gcd.  A returned coordinate, distance or area is built once, by `_ratio`,
-as an int when integral and as one Fraction otherwise, so every result
-equals the plain Fraction formula's by value and by type.
+`squared_distance` and `dot`), `squared_point_distance` and
+`Ring.signed_area2` evaluate on Python ints, not in Fraction arithmetic
+(exact integer evaluation, as in Fortune & Van Wyk, SoCG 1993).  When every
+input coordinate is an int they use it as it is; otherwise `_scaled` brings
+all of them to one common denominator k and they work on the numerators.
+A sign is the sign of one integer expression, with no gcd.  A returned
+coordinate, distance or area is built once, by `_ratio`, as an int when
+integral and as one Fraction otherwise, so every result equals the plain
+Fraction formula's by value and by type.
 
 Canonical form is linear work.  `Ring.canonical` drops repeated and straight
 vertices in one pass and compares whole rotations only when its least vertex
@@ -263,15 +263,6 @@ def segment_intersection(
     return None
 
 
-def hit_points(hit: Union[None, Pt, tuple[Pt, Pt]]) -> tuple[Pt, ...]:
-    """Normalize a segment_intersection result to a tuple of points."""
-    if hit is None:
-        return ()
-    if isinstance(hit, Pt):
-        return (hit,)
-    return hit
-
-
 def segments_cross_properly(s: tuple[Pt, Pt], t: tuple[Pt, Pt]) -> bool:
     """True iff the segments intersect in one point interior to both."""
     (ax, ay), (bx, by) = s
@@ -343,17 +334,6 @@ def segment_at(a: Pt, b: Pt, x: Scalar) -> tuple[Scalar, ...]:
     return (_ratio(ay * (bx - ax) + (x - ax) * (by - ay), (bx - ax) * k),)
 
 
-def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
-    """The t with p = a + t (b - a), for p on the line through a-b."""
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    if not (type(ax) is type(ay) is type(bx) is type(by) is type(px)
-            is type(py) is int):
-        _, (ax, ay, bx, by, px, py) = _scaled(ax, ay, bx, by, px, py)
-    if bx != ax:
-        return Fraction(px - ax, bx - ax)
-    return Fraction(py - ay, by - ay)
-
-
 # ---------------------------------------------------------------------------
 # segment intersection enumeration (pair overlay with interval pruning)
 
@@ -410,11 +390,13 @@ class Ring:
 
     @cached_property
     def signed_area2(self) -> Scalar:
-        k, c = _scaled(*[v for p in self.pts for v in p])
-        xs, ys = c[0::2], c[1::2]
-        a = sum(x0 * y1 - x1 * y0 for x0, y0, x1, y1
-                in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]))
-        return _ratio(a, k * k)
+        pts, k = self.pts, 1
+        if not all(type(x) is int is type(y) for x, y in pts):
+            k, c = _scaled(*[v for p in pts for v in p])
+            pts = tuple(zip(c[0::2], c[1::2]))
+        a = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                in zip(pts, pts[1:] + pts[:1]))
+        return a if k == 1 else _ratio(a, k * k)
 
     @property
     def is_ccw(self) -> bool:
@@ -688,18 +670,6 @@ def point_in_region(p: Pt, region: Region) -> str:
         if turn == LEFT and py < b.y:
             inside = not inside
     return INTERIOR if inside else EXTERIOR
-
-
-def gap_midpoints(p: Pt, q: Pt, events: list[Fraction]) -> Iterator[Pt]:
-    """Midpoints of the pieces of pq cut at the sorted parameters `events`."""
-    k, (px, py, qx, qy) = _scaled(*p, *q)
-    ts = [0, *events, 1]
-    for t0, t1 in zip(ts, ts[1:]):
-        # the midpoint's parameter is n / d
-        n = t0.numerator * t1.denominator + t1.numerator * t0.denominator
-        d = 2 * t0.denominator * t1.denominator
-        yield Pt(_ratio(px * d + n * (qx - px), d * k),
-                 _ratio(py * d + n * (qy - py), d * k))
 
 
 # ---------------------------------------------------------------------------

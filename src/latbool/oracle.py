@@ -17,17 +17,22 @@ nearest lattice points, the lattice closure, sampled Boolean truth,
 per-pair vertical visibility) are built on these routines in
 `tests/brute.py`.
 
-Two concessions to speed, neither of which approximates anything.  The
-inclusion check, the visibility tests and the edge-pair count
-(`intersecting_pairs`) find meeting edges in one bounding-box sweep
+Four concessions to speed; none approximates anything, and each skips only
+work whose outcome is known.  The inclusion check, the visibility tests and
+the edge-pair count (`intersecting_pairs`) run in an integer frame: both
+sides are scaled once by the lcm s of their denominators, each event
+parameter is a ratio of one pair's integer cross products (`_meet`), and
+gap midpoints stay homogeneous ints (`classify_h`), so a Pt is built only
+for a witness.  They find meeting edges in one bounding-box sweep
 (`_sweep_pairs`) instead of testing every edge pair; the sweep only skips
-pairs whose boxes miss, and every predicate it runs stays exact.  The
-Hausdorff check sweeps up the sample rows with the integer edges active at
-each row, reads the row's membership off them as ranges of sample indices
-(`_row_ranges`, `classify`'s rule evaluated for a whole row at once), tests
-a sample only against the reference edges near it, and skips the rows on
-which both regions have the same edges; it skips only work whose outcome
-is known.
+pairs whose boxes miss.  The inclusion check skips an edge that the other
+region lists too, since each of its points is on that region's boundary,
+and intersects no pair of two such edges.  The Hausdorff check sweeps up
+the sample rows with the integer edges active at each row, reads the row's
+membership off them as ranges of sample indices (`_row_ranges`,
+`classify`'s rule evaluated for a whole row at once), tests a sample only
+against the reference edges near it, and skips the rows on which both
+regions have the same edges.
 """
 
 from __future__ import annotations
@@ -39,18 +44,15 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact_core import (
     BOUNDARY,
-    hit_points,
     EXTERIOR,
     INTERIOR,
     PreconditionError,
     Pt,
     Region,
-    Scalar,
-    gap_midpoints,
+    Ring,
+    _ratio,
     pt,
     segment_at,
-    segment_intersection,
-    segment_param,
 )
 
 
@@ -64,6 +66,11 @@ class Witness(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # scalar exact membership
+
+
+def _denominators_lcm(points: Iterable[Pt]) -> int:
+    """The least s > 0 that clears every denominator of the points."""
+    return math.lcm(*(c.denominator for p in points for c in p))
 
 
 class IntMembership:
@@ -82,24 +89,21 @@ class IntMembership:
     """
 
     def __init__(self, region: Region):
-        self._scale = math.lcm(*(c.denominator
-                                 for p in region.vertex_positions() for c in p))
-        rows = []
-        for a, b in region.edges():
-            if a == b:
-                continue
-            ax, ay, bx, by = (c.numerator * (self._scale // c.denominator)
-                              for c in (*a, *b))
-            if (ay, ax) > (by, bx):
-                ax, ay, bx, by = bx, by, ax, ay
-            rows.append((ax, ay, bx, by))
-        self._edges = rows
+        self._scale = _denominators_lcm(p for r in region.rings for p in r.pts)
+        self._edges = [(ax, ay, bx, by) if (ay, ax) <= (by, bx)
+                       else (bx, by, ax, ay) for _, _, ax, ay, bx, by
+                       in _edge_rows(region.edges(), self._scale)]
 
     def classify(self, p: Pt) -> str:
-        common = math.lcm(self._scale, p.x.denominator, p.y.denominator)
+        (x, y), w = p, math.lcm(p.x.denominator, p.y.denominator)
+        return self.classify_h(x.numerator * (w // x.denominator),
+                               y.numerator * (w // y.denominator), w)
+
+    def classify_h(self, x: int, y: int, w: int) -> str:
+        """`classify` of the point (x / w, y / w), for ints x, y, w > 0."""
+        common = math.lcm(self._scale, w)
         f = common // self._scale
-        px = p.x.numerator * (common // p.x.denominator)
-        py = p.y.numerator * (common // p.y.denominator)
+        px, py = x * (common // w), y * (common // w)
         inside = False
         for ax, ay, bx, by in self._edges:
             ay *= f
@@ -177,10 +181,13 @@ def _visible(segments: Sequence[tuple[Pt, Pt]], region: Region,
     `_sweep_events` pass cuts every open segment at its events against the
     region's edges, and each gap midpoint must not be exterior.
     """
-    events, _ = _sweep_events(_edge_rows(segments),
-                              _edge_rows(region.edges()))
-    return [all(scan.classify(m) != EXTERIOR for m in gap_midpoints(p, q, ts))
-            for (p, q), ts in zip(segments, events)]
+    s = math.lcm(scan._scale, _denominators_lcm(p for e in segments for p in e))
+    rows, edges = _edge_rows(segments, s), _edge_rows(region.edges(), s)
+    events, _ = _sweep_events(rows, edges, [False] * len(rows),
+                              [True] * len(edges))
+    return [all(scan.classify_h(x, y, w * s) != EXTERIOR
+                for x, y, w in _gap_midpoints(row, ts))
+            for row, ts in zip(rows, events)]
 
 
 def is_visible(p: Pt, q: Pt, region: Region) -> bool:
@@ -207,127 +214,185 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
     boundary and each gap midpoint must not be exterior; symmetrically no
     outer boundary piece may run through the interior of `inner`; finally
     one interior probe per filled inner ring must land inside `outer`.
-    The events of both sides come from one sweep (`_sweep_events`).
+    The events of both sides come from one sweep (`_sweep_events`) in the
+    frame of both regions.  An edge that the other region lists too holds
+    no witness and is skipped.
     """
-    inner_rows = _edge_rows(inner.edges())
-    outer_rows = _edge_rows(outer.edges())
-    inner_events, outer_events = _sweep_events(inner_rows, outer_rows)
-    in_inner = IntMembership(inner).classify
-    in_outer = IntMembership(outer).classify
-    inside: set[Pt] = set()
-    for (a, b, *_), events in zip(inner_rows, inner_events):
-        for v in (a, b):
-            if v in inside:
+    in_inner, in_outer = IntMembership(inner), IntMembership(outer)
+    s = math.lcm(in_inner._scale, in_outer._scale)
+    rows = (_edge_rows(inner.edges(), s), _edge_rows(outer.edges(), s))
+    keys = [[frozenset((r[2:4], r[4:])) for r in side] for side in rows]
+    shared = set(keys[0]).intersection(keys[1])
+    skip = [[key in shared for key in side] for side in keys]
+    events = _sweep_events(*rows, *skip)
+    inside: set[tuple[int, int]] = set()
+    for row, skipped, ts in zip(rows[0], skip[0], events[0]):
+        if skipped:
+            continue
+        a, b, ax, ay, bx, by = row
+        for v, x, y in ((a, ax, ay), (b, bx, by)):
+            if (x, y) in inside:
                 continue
-            if in_outer(v) == EXTERIOR:
+            if in_outer.classify_h(x, y, s) == EXTERIOR:
                 return Witness("vertex-outside", v, "inner vertex outside outer")
-            inside.add(v)
-        for m in gap_midpoints(a, b, events):
-            if in_outer(m) == EXTERIOR:
+            inside.add((x, y))
+        for x, y, w in _gap_midpoints(row, ts):
+            if in_outer.classify_h(x, y, w * s) == EXTERIOR:
+                m = Pt(_ratio(x, w * s), _ratio(y, w * s))
                 return Witness("edge-outside", m,
                                f"inner edge {a}-{b} leaves outer")
-    for (a, b, *_), events in zip(outer_rows, outer_events):
-        for m in gap_midpoints(a, b, events):
-            if in_inner(m) == INTERIOR:
+    for row, skipped, ts in zip(rows[1], skip[1], events[1]):
+        if skipped:
+            continue
+        for x, y, w in _gap_midpoints(row, ts):
+            if in_inner.classify_h(x, y, w * s) == INTERIOR:
+                a, b = row[:2]
+                m = Pt(_ratio(x, w * s), _ratio(y, w * s))
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
-    for ri, ring in enumerate(inner.rings):
+    edges = [row[:2] for row in rows[0]]
+    for ring in inner.rings:
         if ring.is_degenerate or not ring.is_ccw:
             continue
-        probe = region_interior_sample(inner, ri)
-        if probe is not None and in_outer(probe) == EXTERIOR:
+        probe = region_interior_sample(ring, in_inner, edges)
+        if probe is not None and in_outer.classify(probe) == EXTERIOR:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
     return None
 
 
-def region_interior_sample(region: Region, ring_idx: int) -> Optional[Pt]:
-    """A point strictly interior to the region, adjacent to the given ring.
+def region_interior_sample(ring: Ring, scan: IntMembership,
+                           edges: Sequence[tuple[Pt, Pt]]) -> Optional[Pt]:
+    """A point strictly interior to a region, adjacent to one of its rings.
 
-    Mid-edge vertical shooting against the whole boundary: the half-way
-    point to the first hit lies inside one face of the region; a filled
-    ring has the region's interior on one side of each edge.
+    `scan` classifies against the region and `edges` are its
+    non-degenerate edges.  Mid-edge vertical shooting against the whole
+    boundary: the half-way point to the first hit lies inside one face of
+    the region; a filled ring has the region's interior on one side of each
+    edge.  A side without a hit is unbounded, so exterior.
     """
-    scan = IntMembership(region)
-    ring = region.rings[ring_idx]
-    all_edges = [(a, b) for a, b in region.edges() if a != b]
     for a, b in ring.edges():
-        if a == b or a.x == b.x:
+        if a.x == b.x:
             continue
         m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        others = [e for e in all_edges if e != (a, b) and e != (b, a)]
+        ys = [y for c, d in edges for y in segment_at(c, d, m.x)]
         for side in (1, -1):
-            hits = [y for c, d in others for y in segment_at(c, d, m.x)
-                    if side * (y - m.y) > 0]
+            hits = [y for y in ys if side * (y - m.y) > 0]
             if hits:
                 yy = min(hits) if side > 0 else max(hits)
                 cand = pt(m.x, Fraction(m.y + yy, 2))
-            else:
-                cand = pt(m.x, m.y + side)
-            if scan.classify(cand) == INTERIOR:
-                return cand
+                if scan.classify(cand) == INTERIOR:
+                    return cand
     return None
 
 
-EdgeRow = tuple[Pt, Pt, Scalar, Scalar, Scalar, Scalar]
+# (a, b, ax, ay, bx, by): an edge a-b and its ends times a frame scale s
+EdgeRow = tuple[Pt, Pt, int, int, int, int]
 
 
-def _edge_rows(edges: Iterable[tuple[Pt, Pt]]) -> list[EdgeRow]:
-    """(a, b, xlo, xhi, ylo, yhi) per non-degenerate edge, in order."""
-    return [(a, b, min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
+def _edge_rows(edges: Iterable[tuple[Pt, Pt]], s: int) -> list[EdgeRow]:
+    """One `EdgeRow` per non-degenerate edge, in order; s must clear every
+    denominator."""
+    if s == 1:
+        return [(a, b, *a, *b) for a, b in edges if a != b]
+    return [(a, b, *[c * s if type(c) is int
+                     else c.numerator * (s // c.denominator) for c in (*a, *b)])
             for a, b in edges if a != b]
 
 
+def _gap_midpoints(row: EdgeRow, events: Sequence[Fraction]
+                   ) -> Iterator[tuple[int, int, int]]:
+    """(x, y, w) with (x / w, y / w) the midpoint, in the row's frame, of
+    each piece of the edge cut at the sorted parameters `events`."""
+    ax, ay, bx, by = row[2:]
+    ts = [0, *events, 1]
+    for t0, t1 in zip(ts, ts[1:]):
+        # the midpoint's parameter is n / w
+        n = t0.numerator * t1.denominator + t1.numerator * t0.denominator
+        w = 2 * t0.denominator * t1.denominator
+        yield ax * w + n * (bx - ax), ay * w + n * (by - ay), w
+
+
+def _meet(p: EdgeRow, q: EdgeRow
+          ) -> Optional[tuple[list[Fraction], list[Fraction]]]:
+    """None if the closed edges p and q are apart, else the parameters in
+    (0, 1), along p and along q, of the ends of their common part.
+
+    With o1, o2 the turns of q's ends about p and o3, o4 those of p's ends
+    about q, crossing lines meet at t = o3 / (o3 - o4) along p and
+    u = o1 / (o1 - o2) along q; collinear edges compare their ends on x
+    (on y for a vertical line)."""
+    ax, ay, bx, by = p[2:]
+    cx, cy, dx, dy = q[2:]
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    o1 = rx * (cy - ay) - ry * (cx - ax)
+    o2 = rx * (dy - ay) - ry * (dx - ax)
+    if o1 == o2:
+        if o1:
+            return None
+        a, b, c, d = (ax, bx, cx, dx) if rx else (ay, by, cy, dy)
+        lo, hi, clo, chi = min(a, b), max(a, b), min(c, d), max(c, d)
+        if lo > chi or clo > hi:
+            return None
+        return ([Fraction(v - a, b - a) for v in (c, d) if lo < v < hi],
+                [Fraction(v - c, d - c) for v in (a, b) if clo < v < chi])
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return None
+    o3 = sx * (ay - cy) - sy * (ax - cx)
+    o4 = sx * (by - cy) - sy * (bx - cx)
+    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+        return None
+    return ([Fraction(o3, o3 - o4)] if o3 and o4 else [],
+            [Fraction(o1, o1 - o2)] if o1 and o2 else [])
+
+
 def _sweep_pairs(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
-                 ) -> Iterator[tuple[int, int, object]]:
-    """(ip, iq, hit) for every edge ip of p and iq of q that meet.
+                 ) -> Iterator[tuple[int, int]]:
+    """(ip, iq) for every edge ip of p and iq of q whose closed boxes meet.
 
     Both edge lists are swept together by low x with one active list per
     side, as `exact_core.find_segment_intersections` sweeps the overlay's
-    edges: each edge is tested only against the other side's active edges
-    whose closed y-range overlaps its own, and every such pair is
-    intersected once.  A common point of two closed segments lies in both
-    closed bounding boxes, so no meeting pair is lost.
+    edges: each edge is paired only with the other side's active edges
+    whose closed y-range overlaps its own.  Two meeting closed segments
+    have meeting boxes, so no meeting pair is lost.
     """
-    rows = (rows_p, rows_q)
+    boxes = tuple([(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+                   for _, _, ax, ay, bx, by in rows] for rows in (rows_p, rows_q))
     active: list[list[int]] = [[], []]
-    order = sorted([(r[2], 0, i) for i, r in enumerate(rows_p)]
-                   + [(r[2], 1, i) for i, r in enumerate(rows_q)])
+    order = sorted([(box[0], 0, i) for i, box in enumerate(boxes[0])]
+                   + [(box[0], 1, i) for i, box in enumerate(boxes[1])])
     for x, side, i in order:
-        ylo, yhi = rows[side][i][4:]
-        other = rows[1 - side]
+        ylo, yhi = boxes[side][i][2:]
+        other = boxes[1 - side]
         still: list[int] = []
         for k in active[1 - side]:
             o = other[k]
-            if o[3] < x:
+            if o[1] < x:
                 continue
             still.append(k)
-            if o[4] > yhi or o[5] < ylo:
+            if o[2] > yhi or o[3] < ylo:
                 continue
-            ip, iq = (i, k) if side == 0 else (k, i)
-            hit = segment_intersection(rows_p[ip][:2], rows_q[iq][:2])
-            if hit is not None:
-                yield ip, iq, hit
+            yield (i, k) if side == 0 else (k, i)
         active[1 - side] = still
         active[side].append(i)
 
 
-def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow]
+def _sweep_events(rows_p: Sequence[EdgeRow], rows_q: Sequence[EdgeRow],
+                  skip_p: Sequence[bool], skip_q: Sequence[bool]
                   ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """Sorted parameters in (0, 1) where each edge meets the other side,
-    from the pairs `_sweep_pairs` finds."""
+    from the pairs `_sweep_pairs` finds; the caller reads no event of an
+    edge that `skip_p` or `skip_q` marks, so no pair of two is intersected.
+    """
     events: tuple[list[set[Fraction]], ...] = (
         [set() for _ in rows_p], [set() for _ in rows_q])
-    for ip, iq, hit in _sweep_pairs(rows_p, rows_q):
-        a, b = rows_p[ip][:2]
-        c, d = rows_q[iq][:2]
-        for h in hit_points(hit):
-            t = segment_param(a, b, h)
-            if 0 < t < 1:
-                events[0][ip].add(t)
-            u = segment_param(c, d, h)
-            if 0 < u < 1:
-                events[1][iq].add(u)
+    for ip, iq in _sweep_pairs(rows_p, rows_q):
+        if skip_p[ip] and skip_q[iq]:
+            continue
+        hit = _meet(rows_p[ip], rows_q[iq])
+        if hit is not None:
+            events[0][ip].update(hit[0])
+            events[1][iq].update(hit[1])
     return ([sorted(ts) for ts in events[0]], [sorted(ts) for ts in events[1]])
 
 
@@ -495,4 +560,7 @@ def intersecting_pairs(edges1: Sequence[tuple[Pt, Pt]],
                        edges2: Sequence[tuple[Pt, Pt]]) -> int:
     """Pairs with any nonempty closed intersection (touch or overlap),
     found by `_sweep_pairs`."""
-    return sum(1 for _ in _sweep_pairs(_edge_rows(edges1), _edge_rows(edges2)))
+    s = _denominators_lcm(p for e in (*edges1, *edges2) for p in e)
+    rows1, rows2 = _edge_rows(edges1, s), _edge_rows(edges2, s)
+    return sum(1 for i, j in _sweep_pairs(rows1, rows2)
+               if _meet(rows1[i], rows2[j]) is not None)

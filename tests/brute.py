@@ -7,8 +7,11 @@ whole region (`brute_nvlp`, `brute_nvlp_region`), per-pair vertical
 visibility (`vertically_visible`), the lattice closure L(P) and the snap
 segments against its interior (`lattice_closure`,
 `snap_segment_hits_closure_interior`), sampled Boolean ground truth
-(`brute_boolean`), proper edge crossings (`properly_crossing_pairs`) and
-the Hausdorff row rule over all edges (`row_ranges`).
+(`brute_boolean`), proper edge crossings (`properly_crossing_pairs`), the
+Hausdorff row rule over all edges (`row_ranges`), and the points of a
+segment intersection, the plain Fraction parameter of a point along a
+segment and the midpoints of a cut segment (`hit_points`, `segment_param`,
+`gap_midpoints`), which the oracle computes on integers.
 
 Everything here is deliberately exhaustive and simple: full lattice
 enumerations and per-candidate scans, classified by the oracle's
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from latbool.exact_core import (
     BOUNDARY,
@@ -32,7 +35,6 @@ from latbool.exact_core import (
     Region,
     Ring,
     Scalar,
-    hit_points,
     pt,
     segment_at,
     segment_intersection,
@@ -329,3 +331,31 @@ def properly_crossing_pairs(edges1: Sequence[tuple[Pt, Pt]],
             if segments_cross_properly(e1, e2):
                 n += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# segment parameters in Fraction arithmetic
+
+
+def hit_points(hit: Union[None, Pt, tuple[Pt, Pt]]) -> tuple[Pt, ...]:
+    """Normalize a segment_intersection result to a tuple of points."""
+    if hit is None:
+        return ()
+    if isinstance(hit, Pt):
+        return (hit,)
+    return hit
+
+
+def segment_param(a: Pt, b: Pt, p: Pt) -> Fraction:
+    """The t with p = a + t (b - a), for p on the line through a-b."""
+    if b.x != a.x:
+        return Fraction(p.x - a.x, b.x - a.x)
+    return Fraction(p.y - a.y, b.y - a.y)
+
+
+def gap_midpoints(p: Pt, q: Pt, events: Sequence[Fraction]) -> Iterable[Pt]:
+    """Midpoints of the pieces of pq cut at the sorted parameters `events`."""
+    ts = [Fraction(0), *events, Fraction(1)]
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        yield pt(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))

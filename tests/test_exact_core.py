@@ -27,7 +27,6 @@ from latbool.exact_core import (
     region_ok,
     segment_at,
     segment_intersection,
-    segment_param,
     squared_distance,
     trace_cycles,
     Violation,
@@ -127,14 +126,6 @@ def test_segment_at_steep_and_horizontal_segments():
     assert segment_at(Pt(3, 0), Pt(3, 4), 3) == (0, 4)
     assert segment_at(Pt(3, 0), Pt(3, 4), 2) == ()
     assert segment_at(Pt(0, 3), Pt(4, 3), 1) == (3,)
-
-
-def test_segment_param():
-    assert segment_param(Pt(2, 1), Pt(2, 5), Pt(2, 4)) == Fraction(3, 4)
-    assert segment_param(Pt(2, 5), Pt(2, 1), Pt(2, 4)) == Fraction(1, 4)
-    assert segment_param(Pt(0, 0), Pt(4, 2),
-                         pt(1, Fraction(1, 2))) == Fraction(1, 4)
-    assert segment_param(Pt(0, 0), Pt(4, 2), Pt(8, 4)) == 2
 
 
 def test_point_in_region(unit_square):

@@ -1,8 +1,12 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import latbool
 
 from latbool.arrangement import exact_intersection
 from latbool.exact_core import (
@@ -13,17 +17,15 @@ from latbool.exact_core import (
     Region,
     Ring,
     complement_in_universe,
-    gap_midpoints,
-    hit_points,
     point_in_region,
     pt,
     segment_intersection,
-    segment_param,
     squared_distance,
     universe_for,
 )
 from latbool import oracle
 from latbool.fixtures import random_pairs
+from latbool.lpr import parse_region
 from latbool.oracle import (
     IntMembership,
     Witness,
@@ -45,9 +47,12 @@ from latbool.setops import _sandwich, sandwich
 from brute import (
     brute_boolean,
     brute_nvlp,
+    gap_midpoints,
+    hit_points,
     lattice_closure,
     properly_crossing_pairs,
     row_ranges,
+    segment_param,
     snap_segment_hits_closure_interior,
 )
 from conftest import (
@@ -58,6 +63,8 @@ from conftest import (
     shifted,
     square,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_brute_nvlp_examples(e2_pair):
@@ -248,20 +255,61 @@ def _check_inclusion_reference(inner: Region, outer: Region):
             if point_in_region(m, inner) == INTERIOR:
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
-    for ri, ring in enumerate(inner.rings):
+    scan = IntMembership(inner)
+    edges = [(a, b) for a, b in inner.edges() if a != b]
+    for ring in inner.rings:
         if ring.is_degenerate or not ring.is_ccw:
             continue
-        probe = region_interior_sample(inner, ri)
+        probe = region_interior_sample(ring, scan, edges)
         if probe is not None and point_in_region(probe, outer) == EXTERIOR:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
     return None
 
 
+def _shared_edge_cases() -> list[tuple[str, Region, Region]]:
+    """(name, inner, outer): inner regions that list some of outer's edges
+    first and then fail after them, one whose first edge lies on outer's
+    edges without being one of them, and an outer region that lists all of
+    inner's edges before a hole."""
+    def ring(*xy):
+        return Ring(tuple(Pt(x, y) for x, y in xy))
+
+    box = Region((square(0, 0, 4, 4),))
+    # three edges of the box, then a vertex above it
+    roof = Region((ring((0, 0), (4, 0), (4, 4), (2, 6), (0, 4)),))
+    # a notch from the top down to (3, 3); the inner region shares three
+    # edges and then bridges the notch: only its midpoint (3, 6) is outside
+    notched = Region((ring((0, 0), (6, 0), (6, 6), (4, 6), (3, 3), (2, 6),
+                           (0, 6)),))
+    bridge = Region((ring((0, 0), (6, 0), (6, 6), (4, 6), (2, 6), (0, 6)),))
+    # a notch from the bottom: the rectangle's bottom edge runs on two of
+    # the outer edges and across the notch, and every other edge is shared
+    u_shape = Region((ring((0, 0), (2, 0), (2, 2), (4, 2), (4, 0), (6, 0),
+                           (6, 4), (0, 4)),))
+    rect = Region((square(0, 0, 6, 4),))
+    # outer lists all four edges of the rectangle first, then a hole
+    holed = Region((square(0, 0, 6, 4), square(2, 1, 3, 2).reversed_()))
+    return [("roof", roof, box), ("bridge", bridge, notched),
+            ("across-notch", rect, u_shape), ("hole", rect, holed)]
+
+
+def _star_ladder_pairs() -> list[tuple[str, Region, Region]]:
+    """The operand pairs of perfbench's `stars` workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.star_ladder(latbool)
+
+
 def test_check_inclusion_matches_reference():
     """Same Witness (kind, point, context) or None on the inclusion pairs
     of 16 acceptance-corpus sandwich results, swapped, with the inner
-    argument translated, and with one pair moved far from the origin."""
+    argument translated, and with one pair moved far from the origin; on
+    the chains of the 4 star-ladder pairs, whose exact regions are
+    rational, swapped too; and on pairs whose shared edges come before the
+    failing one."""
     ops = ("intersection", "union", "difference")
     cases = []
     for i, (name, a, b) in enumerate(random_pairs(16, seed=CORPUS_SEED)):
@@ -273,12 +321,54 @@ def test_check_inclusion_matches_reference():
                       ((1, 0), (0, -1), (Fraction(1, 2), Fraction(1, 3)))]
     name, small, big = cases[0]
     cases.append((f"{name}-far", shifted(small, *FAR), shifted(big, *FAR)))
+    for name, a, b in _star_ladder_pairs():
+        for op in ops:
+            inner, exact, outer = sandwich(a, b, op)
+            assert any(not p.is_lattice
+                       for p in exact.region.vertex_positions()), name
+            for small, big in ((inner, exact.region), (exact.region, outer)):
+                cases += [(f"{name}.{op}", small, big),
+                          (f"{name}.{op}", big, small)]
+    for name, small, big in _shared_edge_cases():
+        cases += [(name, small, big), (f"{name}-swapped", big, small)]
     kinds = set()
     for name, small, big in cases:
         w = check_inclusion(small, big)
         assert w == _check_inclusion_reference(small, big), name
         kinds.add(None if w is None else w.kind)
-    assert {None, "vertex-outside", "edge-outside"} <= kinds
+    assert {None, "vertex-outside", "edge-outside",
+            "boundary-swallowed"} <= kinds
+
+
+def test_check_inclusion_shared_edge_witnesses():
+    """The witness found after the shared edges, and None for each pair
+    swapped."""
+    want = {
+        "roof": ("vertex-outside", Pt(2, 6)),
+        "bridge": ("edge-outside", Pt(3, 6)),
+        "across-notch": ("edge-outside", Pt(3, 0)),
+        "hole": ("boundary-swallowed", pt(Fraction(5, 2), 2)),
+    }
+    for name, small, big in _shared_edge_cases():
+        for label, p, q in ((name, small, big),
+                            (f"{name}-swapped", big, small)):
+            w = check_inclusion(p, q)
+            assert (w and (w.kind, w.point)) == want.get(label), label
+
+
+@pytest.mark.slow
+def test_check_inclusion_matches_reference_on_the_star160_chain():
+    """The chain of the intersection of tests/data/star160-pinch.*.lpr,
+    whose links hold, and each link swapped, which fails; the reference
+    takes seconds here."""
+    a, b = (parse_region((ROOT / "tests" / "data" / f"star160-pinch.{s}.lpr")
+                         .read_text()) for s in "AB")
+    inner, exact, outer = sandwich(a, b, "intersection")
+    for small, big in ((inner, exact.region), (exact.region, outer)):
+        assert check_inclusion(small, big) is None
+        assert _check_inclusion_reference(small, big) is None
+        w = check_inclusion(big, small)
+        assert w is not None and w == _check_inclusion_reference(big, small)
 
 
 def _brute_events(a: Pt, b: Pt, region: Region) -> list[Fraction]:
@@ -294,13 +384,29 @@ def _brute_events(a: Pt, b: Pt, region: Region) -> list[Fraction]:
 
 
 def _assert_sweep_is_brute_force(p: Region, q: Region, name: str) -> None:
-    rows_p, rows_q = _edge_rows(p.edges()), _edge_rows(q.edges())
-    events_p, events_q = _sweep_events(rows_p, rows_q)
-    for rows, events, other in ((rows_p, events_p, q), (rows_q, events_q, p)):
-        assert len(events) == len(rows), name
-        for (a, b, *_), got in zip(rows, events):
-            want = _brute_events(a, b, other)
-            assert got == want, (name, a, b)
+    """The sweep on the integer rows of both regions' common scale: every
+    edge's events, as Fractions, are the brute-force ones; with the edges
+    that both regions list marked, as `check_inclusion` marks them, every
+    unmarked edge's events still are."""
+    s = math.lcm(IntMembership(p)._scale, IntMembership(q)._scale)
+    rows_p, rows_q = _edge_rows(p.edges(), s), _edge_rows(q.edges(), s)
+    for a, b, *ints in rows_p + rows_q:
+        assert ints == [c * s for c in (*a, *b)], name
+        assert all(type(c) is int for c in ints), name
+    keys_p, keys_q = ({frozenset((r[2:4], r[4:])) for r in rows}
+                      for rows in (rows_p, rows_q))
+    marks = tuple([frozenset((r[2:4], r[4:])) in keys for r in rows]
+                  for rows, keys in ((rows_p, keys_q), (rows_q, keys_p)))
+    for skip_p, skip_q in (([False] * len(rows_p), [False] * len(rows_q)),
+                           marks):
+        events_p, events_q = _sweep_events(rows_p, rows_q, skip_p, skip_q)
+        for rows, events, skip, other in ((rows_p, events_p, skip_p, q),
+                                          (rows_q, events_q, skip_q, p)):
+            assert len(events) == len(rows), name
+            for (a, b, *_), got, skipped in zip(rows, events, skip):
+                want = _brute_events(a, b, other)
+                if not skipped:
+                    assert [Fraction(t) for t in got] == want, (name, a, b)
 
 
 def _crack_middle() -> tuple[Region, Region]:
@@ -702,13 +808,15 @@ def test_region_interior_sample_is_interior(hand_pairs):
     probes = 0
     for name, region in membership_regions(hand_pairs):
         far = shifted(region, *FAR)
+        scans = [(IntMembership(r), [e for e in r.edges() if e[0] != e[1]])
+                 for r in (region, far)]
         for ri, ring in enumerate(region.rings):
             if ring.is_degenerate or not ring.is_ccw:
                 continue
-            probe = region_interior_sample(region, ri)
+            probe = region_interior_sample(ring, *scans[0])
             assert probe is not None, (name, ri)
             assert point_in_region(probe, region) == INTERIOR, (name, ri)
-            assert region_interior_sample(far, ri) == pt(
+            assert region_interior_sample(far.rings[ri], *scans[1]) == pt(
                 probe.x + FAR[0], probe.y + FAR[1]), (name, ri)
             probes += 1
     assert probes > 80

@@ -37,14 +37,12 @@ from latbool.exact_core import (
     _next_out,
     _to_frame,
     dot,
-    gap_midpoints,
     orientation,
     point_in_region,
     point_on_segment,
     pt,
     segment_at,
     segment_intersection,
-    segment_param,
     segments_cross_properly,
     squared_distance,
     squared_point_distance,
@@ -54,13 +52,14 @@ from latbool.exact_core import (
     universe_for,
     validate_region,
 )
+from latbool.oracle import Witness, check_inclusion
 from latbool.fixtures import (
     _hull_ring,
     hand_fixture_pairs,
     random_pairs,
     random_region,
 )
-from latbool import exact_core, rounding
+from latbool import exact_core, oracle, rounding
 from latbool.rounding import (
     RANK_INSERTED,
     RANK_ORIGINAL,
@@ -76,7 +75,7 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
-from brute import brute_nvlp
+from brute import brute_nvlp, gap_midpoints, hit_points, segment_param
 from conftest import (
     CORPUS_SEED,
     FAR,
@@ -121,6 +120,56 @@ def test_frame_round_trips_and_keeps_order_and_turns(kind, data):
         fa, fb, fc = frame[a], frame[b], frame[c]
         assert orientation(a, b, c) == orientation(fa, fb, fc)
         assert _sign(dot(a, b, c)) == _sign(dot(fa, fb, fc))
+
+
+half_points = hys.tuples(
+    *[hys.integers(0, 12).map(lambda v: Fraction(v, 2))] * 2).map(
+        lambda t: pt(*t))
+small_regions = hys.lists(
+    hys.lists(half_points, min_size=3, max_size=6).map(
+        lambda ps: Ring(tuple(ps))), min_size=1, max_size=2).map(
+            lambda rings: Region(tuple(rings)))
+
+
+@hys.composite
+def inclusion_pairs(draw):
+    """Two regions, the rings of one mostly through the other's vertices,
+    so that they share edges; in either order."""
+    outer = draw(small_regions)
+    pts = hys.one_of(hys.sampled_from(sorted(outer.vertex_positions())),
+                     half_points)
+    inner = Region(tuple(
+        Ring(tuple(draw(hys.lists(pts, min_size=3, max_size=6))))
+        for _ in range(draw(hys.integers(1, 2)))))
+    return (inner, outer) if draw(hys.booleans()) else (outer, inner)
+
+
+@hyp.given(inclusion_pairs(), hys.fractions(-20, 20, max_denominator=7),
+           hys.fractions(-20, 20, max_denominator=7))
+def test_check_inclusion_commutes_with_scaling_and_translation(pair, tx, ty):
+    """Mapping both regions by p -> 3p + t maps the witness the same way:
+    same kind, the mapped point, and the context of the mapped edge."""
+    inner, outer = pair
+
+    def f(p):
+        return pt(3 * p.x + tx, 3 * p.y + ty)
+
+    def mapped(region):
+        return Region(tuple(Ring(tuple(f(p) for p in ring.pts))
+                            for ring in region.rings))
+
+    w = check_inclusion(inner, outer)
+    got = check_inclusion(mapped(inner), mapped(outer))
+    if w is None:
+        assert got is None
+        return
+    context = w.context
+    for a, b in (*inner.edges(), *outer.edges()):
+        if f"{a}-{b}" in context:
+            context = context.replace(f"{a}-{b}", f"{f(a)}-{f(b)}")
+            break
+    assert got == Witness(w.kind, f(w.point), context)
+    assert _same(got.point, f(w.point))
 
 
 def test_frame_is_the_identity_past_its_limit():
@@ -311,12 +360,6 @@ def ref_segment_at(a, b, x):
                                    hi.x - lo.x)),)
 
 
-def ref_segment_param(a, b, p):
-    if b.x != a.x:
-        return Fraction(p.x - a.x, b.x - a.x)
-    return Fraction(p.y - a.y, b.y - a.y)
-
-
 def ref_vertex_convexity(prev, v, nxt):
     turn = (v.x - prev.x) * (nxt.y - v.y) - (v.y - prev.y) * (nxt.x - v.x)
     if turn > 0:
@@ -409,13 +452,6 @@ def ref_squared_point_distance(p, q):
     return _exact(dx * dx + dy * dy)
 
 
-def ref_gap_midpoints(p, q, events):
-    ts = [Fraction(0)] + list(events) + [Fraction(1)]
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        yield pt(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
-
-
 def _same(x, y) -> bool:
     """Equal by value and by type, element by element."""
     if type(x) is not type(y):
@@ -493,8 +529,22 @@ def test_kernel_matches_fraction_formulas(kind, data):
                      ref_squared_point_distance(p, q))
     events = sorted(data.draw(hys.sets(
         hys.fractions(0, 1, max_denominator=12), max_size=3)) - {0, 1})
-    assert _same(tuple(gap_midpoints(a, b, events)),
-                 tuple(ref_gap_midpoints(a, b, events)))
+    # the oracle's integer rows, midpoints and meeting parameters
+    k = math.lcm(*(v.denominator for q in (a, b, c, d) for v in q))
+    rows = oracle._edge_rows([s, t], k)
+    if a != b:
+        got = [Pt(exact_core._ratio(x, w * k), exact_core._ratio(y, w * k))
+               for x, y, w in oracle._gap_midpoints(rows[0], events)]
+        assert _same(tuple(got), tuple(gap_midpoints(a, b, events)))
+    if len(rows) == 2:
+        hit = ref_segment_intersection(s, t)
+        meet = oracle._meet(*rows)
+        assert (meet is None) == (hit is None)
+        if hit is not None:
+            for got, (p, q) in zip(meet, (s, t)):
+                want = {segment_param(p, q, h) for h in hit_points(hit)}
+                assert sorted(got) == sorted(u for u in want if 0 < u < 1)
+                assert all(type(u) is Fraction for u in got)
     assert _same(_outcome(segment_intersection, s, t),
                  _outcome(ref_segment_intersection, s, t))
     assert _same(segments_cross_properly(s, t),
@@ -505,8 +555,6 @@ def test_kernel_matches_fraction_formulas(kind, data):
         assert _same(point_on_segment(p, a, b), ref_point_on_segment(p, a, b))
         assert _same(_outcome(squared_distance, p, s),
                      _outcome(ref_squared_distance, p, s))
-        if a != b:
-            assert _same(segment_param(a, b, p), ref_segment_param(a, b, p))
     for x in (a.x, b.x, c.x, d.x, _exact(Fraction(a.x + b.x, 2))):
         assert _same(segment_at(a, b, x), ref_segment_at(a, b, x))
     # the pipeline's turn tests

@@ -333,7 +333,7 @@ def test_outer_convex_component_side_effect(hand_pairs):
     # stays convex in the outer rounding
     from latbool.arrangement import REFLEX, vertex_convexity
     from latbool.exact_core import INTERIOR, point_in_region
-    from latbool.oracle import region_interior_sample
+    from latbool.oracle import IntMembership, region_interior_sample
     from latbool.setops import OpRequest, apply
 
     for name, a, b in hand_pairs:
@@ -351,7 +351,9 @@ def test_outer_convex_component_side_effect(hand_pairs):
                     continue
                 if not exact.region.rings[ri].is_ccw:
                     continue
-                probe = region_interior_sample(exact.region, ri)
+                probe = region_interior_sample(
+                    exact.region.rings[ri], IntMembership(exact.region),
+                    [e for e in exact.region.edges() if e[0] != e[1]])
                 if probe is None:
                     continue
                 for oi, oring in enumerate(outer.rings):
