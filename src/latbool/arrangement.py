@@ -40,6 +40,7 @@ from .exact_core import (
     Ring,
     UniverseBox,
     _from_frame,
+    _marked,
     _to_frame,
     complement_in_universe,
     dot,
@@ -261,7 +262,11 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
     rings = tuple(tuple(ExactVertex(back[v.pos], v.convexity) for v in ring)
                   for ring in tagged)
     k = sum(1 for p in back.values() if not p.is_lattice)
-    return ExactRegion(rings, OverlayStats(n=len(edges), k=k, h=h))
+    # the traced rings were canonical in the frame, and mapping them back
+    # by a positive scale keeps equality, order and every turn: they still are
+    region = Region(tuple(_marked(Ring(tuple(v.pos for v in ring)))
+                          for ring in rings))
+    return _exact_region(rings, OverlayStats(n=len(edges), k=k, h=h), region)
 
 
 def _cycles_to_rings(cycles: list[list[Pt]]) -> list[Ring]:
@@ -305,7 +310,16 @@ def complement_exact(x: ExactRegion, box: UniverseBox) -> ExactRegion:
     no margin is required here (unlike operand complements).
     """
     comp = complement_in_universe(x.region, box, margin=0)
-    return ExactRegion(_tag_rings(comp.rings), x.stats)
+    return _exact_region(_tag_rings(comp.rings), x.stats, comp)
+
+
+def _exact_region(rings: tuple[tuple[ExactVertex, ...], ...],
+                  stats: OverlayStats, region: Region) -> ExactRegion:
+    """An `ExactRegion` whose `region` is `region`, which lists the same
+    rings: it keeps what is known of them, such as their canonical form."""
+    out = ExactRegion(rings, stats)
+    out.__dict__["region"] = region
+    return out
 
 
 def exact_overlay(a: Region, b: Region, op: str,

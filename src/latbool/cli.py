@@ -280,7 +280,10 @@ diff = _op_command("diff")
 def verify(files: tuple[str, ...], op_name: Optional[str],
            against_path: Optional[str], against_mode: str,
            batch_dir: Optional[str]) -> None:
-    """Run the full guarantee checklist and print one line per property."""
+    """Run the full guarantee checklist and print one line per property.
+
+    A case whose operation fails (a precondition or an internal invariant)
+    prints one FAIL line, and the remaining cases still run."""
     cases: list[tuple[str, Region, Region]] = []
     if batch_dir is not None:
         root = Path(batch_dir)
@@ -313,8 +316,9 @@ def verify(files: tuple[str, ...], op_name: Optional[str],
                 internal += 1
                 continue
             except PreconditionError as e:
-                click.echo(f"error: {e}", err=True)
-                sys.exit(1)
+                click.echo(f"[{case_name}/{op}] FAIL precondition: {e}")
+                failures += 1
+                continue
             for r in results:
                 mark = "PASS" if r.passed else "FAIL"
                 suffix = f"  [{r.detail}]" if (r.detail and not r.passed) else ""

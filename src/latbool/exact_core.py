@@ -20,7 +20,12 @@ Canonical form is linear work.  `Ring.canonical` drops repeated and straight
 vertices in one pass and compares whole rotations only when its least vertex
 occurs twice; `Region.canonical` re-traces the boundary only when some
 vertex position is visited twice, the one case where a boundary has more
-than one ring decomposition.
+than one ring decomposition.  Each ring and region computes the form once
+and keeps it, and the form is marked as its own canonical form; a known
+`signed_area2` is carried to it, and by `reversed_`, negated.  The reverse
+of a canonical ring is canonical up to its rotation, so `reversed_` rotates
+it to its least vertex and marks it.  A region also keeps whether it is
+valid (`Region.is_valid`, `region_ok`).
 
 The overlay and the decomposition clear denominators once per call, not
 once per predicate: `_to_frame` scales their points by one d > 0 to int
@@ -418,7 +423,20 @@ class Ring:
         return zip(self.pts, self.pts[1:] + self.pts[:1])
 
     def reversed_(self) -> "Ring":
-        return Ring(tuple(reversed(self.pts)))
+        """The ring traversed the other way, its known area negated.  The
+        reverse of a canonical ring has no repeated or straight vertex
+        either, so rotated to its least vertex it is canonical too."""
+        memo = self.__dict__
+        pts = self.pts[::-1]
+        if memo.get("_canonical") is _SELF and len(pts) >= 2:
+            start = _least_start(pts)
+            rev = _marked(Ring(pts[start:] + pts[:start]))
+        else:
+            rev = Ring(pts)
+        area = memo.get("signed_area2")
+        if area is not None:
+            rev.__dict__["signed_area2"] = -area
+        return rev
 
     def canonical(self) -> "Ring":
         """Drop repeated and straight vertices, rotate to the lex-min start.
@@ -429,7 +447,13 @@ class Ring:
         others are gone, and one filter drops them all.  Exact reversals
         (out-and-back spurs) are preserved: they are genuine degenerate
         geometry, not representational noise.
+
+        Computed once and kept; none of the steps changes a known area.
         """
+        memo = self.__dict__
+        c = memo.get("_canonical")
+        if c is not None:
+            return self if c is _SELF else c
         out: list[Pt] = []
         for p in self.pts:
             if not out or out[-1] != p:
@@ -439,13 +463,16 @@ class Ring:
         out = [b for a, b, c in zip(out[-1:] + out[:-1], out,
                                     out[1:] + out[:1])
                if orientation(a, b, c) != COLLINEAR or dot(b, a, c) >= 0]
-        if len(out) < 2:
-            return Ring(tuple(out))
-        start = out.index(min(out))
-        if out.count(out[start]) > 1:
-            start = min((i for i, p in enumerate(out) if p == out[start]),
-                        key=lambda i: out[i:] + out[:i])
-        return Ring(tuple(out[start:] + out[:start]))
+        start = _least_start(out) if len(out) >= 2 else 0
+        if start == 0 and len(out) == len(self.pts):
+            memo["_canonical"] = _SELF  # nothing dropped, nothing rotated
+            return self
+        c = _marked(Ring(tuple(out[start:] + out[:start])))
+        memo["_canonical"] = c
+        area = memo.get("signed_area2")
+        if area is not None:
+            c.__dict__["signed_area2"] = area
+        return c
 
     def collapse_spurs(self) -> "Ring":
         """Remove out-and-back reversal spurs (a->b->a patterns)."""
@@ -463,7 +490,31 @@ class Ring:
                         del out[k]
                     changed = True
                     break
-        return Ring(tuple(out)).canonical()
+        return (self if len(out) == len(self.pts)
+                else Ring(tuple(out))).canonical()
+
+
+# The canonical-form memo of a ring or region that is its own canonical
+# form; the object itself is not stored, which would make a reference cycle
+_SELF = True
+
+
+def _marked(x):
+    """The ring or region `x`, recorded as its own canonical form: the
+    caller knows that it is."""
+    x.__dict__["_canonical"] = _SELF
+    return x
+
+
+def _least_start(pts: Sequence[Pt]) -> int:
+    """Where the least rotation of `pts` (two or more) starts: at the least
+    vertex, and where that vertex occurs more than once, at the occurrence
+    whose rotation is least."""
+    start = pts.index(min(pts))
+    if pts.count(pts[start]) > 1:
+        start = min((i for i, p in enumerate(pts) if p == pts[start]),
+                    key=lambda i: pts[i:] + pts[:i])
+    return start
 
 
 @dataclass(frozen=True)
@@ -527,13 +578,26 @@ class Region:
         set as 2 rings, with (18, 12) inside the edge (18, 11)-(18, 16) and
         (17, 16) inside (18, 16)-(15, 16), and both are fixed points.
         """
+        memo = self.__dict__
+        c = memo.get("_canonical")
+        if c is not None:
+            return self if c is _SELF else c
         rings = [r for r in (r.canonical() for r in self.rings)
                  if len(r.pts) >= 2]
         visits = sum(len(r.pts) for r in rings)
         if len({p for r in rings for p in r.pts}) < visits:
             rings = _retrace_rings(rings)
         rings.sort(key=lambda r: r.pts)
-        return Region(tuple(rings))
+        if tuple(rings) == self.rings:
+            memo["_canonical"] = _SELF
+            return self
+        memo["_canonical"] = c = _marked(Region(tuple(rings)))
+        return c
+
+    @cached_property
+    def is_valid(self) -> bool:
+        """No violation of severity "error" (`validate_region`)."""
+        return not any(v.severity == "error" for v in validate_region(self))
 
 
 def _next_out(u: Pt, v: Pt, outs: list[tuple[Pt, int]]) -> tuple[Pt, int]:
@@ -687,7 +751,10 @@ class UniverseBox(NamedTuple):
 
     def ring(self) -> Ring:
         (x0, y0), (x1, y1) = self.min, self.max
-        return Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
+        ring = Ring((Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)))
+        # a box with area starts at its least corner and has no straight
+        # vertex: the ring is canonical
+        return _marked(ring) if x0 < x1 and y0 < y1 else ring
 
     def contains_with_margin(self, region: Region,
                              margin: int = MARGIN) -> bool:
@@ -831,4 +898,5 @@ def validate_region(region: Region) -> list[Violation]:
 
 
 def region_ok(region: Region) -> bool:
-    return not any(v.severity == "error" for v in validate_region(region))
+    """`region.is_valid`: validated once per region object."""
+    return region.is_valid

@@ -53,7 +53,9 @@ def _parse_scalar(tok: str, line: int, col: int,
 
 
 def parse_region(text: str, allow_rational: bool = False) -> Region:
-    """Parse and validate one region document."""
+    """Parse and validate one region document.  The canonical region
+    returned keeps its validity (`Region.is_valid`), so no operation
+    validates it again."""
     rings: list[Ring] = []
     in_region = False
     closed = False
@@ -106,10 +108,10 @@ def parse_region(text: str, allow_rational: bool = False) -> Region:
     if not closed:
         raise LprError("no 'region' block found", None)
     region = Region(tuple(rings)).canonical()
-    violations = [v for v in validate_region(region) if v.severity == "error"]
-    if violations:
-        raise LprError("invalid region: "
-                       + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
+    if not region.is_valid:
+        raise LprError("invalid region: " + "; ".join(
+            f"{v.kind}: {v.detail}" for v in validate_region(region)
+            if v.severity == "error"))
     return region
 
 

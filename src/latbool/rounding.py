@@ -429,7 +429,9 @@ def simplify_reflex(pbar: Region, exact: ExactRegion) -> Region:
                 break
             if changed:
                 break
-    return Region(tuple(Ring(tuple(p)) for p in rings)).canonical()
+    # a ring that lost no vertex goes on as it is, with what is known of it
+    return Region(tuple(r if len(p) == len(r.pts) else Ring(tuple(p))
+                        for r, p in zip(pbar.rings, rings))).canonical()
 
 
 def _near_box(a: Pt, b: Pt) -> tuple[int, int, int, int]:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import hypothesis as hyp
 import pytest
 
+import latbool
 from latbool import arrangement
 from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
@@ -47,6 +50,16 @@ def holed_square(n: int) -> Region:
 def shifted(region: Region, dx: Scalar, dy: Scalar) -> Region:
     return Region(tuple(Ring(tuple(pt(p.x + dx, p.y + dy) for p in r.pts))
                         for r in region.rings))
+
+
+def star_ladder_pairs() -> list[tuple[str, Region, Region]]:
+    """The operand pairs of perfbench's `stars` workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.star_ladder(latbool)
 
 
 def occurrence_cells(x, d):

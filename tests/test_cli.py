@@ -165,6 +165,50 @@ def test_verify_internal_failure_exit_2(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_precondition_failure_continues_exit_1(tmp_path, monkeypatch):
+    _write(tmp_path, "case1.A.lpr", E2_A)
+    _write(tmp_path, "case1.B.lpr", E2_B)
+    _write(tmp_path, "case2.A.lpr", E2_A)
+    _write(tmp_path, "case2.B.lpr", E2_B)
+    calls = []
+
+    def refused(a, b, op, **kwargs):
+        calls.append(op)
+        if len(calls) == 1:
+            raise PreconditionError("planted refusal")
+        return run_property_checklist(a, b, op, **kwargs)
+
+    monkeypatch.setattr(cli, "run_property_checklist", refused)
+    result = CliRunner().invoke(main, ["verify", "--batch", str(tmp_path),
+                                       "--op", "intersect"])
+    assert result.exit_code == 1, result.output
+    assert ("[case1/intersection] FAIL precondition: planted refusal"
+            in result.output)
+    # the other cases still run and report
+    assert "[case2/intersection] PASS" in result.output
+    assert "[case2/intersection] FAIL" not in result.output
+    assert len(calls) == 2
+
+
+def test_verify_internal_failure_wins_over_precondition_exit_2(
+        tmp_path, monkeypatch):
+    for case in ("case1", "case2"):
+        _write(tmp_path, f"{case}.A.lpr", E2_A)
+        _write(tmp_path, f"{case}.B.lpr", E2_B)
+    errors = [PreconditionError("planted refusal"),
+              InternalInvariantError("planted bug")]
+
+    def failing(a, b, op, **kwargs):
+        raise errors.pop(0)
+
+    monkeypatch.setattr(cli, "run_property_checklist", failing)
+    result = CliRunner().invoke(main, ["verify", "--batch", str(tmp_path),
+                                       "--op", "intersect"])
+    assert result.exit_code == 2, result.output
+    assert "[case1/intersection] FAIL precondition" in result.output
+    assert "[case2/intersection] FAIL internal: planted bug" in result.output
+
+
 def test_verify_batch(tmp_path):
     _write(tmp_path, "case1.A.lpr", E2_A)
     _write(tmp_path, "case1.B.lpr", E2_B)

@@ -1,12 +1,9 @@
-import importlib.util
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-
-import latbool
 
 from latbool.arrangement import exact_intersection
 from latbool.exact_core import (
@@ -62,6 +59,7 @@ from conftest import (
     membership_regions,
     shifted,
     square,
+    star_ladder_pairs,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -294,15 +292,6 @@ def _shared_edge_cases() -> list[tuple[str, Region, Region]]:
             ("across-notch", rect, u_shape), ("hole", rect, holed)]
 
 
-def _star_ladder_pairs() -> list[tuple[str, Region, Region]]:
-    """The operand pairs of perfbench's `stars` workload."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.star_ladder(latbool)
-
-
 def test_check_inclusion_matches_reference():
     """Same Witness (kind, point, context) or None on the inclusion pairs
     of 16 acceptance-corpus sandwich results, swapped, with the inner
@@ -321,7 +310,7 @@ def test_check_inclusion_matches_reference():
                       ((1, 0), (0, -1), (Fraction(1, 2), Fraction(1, 3)))]
     name, small, big = cases[0]
     cases.append((f"{name}-far", shifted(small, *FAR), shifted(big, *FAR)))
-    for name, a, b in _star_ladder_pairs():
+    for name, a, b in star_ladder_pairs():
         for op in ops:
             inner, exact, outer = sandwich(a, b, op)
             assert any(not p.is_lattice

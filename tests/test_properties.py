@@ -630,6 +630,11 @@ def ref_region_canonical(region):
     return Region(tuple(sorted(rings, key=lambda r: r.pts)))
 
 
+def _fresh_region(region):
+    """The region on new ring objects, which know nothing computed yet."""
+    return Region(tuple(Ring(r.pts) for r in region.rings))
+
+
 def _ring(*xys):
     return Ring(tuple(pt(x, y) for x, y in xys))
 
@@ -685,7 +690,7 @@ def test_ring_canonical_matches_restart_loop(name):
     ring = CANONICAL_RINGS[name]
     got = ring.canonical()
     assert got == ref_ring_canonical(ring), name
-    assert got.canonical() == got
+    assert Ring(got.pts).canonical() == got
 
 
 @pytest.mark.parametrize("name", CANONICAL_REGIONS)
@@ -693,7 +698,7 @@ def test_region_canonical_matches_unconditional_retrace(name):
     region = CANONICAL_REGIONS[name]
     got = region.canonical()
     assert got == ref_region_canonical(region), name
-    assert got.canonical() == got
+    assert _fresh_region(got).canonical() == got
 
 
 def test_region_canonical_retraces_pinches():
@@ -712,7 +717,7 @@ ring_strategy = hys.lists(small_points, min_size=1, max_size=12).map(
 def test_ring_canonical_matches_restart_loop_random(ring):
     got = ring.canonical()
     assert got == ref_ring_canonical(ring)
-    assert got.canonical() == got
+    assert Ring(got.pts).canonical() == got
 
 
 @hyp.given(hys.lists(ring_strategy, min_size=1, max_size=3))
@@ -720,7 +725,94 @@ def test_region_canonical_matches_retrace_random(rings):
     region = Region(tuple(rings))
     got = region.canonical()
     assert got == ref_region_canonical(region)
-    assert got.canonical() == got
+    assert _fresh_region(got).canonical() == got
+
+
+# ---------------------------------------------------------------------------
+# canonical forms and areas kept on the object
+#
+# `canonical()` keeps its result on the ring or region and marks that result
+# as its own form; it and `reversed_()` carry a known area, and `reversed_()`
+# of a canonical ring rotates instead of recomputing.  Whatever is kept must
+# equal what is computed afresh on new objects.
+
+quarter = hys.integers(0, 12).map(lambda v: Fraction(v, 4))
+noisy_points = hys.one_of(small_points, hys.tuples(quarter, quarter).map(
+    lambda t: pt(*t)))
+
+
+@hys.composite
+def noisy_rings(draw):
+    """A ring with repeated, straight and spur vertices: after each vertex p
+    of a drawn list, maybe p again, the midpoint to the next vertex, or an
+    out-and-back visit to another point."""
+    base = draw(hys.lists(noisy_points, min_size=1, max_size=7))
+    pts = []
+    for p, q in zip(base, base[1:] + base[:1]):
+        pts.append(p)
+        extra = draw(hys.sampled_from(("none", "repeat", "straight", "spur")))
+        if extra == "repeat":
+            pts.append(p)
+        elif extra == "straight":
+            pts.append(pt(Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2)))
+        elif extra == "spur":
+            pts += [draw(noisy_points), p]
+    return Ring(tuple(pts))
+
+
+noisy_regions = hys.one_of(
+    hys.lists(noisy_rings(), min_size=1, max_size=3).map(
+        lambda rings: Region(tuple(rings))),
+    hys.sampled_from(sorted(CANONICAL_REGIONS)).map(
+        lambda name: _fresh_region(CANONICAL_REGIONS[name])))
+
+
+def _assert_area_is_fresh(ring):
+    got, want = ring.signed_area2, Ring(ring.pts).signed_area2
+    assert (type(got), got) == (type(want), want)
+
+
+@hyp.given(noisy_rings(), hys.booleans())
+def test_kept_ring_canonical_form_is_fresh(ring, area_first):
+    if area_first:
+        _assert_area_is_fresh(ring)
+    got = ring.canonical()
+    assert ring.canonical() is got and got.canonical() is got
+    assert got == Ring(ring.pts).canonical() == ref_ring_canonical(ring)
+    assert Ring(got.pts).canonical() == got
+    # an area known before is carried, not recomputed
+    assert not area_first or "signed_area2" in got.__dict__
+    _assert_area_is_fresh(got)
+
+
+@hyp.given(noisy_rings(), hys.booleans(), hys.booleans())
+def test_reversed_ring_matches_fresh_reversal(ring, canonical_first,
+                                              area_first):
+    r = ring.canonical() if canonical_first else ring
+    if area_first:
+        _assert_area_is_fresh(r)
+    rev = r.reversed_()
+    assert rev.canonical() == Ring(tuple(reversed(r.pts))).canonical()
+    if canonical_first and len(r.pts) >= 2:
+        # already in its canonical form, and marked so
+        assert rev.canonical() is rev
+    assert not area_first or rev.__dict__["signed_area2"] == -r.signed_area2
+    _assert_area_is_fresh(rev)
+    _assert_area_is_fresh(rev.canonical())
+
+
+@hyp.given(noisy_regions, hys.booleans())
+def test_kept_region_canonical_form_is_fresh(region, area_first):
+    if area_first:
+        for r in region.rings:
+            _assert_area_is_fresh(r)
+    got = region.canonical()
+    assert region.canonical() is got and got.canonical() is got
+    assert (got == _fresh_region(region).canonical()
+            == ref_region_canonical(region))
+    assert _fresh_region(got).canonical() == got
+    for r in got.rings:
+        _assert_area_is_fresh(r)
 
 
 @hyp.given(points, points, hys.sets(hys.fractions(-1, 2, max_denominator=8),

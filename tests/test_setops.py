@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latbool import arrangement, exact_core, rounding, setops
-from latbool.arrangement import ExactRegion, exact_intersection
+from latbool.arrangement import OPS, ExactRegion, exact_intersection
 from latbool.exact_core import (
     InternalInvariantError,
     PreconditionError,
@@ -14,13 +14,20 @@ from latbool.exact_core import (
     pt,
     universe_for,
 )
-from latbool.fixtures import random_pairs
-from latbool.lpr import write_region
+from latbool.fixtures import hand_fixture_pairs, random_pairs
+from latbool.lpr import parse_region, write_region
 from latbool.oracle import check_inclusion
 from latbool.rounding import inner_round
 from latbool.setops import OpRequest, apply, sandwich
 
-from conftest import CORPUS_SEED, FAR, count_overlays, shifted, square
+from conftest import (
+    CORPUS_SEED,
+    FAR,
+    count_overlays,
+    shifted,
+    square,
+    star_ladder_pairs,
+)
 
 
 def test_apply_inner_intersection_trivial():
@@ -182,6 +189,115 @@ def test_each_operand_and_complement_validated_once(hand_pairs, monkeypatch):
             assert checked == operands, (name, op)
 
 
+def _count_validations(monkeypatch) -> list[Region]:
+    """Record every region `validate_region` runs on."""
+    validated: list[Region] = []
+    real = exact_core.validate_region
+
+    def counted(region):
+        validated.append(region)
+        return real(region)
+
+    monkeypatch.setattr(exact_core, "validate_region", counted)
+    return validated
+
+
+def test_parsed_operands_are_validated_once(hand_pairs, monkeypatch):
+    """parse_region validates a region and keeps the answer on it: sandwich
+    does not validate it again, but validates each complement it takes,
+    on every call."""
+    validated = _count_validations(monkeypatch)
+    for name, a0, b0 in hand_pairs:
+        validated.clear()
+        a = parse_region(write_region(a0))
+        b = parse_region(write_region(b0))
+        assert validated == [a, b] and validated[0] is a, name
+        box = universe_for([a, b])
+        ac, bc = (complement_in_universe(r, box) for r in (a, b))
+        for op, complements in (("intersection", []),
+                                ("difference", [bc]),
+                                ("union", [ac, bc])):
+            for _ in range(2):
+                validated.clear()
+                sandwich(a, b, op)
+                assert validated == complements, (name, op)
+                assert not any(r is a or r is b for r in validated)
+
+
+def test_region_built_directly_is_validated_on_first_use(monkeypatch):
+    validated = _count_validations(monkeypatch)
+    a = Region((square(0, 0, 4, 4),))
+    b = Region((square(2, 2, 6, 6),))
+    sandwich(a, b, "intersection")
+    assert validated == [a, b]
+    validated.clear()
+    sandwich(a, b, "intersection")
+    apply(OpRequest("intersection", "inner", a, b))
+    assert validated == []
+
+
+def _assert_is_fresh_canonical(x, where) -> int:
+    """x, recorded as its own canonical form, equals the canonical form
+    computed afresh on new objects, and every area its rings carry equals
+    a fresh one.  The number of rings checked."""
+    if isinstance(x, Ring):
+        assert Ring(x.pts).canonical() == x, where
+        rings = (x,)
+    else:
+        fresh = Region(tuple(Ring(r.pts) for r in x.rings)).canonical()
+        assert fresh == x, where
+        rings = x.rings
+    for r in rings:
+        if "signed_area2" in r.__dict__:
+            got, want = r.signed_area2, Ring(r.pts).signed_area2
+            assert (type(got), got) == (type(want), want), where
+    return len(rings)
+
+
+def test_marked_canonical_forms_equal_fresh_ones(monkeypatch):
+    """Every ring and region that the pipeline records as its own canonical
+    form (computed, reversed, a universe box or an overlay ring) equals a
+    fresh canonical form, and the region an `ExactRegion` is given lists
+    its rings; on all 642 acceptance-corpus ops and the star-ladder pairs."""
+    marked: list = []
+    preset: list = []
+    real_marked = exact_core._marked
+    real_exact_region = arrangement._exact_region
+
+    def recording_marked(x):
+        marked.append(x)
+        return real_marked(x)
+
+    def recording_exact_region(rings, stats, region):
+        preset.append((rings, region))
+        return real_exact_region(rings, stats, region)
+
+    for module in (exact_core, arrangement):
+        monkeypatch.setattr(module, "_marked", recording_marked)
+    monkeypatch.setattr(arrangement, "_exact_region",
+                        recording_exact_region)
+    pairs = (hand_fixture_pairs() + random_pairs(200, seed=CORPUS_SEED)
+             + star_ladder_pairs())
+    checked = ops = regions = 0
+    for name, a, b in pairs:
+        for op in OPS:
+            marked.clear()
+            preset.clear()
+            sandwich(a, b, op)
+            ops += 1
+            # the fresh forms computed below are recorded too
+            batch = list(marked)
+            for x in batch:
+                checked += _assert_is_fresh_canonical(x, (name, op))
+            for rings, region in preset:
+                assert region == Region(tuple(
+                    Ring(tuple(v.pos for v in ring)) for ring in rings)), (
+                        name, op)
+            regions += len(preset)
+    assert ops == 642 + 12
+    assert checked > 10 * ops and regions > ops
+
+
 def test_invalid_operand_rejected_for_every_op():
     good = Region((square(0, 0, 4, 4),))
     bow = Region((Ring((Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2))),))
@@ -193,6 +309,8 @@ def test_invalid_operand_rejected_for_every_op():
                     sandwich(a, b, op)
                 with pytest.raises(PreconditionError):
                     apply(OpRequest(op, "exact", a, b))
+        # every call after the first reused this kept answer
+        assert not bad.is_valid
 
 
 def test_bad_request_rejected():
