@@ -187,11 +187,10 @@ def _convex_component_check(add, exact: ExactRegion, inner: Region,
             IntMembership(Region((exact.region.rings[ri],))))
     bad = []
     scan = IntMembership(inner)
-    edges = [(a, b) for a, b in inner.edges() if a != b]
     for ii, iring in enumerate(inner.rings):
         if not iring.is_ccw or iring.is_degenerate:
             continue
-        probe = region_interior_sample(iring, scan, edges)
+        probe = region_interior_sample(iring, scan)
         if probe is None:
             continue
         for host in convex_components:

@@ -21,28 +21,34 @@ O(1) per tested (edge, vertex) pair and a sort.  Cutting the edges at wall
 endpoints searches only the endpoints inside each edge's x-range.
 
 The profiles, walls and lists are computed in the integer frame of the
-region's vertices (`exact_core._to_frame`), the cells in that frame scaled
-again by the wall ends' denominators; every result is mapped back once.
+region's vertices (`exact_core._to_frame`).  The edges are then cut at the
+wall ends into the pieces of the cell graph, in that frame scaled again by
+the wall ends' denominators.  Cells are walked on demand: inner rounding
+reads only the cell at the corner of each non-representable vertex, so
+`cell_at_edge_start` walks, checks and maps back the one face it is asked
+for, and keeps it for every piece of that face.  The cost of the cells is
+thus per snapped corner, not per cell.  Reading `cells` walks every face
+once, with the same walker, in the order of a full trace, and checks each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .arrangement import REFLEX, ExactRegion
 from .exact_core import (
     COLLINEAR,
     LEFT,
-    RIGHT,
     InternalInvariantError,
-    trace_cycles,
     PreconditionError,
     Pt,
     Ring,
     Scalar,
     _from_frame,
+    _next_out,
     _to_frame,
     dot,
     orientation,
@@ -63,19 +69,29 @@ class ConvexCell:
 
     ring: Ring
 
-    def contains(self, q: Pt) -> bool:
-        for a, b in self.ring.edges():
-            if a != b and orientation(a, b, q) == RIGHT:
-                return False
-        return True
+
+# a piece whose face has not been walked yet
+_UNWALKED = object()
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    cells: tuple[ConvexCell, ...]
-    walls: tuple[Wall, ...]
-    visible_reflex: dict
-    cell_of_edge_start: dict
+    """The walls, the convex cells and the per-edge visibility lists.
+
+    The cells are the faces of the piece graph of `_build_pieces`, walked
+    when first asked for.
+    """
+
+    def __init__(self, visible_reflex: dict, walls: list[tuple[Pt, Pt]],
+                 pieces: list[tuple[Pt, Pt]],
+                 outs: dict[Pt, list[tuple[Pt, int]]],
+                 first_piece: dict[tuple[Pt, Pt], int], scale: int):
+        self.visible_reflex = visible_reflex
+        self._walls = walls
+        self._pieces = pieces
+        self._outs = outs
+        self._first_piece = first_piece
+        self._scale = scale
+        self._cell_of_piece: list = [_UNWALKED] * len(pieces)
 
     def cell_at_edge_start(self, u: Pt, v: Pt) -> ConvexCell:
         """The cell adjacent to the corner at u along the directed edge u->v.
@@ -83,13 +99,64 @@ class Decomposition:
         This is the one cell lookup, made once per vertex occurrence: on
         cracked regions different occurrences of one position can see
         different cells, and snapping must stay inside the occurrence's own
-        side.  Every directed boundary edge has its cell.
+        side.  Every directed boundary edge has its cell, unless its first
+        piece bounds a degenerate face.
         """
-        idx = self.cell_of_edge_start.get((u, v))
-        if idx is None:
+        eid = self._first_piece.get((u, v))
+        cell = None if eid is None else self._face(eid)
+        if cell is None:
             raise PreconditionError(
                 f"{u}->{v} is not an edge of the decomposition")
-        return self.cells[idx]
+        return cell
+
+    def _face(self, start: int) -> Optional[ConvexCell]:
+        """The cell of the face through piece `start`, or None when the face
+        is degenerate; walked once, by the rotation rule of
+        `exact_core.trace_cycles`."""
+        memo = self._cell_of_piece
+        cell = memo[start]
+        if cell is not _UNWALKED:
+            return cell
+        pieces, outs = self._pieces, self._outs
+        walk = [start]
+        u, v = pieces[start]
+        while True:
+            _, eid = _next_out(u, v, outs.get(v, []))
+            if eid == start:
+                break
+            if memo[eid] is not _UNWALKED or len(walk) == len(pieces):
+                raise InternalInvariantError(
+                    "boundary tracing did not close a cycle")
+            walk.append(eid)
+            u, v = pieces[eid]
+        ring = Ring(tuple(pieces[eid][0] for eid in walk)).canonical()
+        if len(ring.pts) < 3 or ring.is_degenerate:
+            cell = None
+        elif not ring.is_ccw:
+            raise InternalInvariantError("decomposition cell traced clockwise")
+        else:
+            back = _from_frame(ring.pts, self._scale)
+            cell = ConvexCell(Ring(tuple(back[p] for p in ring.pts)))
+        for eid in walk:
+            memo[eid] = cell
+        return cell
+
+    @cached_property
+    def cells(self) -> tuple[ConvexCell, ...]:
+        """Every cell, in the order in which a full trace meets them: by
+        the least piece of each face."""
+        pieces = self._pieces
+        faces: dict[int, ConvexCell] = {}
+        for eid in sorted(range(len(pieces)), key=pieces.__getitem__):
+            cell = self._face(eid)
+            if cell is not None:
+                faces.setdefault(id(cell), cell)
+        return tuple(faces.values())
+
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        back = _from_frame({p for w in self._walls for p in w}, self._scale)
+        return tuple(Wall(back[u], back[v]) for u, v in self._walls)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +280,10 @@ class _LineProfile:
 
 
 def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
-    """Build walls, cells, the edge->cell map and per-edge visibility lists."""
+    """Build the walls, the piece graph of the cells and the per-edge
+    visibility lists; the cells are walked when read."""
     if region.is_empty:
-        return Decomposition((), (), {}, {})
+        return Decomposition({}, [], [], {}, {}, 1)
     for ring in region.rings:
         for v in ring:
             if v.convexity == REFLEX and not v.pos.is_lattice:
@@ -255,24 +323,27 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
                 seen_walls.add(key)
                 walls.append(Wall(pos, hit))
 
-    cells, edge_cell, walls = _build_cells(edges, fedges, walls, d)
     visible = _visible_reflex_lists(edges, fedges, reflex_pos, lines,
                                     _from_frame(reflex_pos, d))
-    return Decomposition(tuple(cells), tuple(walls), visible, edge_cell)
+    return Decomposition(visible, *_build_pieces(edges, fedges, walls, d))
 
 
-def _build_cells(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
-                 walls: list[Wall], d: int
-                 ) -> tuple[list[ConvexCell], dict, list[Wall]]:
-    """The cells, the cell of each edge's first piece, and the walls mapped
-    back.  `fedges` and `walls` are in the vertex frame of lcm d."""
+def _build_pieces(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
+                  walls: list[Wall], d: int):
+    """The walls, the directed pieces (the edges cut at the wall ends, and
+    each wall both ways), each vertex's outgoing pieces, the first piece of
+    each edge and the frame scale, as `Decomposition` takes them.  `fedges`
+    and `walls` are in the vertex frame of lcm d; the results are in that
+    frame scaled again by the wall ends' denominators, except that each
+    edge is keyed as in `edges`.
+    """
     d2, frame = _to_frame([*(p for e in fedges for p in e),
                            *(w.hit for w in walls)])
     wall_pts = sorted({frame[w.hit] for w in walls}
                       | {frame[w.source] for w in walls})
     wall_xs = [p.x for p in wall_pts]
-    directed: list[tuple[Pt, Pt]] = []
-    first_piece: dict[tuple[Pt, Pt], tuple[Pt, Pt]] = {}
+    pieces: list[tuple[Pt, Pt]] = []
+    first_piece: dict[tuple[Pt, Pt], int] = {}
     for edge, (a, b) in zip(edges, fedges):
         a, b = frame[a], frame[b]
         lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
@@ -283,35 +354,23 @@ def _build_cells(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
         # lexicographic order, reversed when b < a, is the order along a-b
         cuts.sort(reverse=b < a)
         chain = [a] + cuts + [b]
-        first_piece[edge] = (chain[0], chain[1])
-        for u, v in zip(chain, chain[1:]):
-            directed.append((u, v))
+        first_piece[edge] = len(pieces)
+        pieces.extend(zip(chain, chain[1:]))
     fwalls = [(frame[w.source], frame[w.hit]) for w in walls]
     for u, v in fwalls:
-        directed.append((u, v))
-        directed.append((v, u))
-
-    cycles = trace_cycles(directed)
-    cell_rings: list[Ring] = []
-    piece_cell: dict[tuple[Pt, Pt], int] = {}
-    for cyc in cycles:
-        ring = Ring(tuple(cyc)).canonical()
-        if len(ring.pts) < 3 or ring.is_degenerate:
-            continue
-        if not ring.is_ccw:
-            raise InternalInvariantError("decomposition cell traced clockwise")
-        idx = len(cell_rings)
-        cell_rings.append(ring)
-        n = len(cyc)
-        for i in range(n):
-            piece_cell[(cyc[i], cyc[(i + 1) % n])] = idx
-    edge_cell = {edge: piece_cell[piece]
-                 for edge, piece in first_piece.items() if piece in piece_cell}
-    back = _from_frame({p for ring in cell_rings for p in ring.pts}
-                       | {p for w in fwalls for p in w}, d * d2)
-    cells = [ConvexCell(Ring(tuple(back[p] for p in ring.pts)))
-             for ring in cell_rings]
-    return cells, edge_cell, [Wall(back[u], back[v]) for u, v in fwalls]
+        pieces.append((u, v))
+        pieces.append((v, u))
+    outs: dict[Pt, list[tuple[Pt, int]]] = {}
+    for eid, (u, v) in enumerate(pieces):
+        outs.setdefault(u, []).append((v, eid))
+    for u, out in outs.items():
+        out.sort()
+        for (v, _), (w, _) in zip(out, out[1:]):
+            if v == w:
+                # two faces would share one successor
+                raise InternalInvariantError(
+                    f"decomposition piece {u}->{v} listed twice")
+    return fwalls, pieces, outs, first_piece, d * d2
 
 
 def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
@@ -328,18 +387,19 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
     side anyway.  Vertical edges see nothing.  All but `edges` are in the
     vertex frame; `back` maps the reflex vertices out of it.
     """
+    # each distinct edge once, with its list, keyed by its int frame copy
     found: dict[tuple[Pt, Pt], list] = {}
-    first: list[int] = []
-    for k, e in enumerate(edges):
+    first: list[tuple[int, list]] = []
+    for k, e in enumerate(fedges):
         if e not in found:
-            found[e] = []
-            first.append(k)
+            found[e] = entries = []
+            first.append((k, entries))
     columns: dict[int, list[Pt]] = {}
     for r in reflex_pos:
         columns.setdefault(r.x, []).append(r)
     for x, column in columns.items():
         line = lines[x]
-        for k in first:
+        for k, entries in first:
             a, b = fedges[k]
             fy = line.ys[k]
             # feet at the edge endpoints belong to the neighbor edges
@@ -347,7 +407,6 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
                 continue
             foot_level = line.index[fy]
             t = x if a.x < b.x else -x  # the foot's order along a-b
-            entries = found[edges[k]]
             for r in column:
                 # side = (b.x - a.x) * (r.y - fy): r left of a->b, or on it
                 if (r.y - fy) * (b.x - a.x) < 0:
@@ -355,7 +414,7 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
                 if line.clear(line.index[r.y], foot_level):
                     entries.append((t, abs(r.y - fy), r))
     out: dict = {}
-    for e, entries in found.items():
+    for k, entries in first:
         entries.sort()
-        out[e] = tuple(back[r] for _, _, r in entries)
+        out[edges[k]] = tuple(back[r] for _, _, r in entries)
     return out

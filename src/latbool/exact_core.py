@@ -6,10 +6,9 @@ no float ever enters a predicate.  Closed-set semantics throughout: a point
 
 The segment predicates (`orientation`, `point_on_segment`,
 `segment_intersection`, `segments_cross_properly`, `segment_at`,
-`squared_distance` and `dot`), `squared_point_distance` and
-`Ring.signed_area2` evaluate on Python ints, not in Fraction arithmetic
-(exact integer evaluation, as in Fortune & Van Wyk, SoCG 1993).  When every
-input coordinate is an int they use it as it is; otherwise `_scaled` brings
+`squared_distance` and `dot`) and `Ring.signed_area2` evaluate on Python
+ints, not in Fraction arithmetic (exact integer evaluation, as in Fortune &
+Van Wyk, SoCG 1993).  When every input coordinate is an int they use it as it is; otherwise `_scaled` brings
 all of them to one common denominator k and they work on the numerators.
 A sign is the sign of one integer expression, with no gcd.  A returned
 coordinate, distance or area is built once, by `_ratio`, as an int when
@@ -36,10 +35,12 @@ used as they are.
 
 `orientation` and `dot` are also the pipeline's one turn predicate: the
 rotation rule of `trace_cycles`, `point_in_region`,
-`arrangement.vertex_convexity`, `decomposition.ConvexCell.contains` and
-`_dir_in_sector`, and `rounding`'s reflex-removal checks
-(`_removal_topology_ok`, `_strictly_in_triangle`) decide every turn with
-them.  A collinear turn with `dot > 0` is a reversal.
+`arrangement.vertex_convexity` and `decomposition._dir_in_sector`, and
+`rounding`'s reflex-removal checks (`_removal_topology_ok`,
+`_strictly_in_triangle`) decide every turn with them.  A collinear turn
+with `dot > 0` is a reversal.  The one exception is `rounding.nvlp`, which
+scales its cell to ints once and tests its point against the cell's edges
+with its own cross products.
 
 `find_segment_intersections` is the pipeline's one segment-pair sweep: the
 overlay (`arrangement`) cuts its edges at the hits, and `validate_region`
@@ -309,15 +310,6 @@ def squared_distance(p: Pt, seg: tuple[Pt, Pt]) -> Scalar:
         return _ratio(bpx * bpx + bpy * bpy, k2)
     c = apx * aby - apy * abx
     return _ratio(c * c, ab2 * k2)
-
-
-def squared_point_distance(p: Pt, q: Pt) -> Scalar:
-    (px, py), (qx, qy) = p, q
-    k = 1
-    if not (type(px) is type(py) is type(qx) is type(qy) is int):
-        k, (px, py, qx, qy) = _scaled(px, py, qx, qy)
-    dx, dy = px - qx, py - qy
-    return _ratio(dx * dx + dy * dy, k * k)
 
 
 def segment_at(a: Pt, b: Pt, x: Scalar) -> tuple[Scalar, ...]:

@@ -25,9 +25,11 @@ parameter is a ratio of one pair's integer cross products (`_meet`), and
 gap midpoints stay homogeneous ints (`classify_h`), so a Pt is built only
 for a witness.  They find meeting edges in one bounding-box sweep
 (`_sweep_pairs`) instead of testing every edge pair; the sweep only skips
-pairs whose boxes miss.  The inclusion check skips an edge that the other
-region lists too, since each of its points is on that region's boundary,
-and intersects no pair of two such edges.  The Hausdorff check sweeps up
+pairs whose boxes miss.  The interior probe shoots on the integer edges
+that its `IntMembership` holds, and builds a Pt only for the probe it
+returns.  The inclusion check skips an edge that the other region lists
+too, since each of its points is on that region's boundary, and
+intersects no pair of two such edges.  The Hausdorff check sweeps up
 the sample rows with the integer edges active at each row, reads the row's
 membership off them as ranges of sample indices (`_row_ranges`,
 `classify`'s rule evaluated for a whole row at once), tests a sample only
@@ -52,7 +54,6 @@ from .exact_core import (
     Ring,
     _ratio,
     pt,
-    segment_at,
 )
 
 
@@ -250,39 +251,63 @@ def check_inclusion(inner: Region, outer: Region) -> Optional[Witness]:
                 m = Pt(_ratio(x, w * s), _ratio(y, w * s))
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
-    edges = [row[:2] for row in rows[0]]
     for ring in inner.rings:
         if ring.is_degenerate or not ring.is_ccw:
             continue
-        probe = region_interior_sample(ring, in_inner, edges)
+        probe = region_interior_sample(ring, in_inner)
         if probe is not None and in_outer.classify(probe) == EXTERIOR:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
     return None
 
 
-def region_interior_sample(ring: Ring, scan: IntMembership,
-                           edges: Sequence[tuple[Pt, Pt]]) -> Optional[Pt]:
+def region_interior_sample(ring: Ring, scan: IntMembership) -> Optional[Pt]:
     """A point strictly interior to a region, adjacent to one of its rings.
 
-    `scan` classifies against the region and `edges` are its
-    non-degenerate edges.  Mid-edge vertical shooting against the whole
-    boundary: the half-way point to the first hit lies inside one face of
-    the region; a filled ring has the region's interior on one side of each
-    edge.  A side without a hit is unbounded, so exterior.
+    `scan` classifies against the region and `ring` is one of its rings.
+    Mid-edge vertical shooting against the whole boundary: the half-way
+    point to the first hit lies inside one face of the region; a filled
+    ring has the region's interior on one side of each edge.  A side
+    without a hit is unbounded, so exterior.  The shots run on the scan's
+    integer edges, in its frame of scale s: the midpoint is (mx, my) / 2, a
+    hit is a ratio n / q, and the probe stays homogeneous until it is
+    returned.
     """
+    s = scan._scale
     for a, b in ring.edges():
         if a.x == b.x:
             continue
-        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        ys = [y for c, d in edges for y in segment_at(c, d, m.x)]
-        for side in (1, -1):
-            hits = [y for y in ys if side * (y - m.y) > 0]
-            if hits:
-                yy = min(hits) if side > 0 else max(hits)
-                cand = pt(m.x, Fraction(m.y + yy, 2))
-                if scan.classify(cand) == INTERIOR:
-                    return cand
+        # scaled lazily: the first edge or two usually give the probe
+        (ax, ay), (bx, by) = ((c * s if type(c) is int
+                               else c.numerator * (s // c.denominator)
+                               for c in q) for q in (a, b))
+        mx, my = ax + bx, ay + by
+        up = down = None    # the nearest hit (n, q) above and below
+        for cx, cy, dx, dy in scan._edges:
+            if cx == dx:
+                if 2 * cx != mx:
+                    continue
+                hits = ((cy, 1), (dy, 1))
+            else:
+                if cx > dx:
+                    cx, cy, dx, dy = dx, dy, cx, cy
+                if not 2 * cx <= mx <= 2 * dx:
+                    continue
+                hits = ((2 * cy * (dx - cx) + (mx - 2 * cx) * (dy - cy),
+                         2 * (dx - cx)),)
+            for n, q in hits:
+                side = 2 * n - my * q
+                if side > 0 and (up is None or n * up[1] < up[0] * q):
+                    up = (n, q)
+                elif side < 0 and (down is None or n * down[1] > down[0] * q):
+                    down = (n, q)
+        for hit in (up, down):
+            if hit is not None:
+                n, q = hit
+                # (mx / 2, (my / 2 + n / q) / 2), times 4q, over the scale
+                x, y, w = 2 * q * mx, q * my + 2 * n, 4 * q * s
+                if scan.classify_h(x, y, w) == INTERIOR:
+                    return Pt(_ratio(x, w), _ratio(y, w))
     return None
 
 

@@ -41,15 +41,13 @@ from .exact_core import (
     Pt,
     Region,
     Ring,
-    Scalar,
     UniverseBox,
+    _scaled,
     cancel_reversed_pairs,
     complement_in_universe,
     orientation,
-    segment_at,
     segments_cross_properly,
     squared_distance,
-    squared_point_distance,
     trace_cycles,
 )
 
@@ -61,41 +59,49 @@ from .exact_core import (
 def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
     """Nearest lattice point of the closed convex cell, exact.
 
-    Scans the integer columns of the cell outward from p.x, nearest first
-    (the right one of two equally near columns first); per column the
-    admissible rows form a closed rational interval, so the nearest
-    candidates are the clamped neighbors of p.y.  Every candidate of column
-    gx is at least (gx - p.x)^2 from p, so the scan stops at the first
-    column farther than that from the best squared distance found.  A
-    column exactly that far is still scanned, so ties break
-    lexicographically (x, then y) as over all columns.  Returns None iff
-    the scan proves the cell lattice-point-free.
+    Runs on ints: p and the cell ring are scaled by one common denominator
+    s of their own coordinates (`exact_core._scaled`; a cell's vertices
+    need not share the decomposition's frame).  Scans the integer columns
+    of the cell outward from p.x, nearest first (the right one of two
+    equally near columns first); per column the admissible rows form a
+    closed interval, whose ends are integer ceil and floor divisions
+    (`_column_rows`), so the nearest candidates are the clamped neighbors of
+    p.y.  Every candidate of column gx is at least (gx - p.x)^2 from p, so
+    the scan stops at the first column farther than that from the best
+    squared distance found.  A column exactly that far is still scanned, so
+    ties break lexicographically (x, then y) as over all columns.  Squared
+    distances are compared times s^2, which keeps their order.  Returns None
+    iff the scan proves the cell lattice-point-free.
     """
-    if not _on_cell(p, cell):
+    s, (px, py, *c) = _scaled(*p, *(v for q in cell.ring.pts for v in q))
+    ring = list(zip(c[0::2], c[1::2]))
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    if (px, py) not in ring and any(
+            (bx - ax) * (py - ay) < (by - ay) * (px - ax)
+            for (ax, ay), (bx, by) in edges if (ax, ay) != (bx, by)):
+        # closed membership: it also accepts a vertex that the canonical
+        # form dropped from the cell ring as straight
         raise PreconditionError(f"{p} is not on the cell")
-    x0, _, x1, _ = cell.ring.bbox
-    first, last = math.ceil(x0), math.floor(x1)
-    right = math.ceil(p.x)
+    xs = [x for x, _ in ring]
+    first, last = -(-min(xs) // s), max(xs) // s
+    right = -(-px // s)
     left = right - 1
-    best: Optional[tuple[Scalar, int, int]] = None
+    base = py // s
+    best: Optional[tuple[int, int, int]] = None
     while left >= first or right <= last:
-        if right <= last and (left < first or right - p.x <= p.x - left):
+        if right <= last and (left < first or right * s - px <= px - left * s):
             gx, right = right, right + 1
         else:
             gx, left = left, left - 1
-        if best is not None and (gx - p.x) ** 2 > best[0]:
+        dx2 = (gx * s - px) ** 2
+        if best is not None and dx2 > best[0]:
             break
-        interval = _column_interval(cell.ring, gx)
-        if interval is None:
+        rows = _column_rows(edges, gx * s, s)
+        if rows is None:
             continue
-        ylo, yhi = interval
-        lo = math.ceil(ylo)
-        hi = math.floor(yhi)
-        if lo > hi:
-            continue
-        for gy in _row_candidates(p.y, lo, hi):
-            d = squared_point_distance(p, Pt(gx, gy))
-            key = (d, gx, gy)
+        lo, hi = rows
+        for gy in (min(max(base, lo), hi), min(max(base + 1, lo), hi)):
+            key = (dx2 + (gy * s - py) ** 2, gx, gy)
             if best is None or key < best:
                 best = key
     if best is None:
@@ -103,23 +109,36 @@ def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
     return Pt(best[1], best[2])
 
 
-def _on_cell(p: Pt, cell: ConvexCell) -> bool:
-    # `contains` is closed: it also accepts a vertex that the canonical
-    # form dropped from the cell ring as straight
-    return p in cell.ring.pts or cell.contains(p)
+def _column_rows(edges: list[tuple[tuple[int, int], tuple[int, int]]],
+                 x: int, s: int) -> Optional[tuple[int, int]]:
+    """The least and the greatest integer row of the column x / s in the
+    convex polygon of the scaled `edges`, or None if it has none.
 
-
-def _column_interval(ring: Ring, x: int) -> Optional[tuple[Scalar, Scalar]]:
-    ys = [y for a, b in ring.edges() for y in segment_at(a, b, x)]
-    if not ys:
+    Each edge meeting the line x contributes y = num / (den * s) (both ends
+    when it lies on the line); the ceil of the least y is the least of the
+    ceils, and the floor of the greatest the greatest of the floors.
+    """
+    lo = hi = None
+    for (ax, ay), (bx, by) in edges:
+        if ax == bx:
+            if ax != x:
+                continue
+            ends = ((ay, s), (by, s))
+        else:
+            if ax > bx:
+                ax, ay, bx, by = bx, by, ax, ay
+            if not ax <= x <= bx:
+                continue
+            ends = ((ay * (bx - ax) + (x - ax) * (by - ay), (bx - ax) * s),)
+        for num, den in ends:
+            c, f = -(-num // den), num // den
+            if lo is None or c < lo:
+                lo = c
+            if hi is None or f > hi:
+                hi = f
+    if lo is None or lo > hi:
         return None
-    return min(ys), max(ys)
-
-
-def _row_candidates(py: Scalar, lo: int, hi: int) -> list[int]:
-    base = math.floor(py)
-    out = {min(max(base, lo), hi), min(max(base + 1, lo), hi)}
-    return sorted(out)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ segments against its interior (`lattice_closure`,
 Hausdorff row rule over all edges (`row_ranges`), and the points of a
 segment intersection, the plain Fraction parameter of a point along a
 segment and the midpoints of a cut segment (`hit_points`, `segment_param`,
-`gap_midpoints`), which the oracle computes on integers.
+`gap_midpoints`), and the interior probe (`interior_sample`), which the
+oracle computes on integers.
 
 Everything here is deliberately exhaustive and simple: full lattice
 enumerations and per-candidate scans, classified by the oracle's
@@ -39,7 +40,6 @@ from latbool.exact_core import (
     segment_at,
     segment_intersection,
     segments_cross_properly,
-    squared_point_distance,
 )
 from latbool.oracle import IntMembership, Witness, _row_ranges, _visible
 
@@ -80,7 +80,7 @@ def brute_nvlp(p: Pt, cell: Ring) -> Optional[Pt]:
     Scans the full bounding box, filters by closed membership, minimizes
     the exact squared distance, breaks ties lexicographically (x, then y).
     """
-    if not _in_convex_cell(p, cell):
+    if not in_convex_cell(p, cell):
         # vertices may sit mid-edge after collinear collapse; closed
         # membership is the real requirement
         raise PreconditionError("p must lie on the closed cell")
@@ -89,7 +89,7 @@ def brute_nvlp(p: Pt, cell: Ring) -> Optional[Pt]:
     for gx in range(math.ceil(x0), math.floor(x1) + 1):
         for gy in range(math.ceil(y0), math.floor(y1) + 1):
             g = Pt(gx, gy)
-            if not _in_convex_cell(g, cell):
+            if not in_convex_cell(g, cell):
                 continue
             d = squared_point_distance(p, g)
             key = (d, gx, gy)
@@ -98,6 +98,12 @@ def brute_nvlp(p: Pt, cell: Ring) -> Optional[Pt]:
     if best is None:
         return None
     return Pt(best[1], best[2])
+
+
+def squared_point_distance(p: Pt, q: Pt) -> Scalar:
+    """Exact squared distance of two points, in plain Fraction arithmetic."""
+    dx, dy = p.x - q.x, p.y - q.y
+    return dx * dx + dy * dy
 
 
 def cross(o: Pt, a: Pt, b: Pt) -> Scalar:
@@ -109,7 +115,7 @@ def cross(o: Pt, a: Pt, b: Pt) -> Scalar:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def _in_convex_cell(g: Pt, cell: Ring) -> bool:
+def in_convex_cell(g: Pt, cell: Ring) -> bool:
     for a, b in cell.edges():
         if a == b:
             continue
@@ -359,3 +365,25 @@ def gap_midpoints(p: Pt, q: Pt, events: Sequence[Fraction]) -> Iterable[Pt]:
     for t0, t1 in zip(ts, ts[1:]):
         tm = (t0 + t1) / 2
         yield pt(p.x + tm * (q.x - p.x), p.y + tm * (q.y - p.y))
+
+
+def interior_sample(ring: Ring, region: Region) -> Optional[Pt]:
+    """`oracle.region_interior_sample` in plain Fraction arithmetic: shoot
+    up and down from each non-vertical edge's midpoint against every
+    non-degenerate edge of the region (`segment_at` on the points), and
+    return the first half-way point to a nearest hit that is interior."""
+    scan = IntMembership(region)
+    edges = [(a, b) for a, b in region.edges() if a != b]
+    for a, b in ring.edges():
+        if a.x == b.x:
+            continue
+        m = pt(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+        ys = [y for c, d in edges for y in segment_at(c, d, m.x)]
+        for side in (1, -1):
+            hits = [y for y in ys if side * (y - m.y) > 0]
+            if hits:
+                yy = min(hits) if side > 0 else max(hits)
+                cand = pt(m.x, Fraction(m.y + yy, 2))
+                if scan.classify(cand) == INTERIOR:
+                    return cand
+    return None

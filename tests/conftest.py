@@ -9,8 +9,16 @@ import pytest
 
 import latbool
 from latbool import arrangement
-from latbool.arrangement import exact_boolean, exact_intersection
+from latbool.arrangement import (
+    ExactRegion,
+    ExactVertex,
+    OverlayStats,
+    exact_boolean,
+    exact_intersection,
+    vertex_convexity,
+)
 from latbool.exact_core import (
+    PreconditionError,
     Pt,
     Region,
     Ring,
@@ -70,6 +78,35 @@ def occurrence_cells(x, d):
         m = len(ring)
         for i, v in enumerate(ring):
             yield v.pos, d.cell_at_edge_start(v.pos, ring[(i + 1) % m].pos)
+
+
+def exact_as_given(region: Region) -> ExactRegion:
+    """An ExactRegion with the rings exactly as given (the overlay would
+    fill a zero-width crack)."""
+    rings = []
+    for ring in region.rings:
+        m = len(ring.pts)
+        rings.append(tuple(
+            ExactVertex(p, vertex_convexity(ring.pts[i - 1], p,
+                                            ring.pts[(i + 1) % m]))
+            for i, p in enumerate(ring.pts)))
+    return ExactRegion(tuple(rings), OverlayStats(0, 0, 0))
+
+
+def cell_of_edge_start(x, d) -> dict:
+    """The index in `d.cells` of the cell at the start of each directed
+    edge of the exact region x, for every edge that has one, in the order
+    of the region's edges."""
+    index = {id(cell): i for i, cell in enumerate(d.cells)}
+    out = {}
+    for edge in x.region.edges():
+        if edge[0] == edge[1] or edge in out:
+            continue
+        try:
+            out[edge] = index[id(d.cell_at_edge_start(*edge))]
+        except PreconditionError:
+            pass
+    return out
 
 
 def crack_middle_operands() -> tuple[Region, Region, Region]:

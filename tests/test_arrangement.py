@@ -31,7 +31,14 @@ from latbool.exact_core import (
 from latbool.fixtures import random_pairs
 
 from brute import brute_boolean, properly_crossing_pairs
-from conftest import CORPUS_SEED, FAR, crack_middle_operands, shifted, square
+from conftest import (
+    CORPUS_SEED,
+    FAR,
+    cell_of_edge_start,
+    crack_middle_operands,
+    shifted,
+    square,
+)
 
 
 def test_axis_aligned_overlap():
@@ -284,9 +291,9 @@ def test_overlay_and_decomposition_commute_with_scaling_and_translation(
                                   for w in dec_x.walls), name
         assert [c.ring for c in dec_y.cells] == [
             Ring(tuple(f(p) for p in c.ring.pts)) for c in dec_x.cells], name
-        assert dec_y.cell_of_edge_start == {
+        assert cell_of_edge_start(y, dec_y) == {
             (f(u), f(v)): i
-            for (u, v), i in dec_x.cell_of_edge_start.items()}, name
+            for (u, v), i in cell_of_edge_start(x, dec_x).items()}, name
         assert dec_y.visible_reflex == {
             (f(u), f(v)): tuple(map(f, seen))
             for (u, v), seen in dec_x.visible_reflex.items()}, name
@@ -303,7 +310,7 @@ def test_overlay_and_decomposition_agree_without_a_frame(hand_pairs,
         x = exact_intersection(a, b, check=False)
         d = reflex_vertical_decomposition(x)
         return (x.rings, x.stats, d.walls, [c.ring for c in d.cells],
-                d.cell_of_edge_start, d.visible_reflex)
+                cell_of_edge_start(x, d), d.visible_reflex)
 
     cases = _frame_cases(hand_pairs)
     framed = [run(a, b) for _, a, b in cases]

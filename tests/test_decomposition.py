@@ -4,27 +4,37 @@ from fractions import Fraction
 import pytest
 
 from latbool import rounding
-from latbool.arrangement import (
-    ExactRegion,
-    ExactVertex,
-    OverlayStats,
-    exact_intersection,
-    vertex_convexity,
-)
-from latbool.decomposition import reflex_vertical_decomposition
+from latbool.arrangement import exact_intersection
+from latbool.decomposition import Decomposition, reflex_vertical_decomposition
 from latbool.exact_core import (
+    InternalInvariantError,
     PreconditionError,
     Pt,
     Region,
     Ring,
+    _from_frame,
     point_in_region,
     pt,
+    trace_cycles,
 )
 from latbool.fixtures import random_pairs
 from latbool.setops import sandwich
 
-from brute import brute_nvlp, brute_nvlp_region, vertically_visible
-from conftest import CORPUS_SEED, occurrence_cells, shifted, square
+from brute import (
+    brute_nvlp,
+    brute_nvlp_region,
+    in_convex_cell,
+    vertically_visible,
+)
+from conftest import (
+    CORPUS_SEED,
+    cell_of_edge_start,
+    exact_as_given,
+    occurrence_cells,
+    shifted,
+    square,
+    star_ladder_pairs,
+)
 
 
 def _identity_exact(region):
@@ -93,7 +103,7 @@ def test_cells_cover_interior_points(hand_pairs):
             if point_in_region(q, x.region) != "interior":
                 continue
             hits += 1
-            containing = [c for c in d.cells if c.contains(q)]
+            containing = [c for c in d.cells if in_convex_cell(q, c.ring)]
             assert containing, (name, q)
         assert hits > 0
 
@@ -134,7 +144,7 @@ def test_empty_region_decomposition():
     assert x.is_empty
     d = reflex_vertical_decomposition(x)
     assert d.cells == () and d.walls == ()
-    assert d.visible_reflex == {} and d.cell_of_edge_start == {}
+    assert d.visible_reflex == {} and cell_of_edge_start(x, d) == {}
     with pytest.raises(PreconditionError):
         d.cell_at_edge_start(Pt(0, 0), Pt(2, 0))
 
@@ -169,7 +179,7 @@ def _check_visibility_lists(x) -> int:
     region = x.region
     edges = {(a, b) for a, b in region.edges() if a != b}
     assert set(d.visible_reflex) == edges
-    assert set(d.cell_of_edge_start) == edges
+    assert set(cell_of_edge_start(x, d)) == edges
     reflex = sorted(x.reflex_positions())
     checked = 0
     for (a, b), listed in d.visible_reflex.items():
@@ -236,19 +246,6 @@ def test_visibility_through_vertical_edge_on_reflex_line():
             _identity_exact(shifted(l_holed, dx, dy))) > 0
 
 
-def _exact_as_given(region):
-    """An ExactRegion with the rings exactly as given (the overlay would
-    fill a zero-width crack)."""
-    rings = []
-    for ring in region.rings:
-        m = len(ring.pts)
-        rings.append(tuple(
-            ExactVertex(p, vertex_convexity(ring.pts[i - 1], p,
-                                            ring.pts[(i + 1) % m]))
-            for i, p in enumerate(ring.pts)))
-    return ExactRegion(tuple(rings), OverlayStats(0, 0, 0))
-
-
 def test_visibility_blocked_by_crack_and_owned_by_one_side():
     # a crack from the right side to its tip (4,5), over a notch whose
     # reflex corners (6,2) and (8,2) lie below it
@@ -256,7 +253,7 @@ def test_visibility_blocked_by_crack_and_owned_by_one_side():
         Pt(0, 0), Pt(6, 0), Pt(6, 2), Pt(8, 2), Pt(8, 0), Pt(10, 0),
         Pt(10, 5), Pt(4, 5), Pt(10, 5), Pt(10, 10), Pt(0, 10))),))
     for dx, dy in ((0, 0), (-37, -101), (10**9 + 7, -10**12)):
-        x = _exact_as_given(shifted(cracked, dx, dy))
+        x = exact_as_given(shifted(cracked, dx, dy))
         d = reflex_vertical_decomposition(x)
         notch = Pt(6 + dx, 2 + dy)
         top = (Pt(10 + dx, 10 + dy), Pt(dx, 10 + dy))
@@ -274,3 +271,90 @@ def test_visibility_lists_match_oracle_translated(dx, dy, monkeypatch):
     pairs = random_pairs(6, seed=CORPUS_SEED)
     regions = _pipeline_regions(monkeypatch, pairs, dx, dy)
     assert sum(_check_visibility_lists(x) for x in regions) > 0
+
+
+# ---------------------------------------------------------------------------
+# cells walked on demand against one full trace of the piece graph
+
+
+def _traced_cells(d) -> tuple[list[Ring], dict]:
+    """The cells of d as one full `trace_cycles` pass over its pieces
+    gives them: every face canonicalized, degenerate faces dropped, in
+    trace order, mapped out of the frame; and each piece's cell index."""
+    rings: list[Ring] = []
+    piece_cell = {}
+    for cycle in trace_cycles(list(d._pieces)):
+        ring = Ring(tuple(cycle)).canonical()
+        if len(ring.pts) < 3 or ring.is_degenerate:
+            continue
+        assert ring.is_ccw
+        n = len(cycle)
+        for i in range(n):
+            piece_cell[(cycle[i], cycle[(i + 1) % n])] = len(rings)
+        back = _from_frame(ring.pts, d._scale)
+        rings.append(Ring(tuple(back[p] for p in ring.pts)))
+    return rings, piece_cell
+
+
+def _check_cells_on_demand(x) -> int:
+    """For every directed edge of x: the cell read before `cells` is the
+    full trace's cell, and the same object as its entry in `cells`; in a
+    second decomposition, read after `cells`, it is that entry too.  An
+    edge without a cell, or not in the decomposition, raises."""
+    d, d_full = reflex_vertical_decomposition(x), reflex_vertical_decomposition(x)
+    rings, piece_cell = _traced_cells(d)
+    assert [c.ring for c in d_full.cells] == rings
+    edges = list(dict.fromkeys(e for e in x.region.edges() if e[0] != e[1]))
+    read = []
+    for u, v in edges:
+        want = piece_cell.get(d._pieces[d._first_piece[(u, v)]])
+        if want is None:
+            with pytest.raises(PreconditionError):
+                d.cell_at_edge_start(u, v)
+            continue
+        cell = d.cell_at_edge_start(u, v)
+        assert cell.ring == rings[want], (u, v)
+        read.append((cell, want))
+        assert d_full.cell_at_edge_start(u, v) is d_full.cells[want]
+    for u, v in edges:
+        if (v, u) not in d._first_piece:
+            with pytest.raises(PreconditionError):
+                d.cell_at_edge_start(v, u)
+    assert [c.ring for c in d.cells] == rings
+    for cell, want in read:
+        assert cell is d.cells[want]
+    return len(read)
+
+
+def test_cells_on_demand_match_full_trace(hand_pairs, monkeypatch):
+    """Every region the pipeline decomposes (each op's exact overlay and
+    each outer rounding's middle region) for the hand fixtures, a corpus
+    sample and the star ladder."""
+    pairs = (list(hand_pairs) + random_pairs(8, seed=CORPUS_SEED)
+             + star_ladder_pairs())
+    regions = _pipeline_regions(monkeypatch, pairs)
+    assert sum(_check_cells_on_demand(x) for x in regions) > 2000
+
+
+def test_cell_of_a_degenerate_face_is_refused():
+    # a lone slit ring bounds a zero-area face, which is no cell
+    slit = (Pt(8, 1), Pt(9, 1))
+    x = exact_as_given(Region((square(0, 0, 4, 4), Ring(slit))))
+    d = reflex_vertical_decomposition(x)
+    for u, v in (slit, slit[::-1]):
+        with pytest.raises(PreconditionError):
+            d.cell_at_edge_start(u, v)
+    assert _check_cells_on_demand(x) == 4
+    assert [c.ring for c in d.cells] == [square(0, 0, 4, 4).canonical()]
+
+
+def test_face_walk_that_never_closes_raises():
+    # A->B enters the cycle B->C->D->B, which never leads back to A->B
+    a, b, c, d = Pt(0, 0), Pt(2, 0), Pt(3, 1), Pt(2, 2)
+    pieces = [(a, b), (b, c), (c, d), (d, b)]
+    outs = {}
+    for eid, (u, v) in enumerate(pieces):
+        outs.setdefault(u, []).append((v, eid))
+    dec = Decomposition({}, [], pieces, outs, {(a, b): 0}, 1)
+    with pytest.raises(InternalInvariantError):
+        dec.cell_at_edge_start(a, b)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from latbool.arrangement import exact_intersection
+from latbool.arrangement import exact_boolean, exact_intersection
 from latbool.exact_core import (
     EXTERIOR,
     INTERIOR,
@@ -46,6 +46,7 @@ from brute import (
     brute_nvlp,
     gap_midpoints,
     hit_points,
+    interior_sample,
     lattice_closure,
     properly_crossing_pairs,
     row_ranges,
@@ -254,11 +255,10 @@ def _check_inclusion_reference(inner: Region, outer: Region):
                 return Witness("boundary-swallowed", m,
                                f"outer edge {a}-{b} runs through inner interior")
     scan = IntMembership(inner)
-    edges = [(a, b) for a, b in inner.edges() if a != b]
     for ring in inner.rings:
         if ring.is_degenerate or not ring.is_ccw:
             continue
-        probe = region_interior_sample(ring, scan, edges)
+        probe = region_interior_sample(ring, scan)
         if probe is not None and point_in_region(probe, outer) == EXTERIOR:
             return Witness("component-outside", probe,
                            "inner component sample outside outer")
@@ -791,21 +791,52 @@ def test_visible_matches_is_visible(hand_pairs):
     assert kinds == {True, False}
 
 
+def test_region_interior_sample_matches_fraction_shooting(hand_pairs):
+    """The integer probe is the point that shooting on the points in
+    Fraction arithmetic finds, by value and by type, for every filled ring
+    of the membership regions, near the origin and far from it, and of the
+    star ladder's operands and exact results."""
+    regions = [r for _, r in membership_regions(hand_pairs)]
+    # the nearest hit above a midpoint is a vertex; a crack edge first, with
+    # the interior on both of its sides (the upward shot wins)
+    regions.append(Region((Ring((Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(2, 2),
+                                 Pt(0, 4))),)))
+    regions.append(Region((Ring((
+        Pt(10, 5), Pt(4, 5), Pt(10, 5), Pt(10, 10), Pt(0, 10), Pt(0, 0),
+        Pt(6, 0), Pt(6, 2), Pt(8, 2), Pt(8, 0), Pt(10, 0))),)))
+    regions += [shifted(r, *FAR) for r in regions]
+    for _, a, b in star_ladder_pairs():
+        box = universe_for([a, b])
+        regions += [a, b] + [exact_boolean(a, b, op, box).region
+                             for op in ("intersection", "union", "difference")]
+    probes = 0
+    for region in regions:
+        scan = IntMembership(region)
+        for ring in region.rings:
+            if ring.is_degenerate or not ring.is_ccw:
+                continue
+            got = region_interior_sample(ring, scan)
+            want = interior_sample(ring, region)
+            assert got == want and (got is None or (
+                type(got.x), type(got.y)) == (type(want.x), type(want.y)))
+            probes += got is not None
+    assert probes > 200
+
+
 def test_region_interior_sample_is_interior(hand_pairs):
     """The probe of every filled ring is interior by the pipeline's own
     classification, and it stays the same far from the origin."""
     probes = 0
     for name, region in membership_regions(hand_pairs):
         far = shifted(region, *FAR)
-        scans = [(IntMembership(r), [e for e in r.edges() if e[0] != e[1]])
-                 for r in (region, far)]
+        scans = [IntMembership(r) for r in (region, far)]
         for ri, ring in enumerate(region.rings):
             if ring.is_degenerate or not ring.is_ccw:
                 continue
-            probe = region_interior_sample(ring, *scans[0])
+            probe = region_interior_sample(ring, scans[0])
             assert probe is not None, (name, ri)
             assert point_in_region(probe, region) == INTERIOR, (name, ri)
-            assert region_interior_sample(far.rings[ri], *scans[1]) == pt(
+            assert region_interior_sample(far.rings[ri], scans[1]) == pt(
                 probe.x + FAR[0], probe.y + FAR[1]), (name, ri)
             probes += 1
     assert probes > 80

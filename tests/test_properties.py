@@ -45,7 +45,6 @@ from latbool.exact_core import (
     segment_intersection,
     segments_cross_properly,
     squared_distance,
-    squared_point_distance,
     trace_cycles,
     Violation,
     complement_in_universe,
@@ -63,11 +62,9 @@ from latbool import exact_core, oracle, rounding
 from latbool.rounding import (
     RANK_INSERTED,
     RANK_ORIGINAL,
-    _column_interval,
     _near_box,
     _near_common_edge,
     _removal_topology_ok,
-    _row_candidates,
     _strictly_in_triangle,
     convexify_cleanup,
     nvlp,
@@ -524,9 +521,6 @@ def test_kernel_matches_fraction_formulas(kind, data):
     (a, b), (c, d) = s, t
     for ring in (Ring(()), Ring((a,)), Ring((a, b, c)), Ring((a, b, c, d))):
         assert _same(ring.signed_area2, ref_signed_area2(ring))
-    for p, q in ((a, b), (a, c), (c, d), (d, d)):
-        assert _same(squared_point_distance(p, q),
-                     ref_squared_point_distance(p, q))
     events = sorted(data.draw(hys.sets(
         hys.fractions(0, 1, max_denominator=12), max_size=3)) - {0, 1})
     # the oracle's integer rows, midpoints and meeting parameters
@@ -560,10 +554,15 @@ def test_kernel_matches_fraction_formulas(kind, data):
     # the pipeline's turn tests
     for p, q, r in ((a, b, c), (a, b, d), (c, d, a), (b, a, c)):
         assert _same(vertex_convexity(p, q, r), ref_vertex_convexity(p, q, r))
+    # nvlp's closed on-cell precondition, tested on its own cross products
     for ring in (Ring((a, b, c)), Ring((a, b, c, d))):
         for q in (a, c, d, _along(a, b, Fraction(1, 2))):
-            assert _same(ConvexCell(ring).contains(q),
-                         ref_cell_contains(ring, q))
+            try:
+                nvlp(q, ConvexCell(ring))
+                on_cell = True
+            except PreconditionError:
+                on_cell = False
+            assert on_cell == (q in ring.pts or ref_cell_contains(ring, q))
     for w in (d, c, _along(a, b, Fraction(1, 2))):
         assert _same(_strictly_in_triangle(w, a, b, c),
                      ref_strictly_in_triangle(w, a, b, c))
@@ -835,18 +834,22 @@ def test_lexicographic_cut_order_is_parameter_order(a, b, ts):
 
 
 def ref_nvlp(p, cell):
-    """Every integer column of the cell's bounding box."""
+    """Every integer column of the cell's bounding box, in Fraction
+    arithmetic: per column the clamped neighbours of p.y in the column's
+    closed interval."""
     x0, _, x1, _ = cell.ring.bbox
     best = None
     for gx in range(math.ceil(x0), math.floor(x1) + 1):
-        interval = _column_interval(cell.ring, gx)
-        if interval is None:
+        ys = [y for a, b in cell.ring.edges()
+              for y in ref_segment_at(a, b, gx)]
+        if not ys:
             continue
-        lo, hi = math.ceil(interval[0]), math.floor(interval[1])
+        lo, hi = math.ceil(min(ys)), math.floor(max(ys))
         if lo > hi:
             continue
-        for gy in _row_candidates(p.y, lo, hi):
-            key = (squared_point_distance(p, Pt(gx, gy)), gx, gy)
+        base = math.floor(p.y)
+        for gy in {min(max(base, lo), hi), min(max(base + 1, lo), hi)}:
+            key = (ref_squared_point_distance(p, Pt(gx, gy)), gx, gy)
             if best is None or key < best:
                 best = key
     return None if best is None else Pt(best[1], best[2])

@@ -1,9 +1,11 @@
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from latbool import rounding
+from latbool import exact_core, rounding
 from latbool.arrangement import exact_intersection
 from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
 from latbool.exact_core import (
@@ -31,8 +33,8 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
-from brute import brute_nvlp
-from conftest import occurrence_cells, square
+from brute import brute_nvlp, in_convex_cell
+from conftest import exact_as_given, occurrence_cells, square
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,6 +89,78 @@ def test_nvlp_matches_brute_on_fixture_cells(hand_pairs):
             assert nvlp(pos, cell) == brute_nvlp(pos, cell.ring), (name, pos)
 
 
+def _primes(n: int, above: int) -> list[int]:
+    out, k = [], above
+    while len(out) < n:
+        k += 1
+        if all(k % q for q in range(2, math.isqrt(k) + 1)):
+            out.append(k)
+    return out
+
+
+def test_nvlp_matches_brute_where_the_frame_falls_back():
+    """Cells of a region whose vertex denominators have an lcm past
+    `_FRAME_LIMIT`: the decomposition keeps their Fraction coordinates, and
+    nvlp clears the cell's own denominators."""
+    # a convex chain on y = x^2 / 8 with 48 distinct prime denominators,
+    # under a lattice top with two reflex corners
+    chain = [pt(x, x * x / 8) for x in (Fraction(i, 6) + Fraction(1, q)
+                                        for i, q in enumerate(_primes(48, 50)))]
+    top = [Pt(8, 12), Pt(4, 12), Pt(4, 10), Pt(2, 10), Pt(0, 12)]
+    x = exact_as_given(Region((Ring(tuple(chain + top)),)))
+    assert region_ok(x.region)
+    d_frame, _ = exact_core._to_frame(x.region.vertex_positions())
+    assert d_frame == 1
+    d = reflex_vertical_decomposition(x)
+    assert len(d.cells) >= 3
+    checked = 0
+    for pos, cell in occurrence_cells(x, d):
+        assert nvlp(pos, cell) == brute_nvlp(pos, cell.ring), pos
+        checked += not pos.is_lattice
+    assert checked == len(chain)
+
+
+def _nearest_count(p: Pt, ring: Ring) -> int:
+    """How many lattice points of the closed cell are nearest to p."""
+    x0, y0, x1, y1 = ring.bbox
+    dists = [(p.x - gx) ** 2 + (p.y - gy) ** 2
+             for gx in range(math.ceil(x0), math.floor(x1) + 1)
+             for gy in range(math.ceil(y0), math.floor(y1) + 1)
+             if in_convex_cell(Pt(gx, gy), ring)]
+    return dists.count(min(dists)) if dists else 0
+
+
+def test_nvlp_matches_brute_at_distance_ties():
+    """Triangles with half- and quarter-integer vertices, snapped from each
+    vertex and edge midpoint: many of these points are equally near two or
+    four lattice points, and the tie breaks by x, then y."""
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(120):
+        den = rng.choice((2, 4))
+        a, b, c = (pt(Fraction(rng.randint(0, 8 * den), den),
+                      Fraction(rng.randint(0, 8 * den), den))
+                   for _ in range(3))
+        if rng.random() < 0.5:
+            # a horizontal edge on a lattice row: p half-way between two
+            # columns ties with the bound of the farther column
+            b = pt(b.x, math.floor(a.y))
+            a = pt(a.x, b.y)
+        ring = Ring((a, b, c))
+        if ring.signed_area2 == 0:
+            continue
+        if not ring.is_ccw:
+            ring = ring.reversed_()
+        cell = ConvexCell(ring)
+        along = [pt(u.x + t * (v.x - u.x), u.y + t * (v.y - u.y))
+                 for u, v in ring.edges()
+                 for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+        for p in (a, b, c, *along):
+            assert nvlp(p, cell) == brute_nvlp(p, ring), (p, ring)
+            ties += _nearest_count(p, ring) > 1
+    assert ties >= 60
+
+
 # --- chains ------------------------------------------------------------------
 
 def test_chain_plain_edge(e2_pair):
@@ -112,13 +186,13 @@ def test_nvlp_scans_only_the_columns_near_p(monkeypatch):
     """A 1000-column cell whose nearest lattice point is next to p: the
     outward scan stops after the few columns that can still win."""
     calls = []
-    real = rounding._column_interval
+    real = rounding._column_rows
 
-    def counted(ring, x):
+    def counted(edges, x, s):
         calls.append(x)
-        return real(ring, x)
+        return real(edges, x, s)
 
-    monkeypatch.setattr(rounding, "_column_interval", counted)
+    monkeypatch.setattr(rounding, "_column_rows", counted)
     apex = pt(Fraction(1001, 2), Fraction(7, 2))
     cell = _cell(Pt(0, 0), Pt(1000, 0), apex)
     assert nvlp(apex, cell) == Pt(500, 3) == brute_nvlp(apex, cell.ring)
@@ -352,8 +426,7 @@ def test_outer_convex_component_side_effect(hand_pairs):
                 if not exact.region.rings[ri].is_ccw:
                     continue
                 probe = region_interior_sample(
-                    exact.region.rings[ri], IntMembership(exact.region),
-                    [e for e in exact.region.edges() if e[0] != e[1]])
+                    exact.region.rings[ri], IntMembership(exact.region))
                 if probe is None:
                     continue
                 for oi, oring in enumerate(outer.rings):
