@@ -6,9 +6,11 @@ classifies each atomic piece from its own edges (Martinez-Rueda-Feito
 its operands' parities on one side from its predecessor on the sweep line,
 and the parity of each operand's edges lying along the piece gives the
 other side.  No point is queried against an operand.  The pieces where
-the result flips are traced into rings.  A plain pair overlay with
-interval pruning stands in for a full event-queue intersection sweep;
-complexity is a soft goal only.
+the result flips are traced into rings by the library's one face walker
+(`exact_core.trace_rings`).  A plain pair overlay with interval pruning
+stands in for a full event-queue intersection sweep; complexity is a soft
+goal only.  `exact_intersection` is the overlay itself, and
+`exact_from_overlay` complements a union's overlay back inside the box.
 
 All of it runs on int points (`exact_core._to_frame`): the operands are
 scaled by the lcm d0 of their denominators (1 for lattice operands), and
@@ -33,7 +35,6 @@ from .exact_core import (
     RIGHT,
     InternalInvariantError,
     MarginError,
-    trace_cycles,
     PreconditionError,
     Pt,
     Region,
@@ -47,6 +48,7 @@ from .exact_core import (
     find_segment_intersections,
     orientation,
     region_ok,
+    trace_rings,
     segments_cross_properly,
     validate_region,
 )
@@ -228,8 +230,11 @@ def _right_parities(atoms: Sequence[_Atomic]) -> list[tuple[bool, bool]]:
 # the overlay itself
 
 
-def overlay_intersection(a: Region, b: Region) -> ExactRegion:
-    """closure(A interior intersect B interior) with its stats."""
+def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
+    """closure(A interior intersect B interior) with its stats; `check`
+    validates the operands first."""
+    if check:
+        _require_valid(A=a, B=b)
     edges = _gather_edges(a, 0) + _gather_edges(b, 1)
     d0, frame0 = _to_frame(p for e in edges for p in (e.a, e.b))
     segments = [(frame0[e.a], frame0[e.b]) for e in edges]
@@ -257,7 +262,7 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
             directed.append((e.a, e.b))
             directed.append((e.b, e.a))
 
-    tagged = _tag_rings(_cycles_to_rings(trace_cycles(directed)))
+    tagged = _tag_rings(trace_rings(directed))
     back = _from_frame({v.pos for ring in tagged for v in ring}, d0 * d1)
     rings = tuple(tuple(ExactVertex(back[v.pos], v.convexity) for v in ring)
                   for ring in tagged)
@@ -267,16 +272,6 @@ def overlay_intersection(a: Region, b: Region) -> ExactRegion:
     region = Region(tuple(_marked(Ring(tuple(v.pos for v in ring)))
                           for ring in rings))
     return _exact_region(rings, OverlayStats(n=len(edges), k=k, h=h), region)
-
-
-def _cycles_to_rings(cycles: list[list[Pt]]) -> list[Ring]:
-    rings = []
-    for cyc in cycles:
-        ring = Ring(tuple(cyc)).canonical()
-        if len(ring.pts) >= 2:
-            rings.append(ring)
-    rings.sort(key=lambda r: tuple(r.pts))
-    return rings
 
 
 def _tag_rings(rings: Iterable[Ring]) -> tuple[tuple[ExactVertex, ...], ...]:
@@ -295,22 +290,6 @@ def _require_valid(**operands: Region) -> None:
         if not region_ok(r):
             raise PreconditionError(
                 f"operand {name} is not a valid region: {validate_region(r)}")
-
-
-def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
-    if check:
-        _require_valid(A=a, B=b)
-    return overlay_intersection(a, b)
-
-
-def complement_exact(x: ExactRegion, box: UniverseBox) -> ExactRegion:
-    """Complement of an exact result inside the box, stats preserved.
-
-    The intermediate may legitimately fill the box up to its boundary, so
-    no margin is required here (unlike operand complements).
-    """
-    comp = complement_in_universe(x.region, box, margin=0)
-    return _exact_region(_tag_rings(comp.rings), x.stats, comp)
 
 
 def _exact_region(rings: tuple[tuple[ExactVertex, ...], ...],
@@ -350,18 +329,23 @@ def exact_overlay(a: Region, b: Region, op: str,
 
 def exact_from_overlay(overlay: ExactRegion, op: str,
                        box: UniverseBox) -> ExactRegion:
-    """The exact result of `op` from its `exact_overlay`."""
+    """The exact result of `op` from its `exact_overlay`.
+
+    A union is the complement of its overlay inside the box, with the
+    overlay's stats.  The overlay may fill the box up to its boundary, so
+    no margin is required here (unlike operand complements).
+    """
     if op != "union":
         return overlay
-    result = complement_exact(overlay, box)
+    comp = complement_in_universe(overlay.region, box, margin=0)
     bx0, by0 = box.min
     bx1, by1 = box.max
-    for ring in result.region.rings:
+    for ring in comp.rings:
         for p in ring.pts:
             if not (bx0 < p.x < bx1 and by0 < p.y < by1):
                 raise InternalInvariantError(
                     "union result touches the universe box")
-    return result
+    return _exact_region(_tag_rings(comp.rings), overlay.stats, comp)
 
 
 def exact_boolean(a: Region, b: Region, op: str,

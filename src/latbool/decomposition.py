@@ -23,18 +23,19 @@ endpoints searches only the endpoints inside each edge's x-range.
 The profiles, walls and lists are computed in the integer frame of the
 region's vertices (`exact_core._to_frame`).  The edges are then cut at the
 wall ends into the pieces of the cell graph, in that frame scaled again by
-the wall ends' denominators.  Cells are walked on demand: inner rounding
-reads only the cell at the corner of each non-representable vertex, so
-`cell_at_edge_start` walks, checks and maps back the one face it is asked
-for, and keeps it for every piece of that face.  The cost of the cells is
-thus per snapped corner, not per cell.  Reading `cells` walks every face
-once, with the same walker, in the order of a full trace, and checks each.
+the wall ends' denominators.  Cells are walked on demand by
+`exact_core.Faces`, the walker that also traces the overlay's rings: inner
+rounding reads only the cell at the corner of each non-representable
+vertex, so `cell_at_edge_start` walks, checks and maps back the one face it
+is asked for, and the walker keeps that walk for every piece of the face.
+The cost of the cells is thus per snapped corner, not per cell.  Reading
+`cells` walks every face not walked yet, in the walker's order (by least
+piece), and checks each.  A cell is a canonical counterclockwise `Ring`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -42,13 +43,14 @@ from .arrangement import REFLEX, ExactRegion
 from .exact_core import (
     COLLINEAR,
     LEFT,
+    Faces,
     InternalInvariantError,
     PreconditionError,
     Pt,
     Ring,
     Scalar,
     _from_frame,
-    _next_out,
+    _marked,
     _to_frame,
     dot,
     orientation,
@@ -63,37 +65,26 @@ class Wall(NamedTuple):
     hit: Pt
 
 
-@dataclass(frozen=True)
-class ConvexCell:
-    """One convex face of the decomposition (CCW boundary)."""
-
-    ring: Ring
-
-
-# a piece whose face has not been walked yet
-_UNWALKED = object()
-
-
 class Decomposition:
     """The walls, the convex cells and the per-edge visibility lists.
 
     The cells are the faces of the piece graph of `_build_pieces`, walked
-    when first asked for.
+    by one `exact_core.Faces` when first asked for.  Each cell is a
+    canonical counterclockwise `Ring`.
     """
 
     def __init__(self, visible_reflex: dict, walls: list[tuple[Pt, Pt]],
                  pieces: list[tuple[Pt, Pt]],
-                 outs: dict[Pt, list[tuple[Pt, int]]],
                  first_piece: dict[tuple[Pt, Pt], int], scale: int):
         self.visible_reflex = visible_reflex
         self._walls = walls
-        self._pieces = pieces
-        self._outs = outs
+        self._faces = Faces(pieces)
         self._first_piece = first_piece
         self._scale = scale
-        self._cell_of_piece: list = [_UNWALKED] * len(pieces)
+        # per face, by its first piece: its cell, or None when degenerate
+        self._cells: dict[int, Optional[Ring]] = {}
 
-    def cell_at_edge_start(self, u: Pt, v: Pt) -> ConvexCell:
+    def cell_at_edge_start(self, u: Pt, v: Pt) -> Ring:
         """The cell adjacent to the corner at u along the directed edge u->v.
 
         This is the one cell lookup, made once per vertex occurrence: on
@@ -103,55 +94,36 @@ class Decomposition:
         piece bounds a degenerate face.
         """
         eid = self._first_piece.get((u, v))
-        cell = None if eid is None else self._face(eid)
+        cell = None if eid is None else self._cell(self._faces.through(eid))
         if cell is None:
             raise PreconditionError(
                 f"{u}->{v} is not an edge of the decomposition")
         return cell
 
-    def _face(self, start: int) -> Optional[ConvexCell]:
-        """The cell of the face through piece `start`, or None when the face
-        is degenerate; walked once, by the rotation rule of
-        `exact_core.trace_cycles`."""
-        memo = self._cell_of_piece
-        cell = memo[start]
-        if cell is not _UNWALKED:
-            return cell
-        pieces, outs = self._pieces, self._outs
-        walk = [start]
-        u, v = pieces[start]
-        while True:
-            _, eid = _next_out(u, v, outs.get(v, []))
-            if eid == start:
-                break
-            if memo[eid] is not _UNWALKED or len(walk) == len(pieces):
+    def _cell(self, face: list[int]) -> Optional[Ring]:
+        """The cell the face bounds, or None when it is degenerate; checked
+        and mapped out of the frame once."""
+        if face[0] in self._cells:
+            return self._cells[face[0]]
+        pieces = self._faces.pieces
+        ring = Ring(tuple(pieces[eid][0] for eid in face)).canonical()
+        cell = None
+        if len(ring.pts) >= 3 and not ring.is_degenerate:
+            if not ring.is_ccw:
                 raise InternalInvariantError(
-                    "boundary tracing did not close a cycle")
-            walk.append(eid)
-            u, v = pieces[eid]
-        ring = Ring(tuple(pieces[eid][0] for eid in walk)).canonical()
-        if len(ring.pts) < 3 or ring.is_degenerate:
-            cell = None
-        elif not ring.is_ccw:
-            raise InternalInvariantError("decomposition cell traced clockwise")
-        else:
+                    "decomposition cell traced clockwise")
             back = _from_frame(ring.pts, self._scale)
-            cell = ConvexCell(Ring(tuple(back[p] for p in ring.pts)))
-        for eid in walk:
-            memo[eid] = cell
+            # scaling back by a positive d keeps the ring canonical
+            cell = _marked(Ring(tuple(back[p] for p in ring.pts)))
+        self._cells[face[0]] = cell
         return cell
 
     @cached_property
-    def cells(self) -> tuple[ConvexCell, ...]:
+    def cells(self) -> tuple[Ring, ...]:
         """Every cell, in the order in which a full trace meets them: by
         the least piece of each face."""
-        pieces = self._pieces
-        faces: dict[int, ConvexCell] = {}
-        for eid in sorted(range(len(pieces)), key=pieces.__getitem__):
-            cell = self._face(eid)
-            if cell is not None:
-                faces.setdefault(id(cell), cell)
-        return tuple(faces.values())
+        cells = (self._cell(face) for face in self._faces.all())
+        return tuple(cell for cell in cells if cell is not None)
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
@@ -283,7 +255,7 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
     """Build the walls, the piece graph of the cells and the per-edge
     visibility lists; the cells are walked when read."""
     if region.is_empty:
-        return Decomposition({}, [], [], {}, {}, 1)
+        return Decomposition({}, [], [], {}, 1)
     for ring in region.rings:
         for v in ring:
             if v.convexity == REFLEX and not v.pos.is_lattice:
@@ -331,11 +303,10 @@ def reflex_vertical_decomposition(region: ExactRegion) -> Decomposition:
 def _build_pieces(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
                   walls: list[Wall], d: int):
     """The walls, the directed pieces (the edges cut at the wall ends, and
-    each wall both ways), each vertex's outgoing pieces, the first piece of
-    each edge and the frame scale, as `Decomposition` takes them.  `fedges`
-    and `walls` are in the vertex frame of lcm d; the results are in that
-    frame scaled again by the wall ends' denominators, except that each
-    edge is keyed as in `edges`.
+    each wall both ways), the first piece of each edge and the frame scale,
+    as `Decomposition` takes them.  `fedges` and `walls` are in the vertex
+    frame of lcm d; the results are in that frame scaled again by the wall
+    ends' denominators, except that each edge is keyed as in `edges`.
     """
     d2, frame = _to_frame([*(p for e in fedges for p in e),
                            *(w.hit for w in walls)])
@@ -360,17 +331,7 @@ def _build_pieces(edges: list[tuple[Pt, Pt]], fedges: list[tuple[Pt, Pt]],
     for u, v in fwalls:
         pieces.append((u, v))
         pieces.append((v, u))
-    outs: dict[Pt, list[tuple[Pt, int]]] = {}
-    for eid, (u, v) in enumerate(pieces):
-        outs.setdefault(u, []).append((v, eid))
-    for u, out in outs.items():
-        out.sort()
-        for (v, _), (w, _) in zip(out, out[1:]):
-            if v == w:
-                # two faces would share one successor
-                raise InternalInvariantError(
-                    f"decomposition piece {u}->{v} listed twice")
-    return fwalls, pieces, outs, first_piece, d * d2
+    return fwalls, pieces, first_piece, d * d2
 
 
 def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],

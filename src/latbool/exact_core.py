@@ -26,6 +26,12 @@ of a canonical ring is canonical up to its rotation, so `reversed_` rotates
 it to its least vertex and marks it.  A region also keeps whether it is
 valid (`Region.is_valid`, `region_ok`).
 
+Every face of a planar subdivision is walked by one walker, `Faces`: it
+sorts the out-lists once and walks a face by the rotation rule when one of
+its pieces first asks.  `trace_rings` reads every face as a canonical ring;
+the overlay, `Region.canonical`'s re-trace and the pixel union use it, and
+the decomposition walks its cells one at a time.
+
 The overlay and the decomposition clear denominators once per call, not
 once per predicate: `_to_frame` scales their points by one d > 0 to int
 points, and `_from_frame` maps their results back.  Scaling keeps
@@ -34,7 +40,7 @@ Where the lcm of the denominators is too long, d is 1 and the points are
 used as they are.
 
 `orientation` and `dot` are also the pipeline's one turn predicate: the
-rotation rule of `trace_cycles`, `point_in_region`,
+rotation rule of `Faces`, `point_in_region`,
 `arrangement.vertex_convexity` and `decomposition._dir_in_sector`, and
 `rounding`'s reflex-removal checks (`_removal_topology_ok`,
 `_strictly_in_triangle`) decide every turn with them.  A collinear turn
@@ -560,7 +566,9 @@ class Region:
         """Canonical rings in lexicographic order.
 
         Where a vertex position is visited twice, the directed edges are
-        re-traced; with every position distinct each vertex has one
+        re-traced (`trace_rings`): a pinch may be listed as one ring
+        visiting it twice or as two touching rings, and the rotation rule
+        picks one.  With every position distinct each vertex has one
         outgoing edge, and re-tracing would return the same rings.  That
         does not make the form unique for a point set: a vertex can also
         lie inside another edge, and the same boundary then has a listing
@@ -569,6 +577,8 @@ class Region:
         (17, 16) each visited twice; its outer rounding is the same closed
         set as 2 rings, with (18, 12) inside the edge (18, 11)-(18, 16) and
         (17, 16) inside (18, 16)-(15, 16), and both are fixed points.
+        Where the walk fails, as when a directed edge is listed twice, the
+        rings are kept as listed; such a region is not valid.
         """
         memo = self.__dict__
         c = memo.get("_canonical")
@@ -578,7 +588,11 @@ class Region:
                  if len(r.pts) >= 2]
         visits = sum(len(r.pts) for r in rings)
         if len({p for r in rings for p in r.pts}) < visits:
-            rings = _retrace_rings(rings)
+            try:
+                rings = trace_rings([e for r in rings for e in r.edges()
+                                     if e[0] != e[1]])
+            except InternalInvariantError:
+                pass  # kept as listed: such edges bound no valid region
         rings.sort(key=lambda r: r.pts)
         if tuple(rings) == self.rings:
             memo["_canonical"] = _SELF
@@ -619,54 +633,64 @@ def _next_out(u: Pt, v: Pt, outs: list[tuple[Pt, int]]) -> tuple[Pt, int]:
     return best
 
 
-def trace_cycles(directed: list[tuple[Pt, Pt]]) -> list[list[Pt]]:
-    """Decompose interior-on-the-left directed edges into boundary cycles."""
-    outs: dict[Pt, list[tuple[Pt, int]]] = {}
-    for eid, (u, v) in enumerate(directed):
-        outs.setdefault(u, []).append((v, eid))
-    for v in outs:
-        outs[v].sort(key=lambda t: (t[0], t[1]))
-    used = [False] * len(directed)
-    cycles: list[list[Pt]] = []
-    order = sorted(range(len(directed)), key=lambda i: directed[i])
-    for start in order:
-        if used[start]:
-            continue
-        cycle: list[Pt] = []
-        eid = start
-        while not used[eid]:
-            used[eid] = True
-            u, v = directed[eid]
-            cycle.append(u)
-            _, eid = _next_out(u, v, outs.get(v, []))
-        if eid != start:
-            raise InternalInvariantError(
-                "boundary tracing did not close a cycle")
-        cycles.append(cycle)
-    return cycles
+class Faces:
+    """The faces of directed pieces with the interior on the left.
 
-
-def _retrace_rings(rings: list[Ring]) -> list[Ring]:
-    """Canonical ring structure: re-trace the directed edge set.
-
-    Pinch vertices may be represented as one ring visiting twice or as two
-    touching rings; the rotation rule picks one canonical decomposition.
-    Falls back to the input when directed edges are not unique (then the
-    region is invalid anyway and validation will say so).
+    The face through a piece is walked by the rotation rule (`_next_out`)
+    the first time any of its pieces asks, and kept for all of them.  A
+    piece listed twice would give two faces one successor, so it is
+    refused.
     """
-    directed: list[tuple[Pt, Pt]] = []
-    for r in rings:
-        for a, b in r.edges():
-            if a != b:
-                directed.append((a, b))
-    if len(set(directed)) != len(directed):
-        return rings
-    try:
-        cycles = trace_cycles(directed)
-    except InternalInvariantError:
-        return rings
-    out = [Ring(tuple(c)).canonical() for c in cycles]
-    return [r for r in out if len(r.pts) >= 2]
+
+    def __init__(self, pieces: Sequence[tuple[Pt, Pt]]):
+        self.pieces = pieces
+        self._outs: dict[Pt, list[tuple[Pt, int]]] = {}
+        for eid, (u, v) in enumerate(pieces):
+            self._outs.setdefault(u, []).append((v, eid))
+        for u, out in self._outs.items():
+            out.sort()
+            for (v, _), (w, _) in zip(out, out[1:]):
+                if v == w:
+                    raise InternalInvariantError(f"piece {u}->{v} listed twice")
+        self._face_of: list[Optional[list[int]]] = [None] * len(pieces)
+
+    def through(self, start: int) -> list[int]:
+        """The pieces of the face through piece `start`, in walk order."""
+        face = self._face_of[start]
+        if face is not None:
+            return face
+        pieces, outs = self.pieces, self._outs
+        face = [start]
+        u, v = pieces[start]
+        while True:
+            _, eid = _next_out(u, v, outs.get(v, []))
+            if eid == start:
+                break
+            if self._face_of[eid] is not None or len(face) == len(pieces):
+                raise InternalInvariantError(
+                    "boundary tracing did not close a cycle")
+            face.append(eid)
+            u, v = pieces[eid]
+        for eid in face:
+            self._face_of[eid] = face
+        return face
+
+    def all(self) -> Iterator[list[int]]:
+        """Every face once, ordered by its least piece."""
+        seen: set[int] = set()
+        for eid in sorted(range(len(self.pieces)), key=self.pieces.__getitem__):
+            face = self.through(eid)
+            if id(face) not in seen:
+                seen.add(id(face))
+                yield face
+
+
+def trace_rings(directed: Sequence[tuple[Pt, Pt]]) -> list[Ring]:
+    """The canonical rings of at least 2 vertices that interior-on-the-left
+    directed edges bound, sorted."""
+    rings = (Ring(tuple(directed[eid][0] for eid in face)).canonical()
+             for face in Faces(directed).all())
+    return sorted((r for r in rings if len(r.pts) >= 2), key=lambda r: r.pts)
 
 
 def _ring_encloses(outer: Ring, inner: Ring) -> bool:

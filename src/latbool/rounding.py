@@ -27,11 +27,7 @@ from .arrangement import (
     exact_intersection,
     vertex_convexity,
 )
-from .decomposition import (
-    ConvexCell,
-    Decomposition,
-    reflex_vertical_decomposition,
-)
+from .decomposition import Decomposition, reflex_vertical_decomposition
 from .exact_core import (
     COLLINEAR,
     MARGIN,
@@ -48,7 +44,7 @@ from .exact_core import (
     orientation,
     segments_cross_properly,
     squared_distance,
-    trace_cycles,
+    trace_rings,
 )
 
 
@@ -56,10 +52,11 @@ from .exact_core import (
 # NVLP by exact column scan
 
 
-def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
-    """Nearest lattice point of the closed convex cell, exact.
+def nvlp(p: Pt, cell: Ring) -> Optional[Pt]:
+    """Nearest lattice point of the closed convex cell, exact.  The cell is
+    a counterclockwise `Ring`, as `Decomposition` gives it.
 
-    Runs on ints: p and the cell ring are scaled by one common denominator
+    Runs on ints: p and the cell are scaled by one common denominator
     s of their own coordinates (`exact_core._scaled`; a cell's vertices
     need not share the decomposition's frame).  Scans the integer columns
     of the cell outward from p.x, nearest first (the right one of two
@@ -73,7 +70,7 @@ def nvlp(p: Pt, cell: ConvexCell) -> Optional[Pt]:
     distances are compared times s^2, which keeps their order.  Returns None
     iff the scan proves the cell lattice-point-free.
     """
-    s, (px, py, *c) = _scaled(*p, *(v for q in cell.ring.pts for v in q))
+    s, (px, py, *c) = _scaled(*p, *(v for q in cell.pts for v in q))
     ring = list(zip(c[0::2], c[1::2]))
     edges = list(zip(ring, ring[1:] + ring[:1]))
     if (px, py) not in ring and any(
@@ -335,8 +332,6 @@ def _slit_covered(a: Pt, b: Pt, cells: set[tuple[int, int]]) -> bool:
 
 
 def _unit_cell_union_rings(cells: set[tuple[int, int]]) -> list[Ring]:
-    if not cells:
-        return []
     directed: list[tuple[Pt, Pt]] = []
     for (cx, cy) in cells:
         if (cx, cy - 1) not in cells:
@@ -347,7 +342,7 @@ def _unit_cell_union_rings(cells: set[tuple[int, int]]) -> list[Ring]:
             directed.append((Pt(cx, cy + 1), Pt(cx, cy)))
         if (cx + 1, cy) not in cells:
             directed.append((Pt(cx + 1, cy), Pt(cx + 1, cy + 1)))
-    return [Ring(tuple(c)) for c in trace_cycles(directed)]
+    return trace_rings(directed)
 
 
 # ---------------------------------------------------------------------------

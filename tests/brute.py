@@ -11,8 +11,9 @@ segments against its interior (`lattice_closure`,
 Hausdorff row rule over all edges (`row_ranges`), and the points of a
 segment intersection, the plain Fraction parameter of a point along a
 segment and the midpoints of a cut segment (`hit_points`, `segment_param`,
-`gap_midpoints`), and the interior probe (`interior_sample`), which the
-oracle computes on integers.
+`gap_midpoints`), the interior probe (`interior_sample`), which the
+oracle computes on integers, and one full pass of the face walk over every
+piece (`trace_cycles`), which the pipeline's `Faces` walks on demand.
 
 Everything here is deliberately exhaustive and simple: full lattice
 enumerations and per-candidate scans, classified by the oracle's
@@ -31,11 +32,13 @@ from latbool.exact_core import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    InternalInvariantError,
     PreconditionError,
     Pt,
     Region,
     Ring,
     Scalar,
+    _next_out,
     pt,
     segment_at,
     segment_intersection,
@@ -387,3 +390,32 @@ def interior_sample(ring: Ring, region: Region) -> Optional[Pt]:
                 if scan.classify(cand) == INTERIOR:
                     return cand
     return None
+
+
+def trace_cycles(directed: Sequence[tuple[Pt, Pt]]) -> list[list[Pt]]:
+    """Every face of interior-on-the-left directed edges as its cycle of
+    vertices, in one pass: each walk starts at the least edge not used yet
+    and marks the edges it takes, by the rotation rule (`_next_out`)."""
+    outs: dict[Pt, list[tuple[Pt, int]]] = {}
+    for eid, (u, v) in enumerate(directed):
+        outs.setdefault(u, []).append((v, eid))
+    for v in outs:
+        outs[v].sort(key=lambda t: (t[0], t[1]))
+    used = [False] * len(directed)
+    cycles: list[list[Pt]] = []
+    order = sorted(range(len(directed)), key=lambda i: directed[i])
+    for start in order:
+        if used[start]:
+            continue
+        cycle: list[Pt] = []
+        eid = start
+        while not used[eid]:
+            used[eid] = True
+            u, v = directed[eid]
+            cycle.append(u)
+            _, eid = _next_out(u, v, outs.get(v, []))
+        if eid != start:
+            raise InternalInvariantError(
+                "boundary tracing did not close a cycle")
+        cycles.append(cycle)
+    return cycles

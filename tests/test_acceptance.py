@@ -18,7 +18,7 @@ import pytest
 
 from latbool.arrangement import exact_intersection, find_segment_intersections
 from latbool.cli import run_property_checklist
-from latbool.decomposition import ConvexCell, reflex_vertical_decomposition
+from latbool.decomposition import reflex_vertical_decomposition
 from latbool.exact_core import Pt, Ring, orientation, pt
 from latbool.fixtures import default_seed, hand_fixture_pairs, random_pairs
 from latbool.lpr import parse_region
@@ -128,7 +128,7 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
         d = reflex_vertical_decomposition(x)
         for pos, cell in occurrence_cells(x, d):
             checks += 1
-            if nvlp(pos, cell) != brute_nvlp(pos, cell.ring):
+            if nvlp(pos, cell) != brute_nvlp(pos, cell):
                 failures.append((name, pos))
     # 200 random convex cells with a rational vertex
     rng = random.Random(default_seed() + 1)
@@ -148,7 +148,7 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
             continue
         made += 1
         checks += 1
-        if nvlp(p, ConvexCell(ring)) != brute_nvlp(p, ring):
+        if nvlp(p, ring) != brute_nvlp(p, ring):
             failures.append(("random-cell", p))
     # engineered ties, resolved lexicographically: the four corners around
     # (1/2, 1/2) are equidistant, (0, 0) wins by (x, y) order
@@ -156,13 +156,13 @@ def test_criterion_6_nvlp_oracle_equivalence(corpus):
     tie_p = pt(Fraction(1, 2), Fraction(1, 2))
     checks += 1
     got = brute_nvlp(tie_p, tie_cell)
-    got2 = nvlp(tie_p, ConvexCell(tie_cell))
+    got2 = nvlp(tie_p, tie_cell)
     if got != Pt(0, 0) or got2 != Pt(0, 0):
         failures.append(("tie", got, got2))
     apex = pt(Fraction(5, 2), Fraction(5, 2))
     tri = Ring((Pt(0, 0), Pt(5, 0), apex))
     checks += 1
-    if nvlp(apex, ConvexCell(tri)) != Pt(2, 2):
+    if nvlp(apex, tri) != Pt(2, 2):
         failures.append(("tie-e2", None))
     _report("criterion 6 (NVLP == brute NVLP incl. ties)", checks, failures)
     assert not failures
@@ -194,7 +194,7 @@ def test_criterion_7_supporting_invariants(corpus):
                 # global nearest visible lattice point
                 if not v.pos.is_lattice:
                     checks += 1
-                    if brute_nvlp(v.pos, cells[i].ring) != \
+                    if brute_nvlp(v.pos, cells[i]) != \
                             brute_nvlp_region(v.pos, region):
                         failures.append(("cell-locality", name, v.pos))
                 # the snap segment never enters the lattice-closure interior

@@ -223,7 +223,7 @@ def test_piece_sides_match_offset_points(hand_pairs, monkeypatch):
         return _from_frame(points, d)
 
     monkeypatch.setattr(arrangement, "_atomize", atomize)
-    monkeypatch.setattr(arrangement, "trace_cycles", trace)
+    monkeypatch.setattr(arrangement, "trace_rings", trace)
     monkeypatch.setattr(arrangement, "_from_frame", from_frame)
     cracks = 0
     for name, a, b in cases:
@@ -289,8 +289,8 @@ def test_overlay_and_decomposition_commute_with_scaling_and_translation(
         dec_y = reflex_vertical_decomposition(y)
         assert dec_y.walls == tuple(Wall(f(w.source), f(w.hit))
                                   for w in dec_x.walls), name
-        assert [c.ring for c in dec_y.cells] == [
-            Ring(tuple(f(p) for p in c.ring.pts)) for c in dec_x.cells], name
+        assert list(dec_y.cells) == [
+            Ring(tuple(f(p) for p in c.pts)) for c in dec_x.cells], name
         assert cell_of_edge_start(y, dec_y) == {
             (f(u), f(v)): i
             for (u, v), i in cell_of_edge_start(x, dec_x).items()}, name
@@ -309,7 +309,7 @@ def test_overlay_and_decomposition_agree_without_a_frame(hand_pairs,
     def run(a, b):
         x = exact_intersection(a, b, check=False)
         d = reflex_vertical_decomposition(x)
-        return (x.rings, x.stats, d.walls, [c.ring for c in d.cells],
+        return (x.rings, x.stats, d.walls, list(d.cells),
                 cell_of_edge_start(x, d), d.visible_reflex)
 
     cases = _frame_cases(hand_pairs)

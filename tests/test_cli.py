@@ -110,6 +110,26 @@ def test_run_parse_error_exit_1(tmp_path):
     assert result.exit_code == 1
 
 
+SQUARE = "poly 4 0 0 4 0 4 4 0 4"
+
+
+@pytest.mark.parametrize("rings", [
+    # every vertex and directed edge twice: the re-trace of the repeated
+    # vertices finds no faces and keeps the rings as listed
+    (SQUARE, SQUARE),
+    (SQUARE, "poly 4 2 2 6 2 6 6 2 6"),  # two crossing rings
+], ids=["square-twice", "crossing"])
+def test_invalid_operand_is_an_input_error(tmp_path, rings):
+    text = "region\n" + "\n".join(rings) + "\nend\n"
+    with pytest.raises(LprError, match="^invalid region: "):
+        parse_region(text)
+    a = _write(tmp_path, "A.lpr", text)
+    b = _write(tmp_path, "B.lpr", E2_B)
+    result = CliRunner().invoke(main, ["verify", a, b])
+    assert result.exit_code == 1, result.output
+    assert "invalid region" in result.output
+
+
 def test_verify_e2_passes(tmp_path):
     a = _write(tmp_path, "A.lpr", E2_A)
     b = _write(tmp_path, "B.lpr", E2_B)

@@ -7,6 +7,7 @@ from latbool import rounding
 from latbool.arrangement import exact_intersection
 from latbool.decomposition import Decomposition, reflex_vertical_decomposition
 from latbool.exact_core import (
+    Faces,
     InternalInvariantError,
     PreconditionError,
     Pt,
@@ -15,7 +16,6 @@ from latbool.exact_core import (
     _from_frame,
     point_in_region,
     pt,
-    trace_cycles,
 )
 from latbool.fixtures import random_pairs
 from latbool.setops import sandwich
@@ -24,6 +24,7 @@ from brute import (
     brute_nvlp,
     brute_nvlp_region,
     in_convex_cell,
+    trace_cycles,
     vertically_visible,
 )
 from conftest import (
@@ -65,15 +66,14 @@ def test_l_shape_decomposition():
     # (2,4), bounds the left one
     want = {Pt(0, 0): left, Pt(4, 0): right, Pt(4, 2): right,
             Pt(2, 2): left, Pt(2, 4): left, Pt(0, 4): left}
-    got = {pos: cell.ring.canonical() for pos, cell in occurrence_cells(x, d)}
-    assert got == want
+    assert dict(occurrence_cells(x, d)) == want
 
 
 def test_hole_emits_four_walls_and_area_partition():
     holed = Region((square(0, 0, 6, 6), square(2, 2, 4, 4).reversed_()))
     d = reflex_vertical_decomposition(_identity_exact(holed))
     assert len(d.walls) == 4
-    total = sum(c.ring.signed_area2 for c in d.cells)
+    total = sum(c.signed_area2 for c in d.cells)
     assert total == 2 * (36 - 4)
 
 
@@ -83,7 +83,7 @@ def test_area_partition_on_fixtures(hand_pairs):
         if x.is_empty:
             continue
         d = reflex_vertical_decomposition(x)
-        area_cells = sum(c.ring.signed_area2 for c in d.cells)
+        area_cells = sum(c.signed_area2 for c in d.cells)
         area_region = sum(r.signed_area2 for r in x.region.rings)
         assert area_cells == area_region, name
 
@@ -103,7 +103,7 @@ def test_cells_cover_interior_points(hand_pairs):
             if point_in_region(q, x.region) != "interior":
                 continue
             hits += 1
-            containing = [c for c in d.cells if in_convex_cell(q, c.ring)]
+            containing = [c for c in d.cells if in_convex_cell(q, c)]
             assert containing, (name, q)
         assert hits > 0
 
@@ -117,7 +117,7 @@ def test_cell_nvlp_equals_region_nvlp(hand_pairs):
         for pos, cell in occurrence_cells(x, d):
             if pos.is_lattice:
                 continue
-            assert brute_nvlp(pos, cell.ring) == \
+            assert brute_nvlp(pos, cell) == \
                 brute_nvlp_region(pos, x.region), (name, pos)
 
 
@@ -278,12 +278,13 @@ def test_visibility_lists_match_oracle_translated(dx, dy, monkeypatch):
 
 
 def _traced_cells(d) -> tuple[list[Ring], dict]:
-    """The cells of d as one full `trace_cycles` pass over its pieces
-    gives them: every face canonicalized, degenerate faces dropped, in
-    trace order, mapped out of the frame; and each piece's cell index."""
+    """The cells of d as one full pass of the reference face walk
+    (`brute.trace_cycles`) over its pieces gives them: every face
+    canonicalized, degenerate faces dropped, in trace order, mapped out of
+    the frame; and each piece's cell index."""
     rings: list[Ring] = []
     piece_cell = {}
-    for cycle in trace_cycles(list(d._pieces)):
+    for cycle in trace_cycles(list(d._faces.pieces)):
         ring = Ring(tuple(cycle)).canonical()
         if len(ring.pts) < 3 or ring.is_degenerate:
             continue
@@ -292,7 +293,8 @@ def _traced_cells(d) -> tuple[list[Ring], dict]:
         for i in range(n):
             piece_cell[(cycle[i], cycle[(i + 1) % n])] = len(rings)
         back = _from_frame(ring.pts, d._scale)
-        rings.append(Ring(tuple(back[p] for p in ring.pts)))
+        # canonical again out of the frame, as the marked cells claim
+        rings.append(Ring(tuple(back[p] for p in ring.pts)).canonical())
     return rings, piece_cell
 
 
@@ -303,24 +305,24 @@ def _check_cells_on_demand(x) -> int:
     edge without a cell, or not in the decomposition, raises."""
     d, d_full = reflex_vertical_decomposition(x), reflex_vertical_decomposition(x)
     rings, piece_cell = _traced_cells(d)
-    assert [c.ring for c in d_full.cells] == rings
+    assert list(d_full.cells) == rings
     edges = list(dict.fromkeys(e for e in x.region.edges() if e[0] != e[1]))
     read = []
     for u, v in edges:
-        want = piece_cell.get(d._pieces[d._first_piece[(u, v)]])
+        want = piece_cell.get(d._faces.pieces[d._first_piece[(u, v)]])
         if want is None:
             with pytest.raises(PreconditionError):
                 d.cell_at_edge_start(u, v)
             continue
         cell = d.cell_at_edge_start(u, v)
-        assert cell.ring == rings[want], (u, v)
+        assert cell == rings[want], (u, v)
         read.append((cell, want))
         assert d_full.cell_at_edge_start(u, v) is d_full.cells[want]
     for u, v in edges:
         if (v, u) not in d._first_piece:
             with pytest.raises(PreconditionError):
                 d.cell_at_edge_start(v, u)
-    assert [c.ring for c in d.cells] == rings
+    assert list(d.cells) == rings
     for cell, want in read:
         assert cell is d.cells[want]
     return len(read)
@@ -345,16 +347,22 @@ def test_cell_of_a_degenerate_face_is_refused():
         with pytest.raises(PreconditionError):
             d.cell_at_edge_start(u, v)
     assert _check_cells_on_demand(x) == 4
-    assert [c.ring for c in d.cells] == [square(0, 0, 4, 4).canonical()]
+    assert list(d.cells) == [square(0, 0, 4, 4).canonical()]
 
 
 def test_face_walk_that_never_closes_raises():
     # A->B enters the cycle B->C->D->B, which never leads back to A->B
     a, b, c, d = Pt(0, 0), Pt(2, 0), Pt(3, 1), Pt(2, 2)
-    pieces = [(a, b), (b, c), (c, d), (d, b)]
-    outs = {}
-    for eid, (u, v) in enumerate(pieces):
-        outs.setdefault(u, []).append((v, eid))
-    dec = Decomposition({}, [], pieces, outs, {(a, b): 0}, 1)
-    with pytest.raises(InternalInvariantError):
+    faces = Faces([(a, b), (b, c), (c, d), (d, b)])
+    with pytest.raises(InternalInvariantError, match="did not close"):
+        faces.through(0)
+
+
+def test_clockwise_cell_is_an_invariant_error():
+    # a lone clockwise square: its face closes, but with the interior on
+    # the right
+    a, b, c, d = Pt(0, 0), Pt(0, 2), Pt(2, 2), Pt(2, 0)
+    dec = Decomposition({}, [], [(a, b), (b, c), (c, d), (d, a)],
+                        {(a, b): 0}, 1)
+    with pytest.raises(InternalInvariantError, match="clockwise"):
         dec.cell_at_edge_start(a, b)

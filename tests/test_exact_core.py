@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from latbool import exact_core
+from latbool import arrangement, decomposition, exact_core, rounding
+from latbool.arrangement import OPS
 from latbool.exact_core import (
     BOUNDARY,
     COLLINEAR,
     EXTERIOR,
     INTERIOR,
     LEFT,
+    Faces,
     InternalInvariantError,
     MarginError,
     PreconditionError,
@@ -28,14 +30,25 @@ from latbool.exact_core import (
     segment_at,
     segment_intersection,
     squared_distance,
-    trace_cycles,
+    trace_rings,
     Violation,
     universe_for,
     validate_region,
 )
+from latbool.fixtures import random_pairs
 from latbool.oracle import IntMembership, is_visible
+from latbool.setops import sandwich
 
-from conftest import FAR, holed_square, membership_regions, shifted, square
+from brute import trace_cycles
+from conftest import (
+    CORPUS_SEED,
+    FAR,
+    holed_square,
+    membership_regions,
+    shifted,
+    square,
+    star_ladder_pairs,
+)
 
 
 def test_orientation_basis():
@@ -338,9 +351,94 @@ def test_validate_edge_overlap_severity(k):
     assert not region_ok(doubled)
 
 
-def test_trace_cycles_dangling_end_is_an_invariant_error():
+def test_trace_rings_dangling_end_is_an_invariant_error():
     with pytest.raises(InternalInvariantError, match="dangling"):
-        trace_cycles([(Pt(0, 0), Pt(1, 0)), (Pt(1, 0), Pt(1, 1))])
+        trace_rings([(Pt(0, 0), Pt(1, 0)), (Pt(1, 0), Pt(1, 1))])
+
+
+def test_faces_refuse_a_piece_listed_twice():
+    edges = list(square(0, 0, 2, 2).edges())
+    with pytest.raises(InternalInvariantError, match="listed twice"):
+        Faces(edges + edges[2:3])
+    # a region listing its square twice re-traces to the rings as listed
+    twice = Region((square(0, 0, 2, 2), square(0, 0, 2, 2)))
+    assert twice.canonical().rings == twice.rings
+    assert not region_ok(twice)
+
+
+# ---------------------------------------------------------------------------
+# the face walker against one full pass of the reference walk
+
+
+def _traced_piece_lists(pairs) -> dict[str, list]:
+    """Every piece list the pipeline walks while building the sandwiches of
+    the pairs, by kind: each overlay's directed boundary, each pixel
+    union's unit-cell edges, each decomposition's piece graph and each
+    re-trace of a region with a repeated vertex."""
+    seen: dict[str, list] = {
+        "overlay": [], "pixels": [], "decomposition": [], "retrace": []}
+
+    def spy(kind, real):
+        def walked(pieces):
+            seen[kind].append(list(pieces))
+            return real(pieces)
+        return walked
+
+    with pytest.MonkeyPatch.context() as m:
+        for kind, module, name in (
+                ("overlay", arrangement, "trace_rings"),
+                ("pixels", rounding, "trace_rings"),
+                ("decomposition", decomposition, "Faces"),
+                ("retrace", exact_core, "trace_rings")):
+            m.setattr(module, name, spy(kind, getattr(module, name)))
+        for _, a, b in pairs:
+            for op in OPS:
+                sandwich(a, b, op)
+    return seen
+
+
+def _check_walk(pieces) -> int:
+    """`Faces.all()` gives the reference's cycles in its order, each from
+    its least piece; faces first walked on demand, from the last piece
+    back, are the same cycles; and `trace_rings` reads the reference's
+    cycles as canonical rings of 2 or more vertices, sorted."""
+    want = trace_cycles(pieces)
+    assert [[pieces[e][0] for e in face]
+            for face in Faces(pieces).all()] == want
+    faces = Faces(pieces)
+    for eid in reversed(range(len(pieces))):
+        assert eid in faces.through(eid)
+    got = []
+    for face in faces.all():
+        i = face.index(min(face, key=pieces.__getitem__))
+        got.append([pieces[e][0] for e in face[i:] + face[:i]])
+    assert got == want
+    rings = (Ring(tuple(cycle)).canonical() for cycle in want)
+    assert trace_rings(pieces) == sorted(
+        (r for r in rings if len(r.pts) >= 2), key=lambda r: r.pts)
+    return len(want)
+
+
+def test_faces_match_the_reference_walk(hand_pairs):
+    """On every piece list the pipeline walks for the hand fixtures, a
+    corpus sample and the star ladder."""
+    pairs = (list(hand_pairs) + random_pairs(8, seed=CORPUS_SEED)
+             + star_ladder_pairs())
+    seen = _traced_piece_lists(pairs)
+    faces = {kind: sum(map(_check_walk, lists))
+             for kind, lists in seen.items()}
+    assert min(faces.values()) > 100, faces
+
+
+def test_trace_rings_sorts_the_rings_not_the_walks():
+    # two triangles pinched at their least vertex: the walk meets the upper
+    # one first, by its piece to the straight vertex (1, 1), but the lower
+    # one's ring sorts first
+    upper = Ring((Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(0, 2)))
+    lower = Ring((Pt(0, 0), Pt(2, -2), Pt(2, -1)))
+    pieces = [*upper.edges(), *lower.edges()]
+    assert _check_walk(pieces) == 2
+    assert [r.pts[1] for r in trace_rings(pieces)] == [Pt(2, -2), Pt(2, 2)]
 
 
 def test_ring_canonical_collapses_collinear():

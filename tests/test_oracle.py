@@ -137,13 +137,6 @@ def test_check_hausdorff_dilated_witness():
     assert w is not None and w.kind == "hausdorff"
 
 
-def test_check_hausdorff_requires_inclusion():
-    a = Region((square(0, 0, 2, 2),))
-    b = Region((square(5, 5, 7, 7),))
-    with pytest.raises(PreconditionError):
-        check_hausdorff(a, b)
-
-
 def test_check_hausdorff_e2_pipeline(e2_pair):
     from latbool.rounding import inner_round
 
@@ -151,7 +144,7 @@ def test_check_hausdorff_e2_pipeline(e2_pair):
     x = exact_intersection(a, b)
     rounded = inner_round(x)
     assert check_hausdorff(rounded, x.region, Fraction(1, 8),
-                           mode="inner", assume_inclusion=True) is None
+                           mode="inner") is None
 
 
 def test_brute_boolean_disjoint():
@@ -529,8 +522,7 @@ def ref_check_hausdorff(small: Region, big: Region, m: int, mode: str):
 
 
 def _assert_hausdorff_matches_reference(small, big, m, mode, name):
-    w = check_hausdorff(small, big, Fraction(1, m), mode=mode,
-                        assume_inclusion=True)
+    w = check_hausdorff(small, big, Fraction(1, m), mode=mode)
     want = _hausdorff_reference(small, big, m, mode)
     assert (w is None) == (want is None), (name, m, mode)
     if w is None:
@@ -594,8 +586,7 @@ def test_check_hausdorff_matches_full_grid(hand_pairs):
 
 
 def _assert_sweep_matches_row_scan(small, big, m, mode, name) -> bool:
-    w = check_hausdorff(small, big, Fraction(1, m), mode=mode,
-                        assume_inclusion=True)
+    w = check_hausdorff(small, big, Fraction(1, m), mode=mode)
     assert w == ref_check_hausdorff(small, big, m, mode), (name, m, mode)
     return w is not None
 
@@ -696,8 +687,7 @@ def test_check_hausdorff_row_skip_cases():
         if want is not None and name.endswith("-far"):
             want = pt(want.x + FAR[0], want.y + FAR[1])
         for m in ms:
-            w = check_hausdorff(small, big, Fraction(1, m), mode="outer",
-                                assume_inclusion=True)
+            w = check_hausdorff(small, big, Fraction(1, m), mode="outer")
             assert (w and w.point) == want, (name, m)
 
 
@@ -722,7 +712,7 @@ def test_check_hausdorff_runs_the_row_rule_only_on_differing_rows(
     stacked = Region((square(0, 0, 2, 50), square(0, 50, 2, 100)))
     one_ring = Region((Ring((Pt(0, 0), Pt(2, 0), Pt(2, 50), Pt(2, 100),
                              Pt(0, 100), Pt(0, 50))),))
-    assert check_hausdorff(one_ring, stacked, assume_inclusion=True) is None
+    assert check_hausdorff(one_ring, stacked) is None
     # both sides on the one row y = 50 of that edge
     assert rows == [400, 400]
     rows.clear()

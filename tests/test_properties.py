@@ -17,7 +17,6 @@ from latbool.arrangement import (
     vertex_convexity,
 )
 from latbool.decomposition import (
-    ConvexCell,
     _dir_in_sector,
     reflex_vertical_decomposition,
 )
@@ -45,7 +44,6 @@ from latbool.exact_core import (
     segment_intersection,
     segments_cross_properly,
     squared_distance,
-    trace_cycles,
     Violation,
     complement_in_universe,
     universe_for,
@@ -72,7 +70,13 @@ from latbool.rounding import (
 )
 from latbool.setops import sandwich
 
-from brute import brute_nvlp, gap_midpoints, hit_points, segment_param
+from brute import (
+    brute_nvlp,
+    gap_midpoints,
+    hit_points,
+    segment_param,
+    trace_cycles,
+)
 from conftest import (
     CORPUS_SEED,
     FAR,
@@ -228,8 +232,7 @@ def test_nvlp_matches_brute_on_random_cells(seed):
     ring = Ring((p, b, c))
     if ring.is_degenerate:
         hyp.assume(False)
-    cell = ConvexCell(ring)
-    assert nvlp(p, cell) == brute_nvlp(p, ring)
+    assert nvlp(p, ring) == brute_nvlp(p, ring)
 
 
 @hyp.given(hys.lists(hys.tuples(hys.integers(0, 12), hys.integers(0, 12)),
@@ -256,7 +259,7 @@ def test_random_intersections_round_trip_membership(seed):
         return
     # decomposition partitions the area exactly
     d = reflex_vertical_decomposition(x)
-    assert sum(c.ring.signed_area2 for c in d.cells) == \
+    assert sum(c.signed_area2 for c in d.cells) == \
         sum(r.signed_area2 for r in x.region.rings)
 
 
@@ -558,7 +561,7 @@ def test_kernel_matches_fraction_formulas(kind, data):
     for ring in (Ring((a, b, c)), Ring((a, b, c, d))):
         for q in (a, c, d, _along(a, b, Fraction(1, 2))):
             try:
-                nvlp(q, ConvexCell(ring))
+                nvlp(q, ring)
                 on_cell = True
             except PreconditionError:
                 on_cell = False
@@ -837,10 +840,10 @@ def ref_nvlp(p, cell):
     """Every integer column of the cell's bounding box, in Fraction
     arithmetic: per column the clamped neighbours of p.y in the column's
     closed interval."""
-    x0, _, x1, _ = cell.ring.bbox
+    x0, _, x1, _ = cell.bbox
     best = None
     for gx in range(math.ceil(x0), math.floor(x1) + 1):
-        ys = [y for a, b in cell.ring.edges()
+        ys = [y for a, b in cell.edges()
               for y in ref_segment_at(a, b, gx)]
         if not ys:
             continue
@@ -960,17 +963,16 @@ quarters = hys.fractions(min_value=0, max_value=24, max_denominator=4)
 def test_nvlp_matches_full_column_scan(xys, k, t):
     hull = _hull_ring(sorted(pt(x, y) for x, y in xys))
     hyp.assume(hull is not None)
-    cell = ConvexCell(hull)
     # the pipeline snaps cell vertices; points along an edge test more ties
     a, b = hull.pts[k % len(hull.pts)], hull.pts[(k + 1) % len(hull.pts)]
     for p in (a, pt(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))):
-        assert nvlp(p, cell) == ref_nvlp(p, cell)
+        assert nvlp(p, hull) == ref_nvlp(p, hull)
 
 
 def test_nvlp_scans_the_left_column_at_an_equal_distance():
     # p is half-way between columns 2 and 3; (2, 1) and (3, 1) tie at
     # squared distance 1/4, which equals column 2's own lower bound
-    cell = ConvexCell(Ring((Pt(0, 0), Pt(5, 0), pt(HALF * 5, 3))))
+    cell = Ring((Pt(0, 0), Pt(5, 0), pt(HALF * 5, 3)))
     p = pt(HALF * 5, 1)
     assert nvlp(p, cell) == ref_nvlp(p, cell) == Pt(2, 1)
 
