@@ -49,7 +49,6 @@ from .exact_core import (
     orientation,
     region_ok,
     trace_rings,
-    segments_cross_properly,
     validate_region,
 )
 
@@ -239,11 +238,10 @@ def exact_intersection(a: Region, b: Region, check: bool = True) -> ExactRegion:
     d0, frame0 = _to_frame(p for e in edges for p in (e.a, e.b))
     segments = [(frame0[e.a], frame0[e.b]) for e in edges]
     hits = find_segment_intersections(segments)
-    h = 0
-    for i, j, hit in hits:
-        if edges[i].operand != edges[j].operand and isinstance(hit, Pt):
-            if segments_cross_properly(segments[i], segments[j]):
-                h += 1
+    # A x B pairs that cross properly: the hit is a point and no endpoint
+    h = sum(1 for i, j, hit in hits
+            if edges[i].operand != edges[j].operand and isinstance(hit, Pt)
+            and hit not in (*segments[i], *segments[j]))
     hit_pts = [(i, j, (hit,) if isinstance(hit, Pt) else hit)
                for i, j, hit in hits]
     d1, frame1 = _to_frame([*frame0.values(),

@@ -206,7 +206,7 @@ def _load(path: str, allow_rational: bool = False) -> Region:
     try:
         return parse_region(Path(path).read_text(encoding="utf-8"),
                             allow_rational=allow_rational)
-    except LprError as e:
+    except (LprError, UnicodeDecodeError) as e:
         click.echo(f"error: {path}: {e}", err=True)
         sys.exit(1)
     except OSError as e:

@@ -12,12 +12,14 @@ Both the walls and the visibility lists come from one sweep over the
 distinct reflex x-coordinates, as in the trapezoidal decomposition (de Berg
 et al., *Computational Geometry*, ch. 6).  For each such vertical line the
 boundary is profiled once: the sorted levels where edges meet the line,
-which of them are transversal crossings, and which gaps between levels lie
-outside the region.  A wall is then the neighbouring level, and a visibility
-test between a reflex vertex and an edge is two prefix-sum range queries.
-With E edges, R reflex vertices and L <= R distinct reflex x-coordinates,
-the profiles cost O(L E log E), the walls O(R), and the lists O(L E) plus
-O(1) per tested (edge, vertex) pair and a sort.  Cutting the edges at wall
+the feet (the transversal crossings, each with its edge), and which gaps
+between levels lie outside the region.  A wall is then the neighbouring
+level, and a visibility test between a reflex vertex and an edge is two
+prefix-sum range queries.  Only an edge with a foot on the line can see a
+vertex of it, so the lists visit the feet and no other edge.  With E edges,
+R reflex vertices and L <= R distinct reflex x-coordinates, the profiles
+cost O(L E log E), the walls O(R), and the lists O(1) per foot and per
+tested (edge, vertex) pair, plus a sort.  Cutting the edges at wall
 endpoints searches only the endpoints inside each edge's x-range.
 
 The profiles, walls and lists are computed in the integer frame of the
@@ -156,9 +158,10 @@ class _LineProfile:
     """The region boundary along the vertical line x = X.
 
     `levels` are the sorted distinct y-values where edges meet the line.
-    Prefix sums over the levels count transversal crossings
-    (lo.x < X < hi.x); prefix sums over the gaps between consecutive levels
-    count the gaps outside the region.  A gap covered by a vertical edge on
+    `feet` lists each transversal crossing (lo.x < X < hi.x) as the edge's
+    index and its y, in edge order.  Prefix sums over the levels count the
+    crossings; prefix sums over the gaps between consecutive levels count
+    the gaps outside the region.  A gap covered by a vertical edge on
     the line is boundary.  Any other gap is classified by the parity of the
     edges below it under the half-open rule lo.x <= X < hi.x (a downward
     ray shifted right by an infinitesimal); rings are closed cycles, so
@@ -167,17 +170,15 @@ class _LineProfile:
 
     def __init__(self, x: int, edges: list[tuple[Pt, Pt]]):
         self.x = x
-        ys: list[Optional[Scalar]] = []
-        crossing: list[Scalar] = []
+        ys: list[Scalar] = []
+        feet: list[tuple[int, Scalar]] = []
         half_open: list[Scalar] = []
         verticals: list[tuple[Scalar, Scalar]] = []
-        for a, b in edges:
+        for k, (a, b) in enumerate(edges):
             lo, hi = (a, b) if a.x <= b.x else (b, a)
             if not (lo.x <= x <= hi.x):
-                ys.append(None)
                 continue
             if lo.x == hi.x:
-                ys.append(None)
                 verticals.append((lo.y, hi.y) if lo.y <= hi.y
                                  else (hi.y, lo.y))
                 continue
@@ -187,20 +188,19 @@ class _LineProfile:
                 y = hi.y
             else:
                 y = segment_at(lo, hi, x)[0]
-                crossing.append(y)
+                feet.append((k, y))
             ys.append(y)
             if x < hi.x:
                 half_open.append(y)
-        self.ys = ys
-        levels = sorted({y for y in ys if y is not None}
-                        | {y for v in verticals for y in v})
+        self.feet = feet
+        levels = sorted({*ys, *(y for v in verticals for y in v)})
         self.levels = levels
         index = {y: i for i, y in enumerate(levels)}
         self.index = index
         n = len(levels)
 
         crossings_at = [0] * n
-        for y in crossing:
+        for _, y in feet:
             crossings_at[index[y]] = 1
         below_at = [0] * n
         for y in half_open:
@@ -348,24 +348,16 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
     side anyway.  Vertical edges see nothing.  All but `edges` are in the
     vertex frame; `back` maps the reflex vertices out of it.
     """
-    # each distinct edge once, with its list, keyed by its int frame copy
-    found: dict[tuple[Pt, Pt], list] = {}
-    first: list[tuple[int, list]] = []
-    for k, e in enumerate(fedges):
-        if e not in found:
-            found[e] = entries = []
-            first.append((k, entries))
+    found: list[list] = [[] for _ in fedges]
     columns: dict[int, list[Pt]] = {}
     for r in reflex_pos:
         columns.setdefault(r.x, []).append(r)
     for x, column in columns.items():
         line = lines[x]
-        for k, entries in first:
+        # feet at edge endpoints belong to the neighbor edges, and vertical
+        # edges have none: only the transversal crossings are listed
+        for k, fy in line.feet:
             a, b = fedges[k]
-            fy = line.ys[k]
-            # feet at the edge endpoints belong to the neighbor edges
-            if fy is None or a.x == x or b.x == x:
-                continue
             foot_level = line.index[fy]
             t = x if a.x < b.x else -x  # the foot's order along a-b
             for r in column:
@@ -373,9 +365,9 @@ def _visible_reflex_lists(edges: list[tuple[Pt, Pt]],
                 if (r.y - fy) * (b.x - a.x) < 0:
                     continue
                 if line.clear(line.index[r.y], foot_level):
-                    entries.append((t, abs(r.y - fy), r))
+                    found[k].append((t, abs(r.y - fy), r))
     out: dict = {}
-    for k, entries in first:
+    for edge, entries in zip(edges, found):
         entries.sort()
-        out[edges[k]] = tuple(back[r] for _, _, r in entries)
+        out[edge] = tuple(back[r] for _, _, r in entries)
     return out

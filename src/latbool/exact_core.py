@@ -5,15 +5,16 @@ no float ever enters a predicate.  Closed-set semantics throughout: a point
 "belongs" to a region when it lies in the interior or on the boundary.
 
 The segment predicates (`orientation`, `point_on_segment`,
-`segment_intersection`, `segments_cross_properly`, `segment_at`,
-`squared_distance` and `dot`) and `Ring.signed_area2` evaluate on Python
-ints, not in Fraction arithmetic (exact integer evaluation, as in Fortune &
-Van Wyk, SoCG 1993).  When every input coordinate is an int they use it as it is; otherwise `_scaled` brings
+`segment_intersection`, `segment_at`, `squared_distance` and `dot`) and
+`Ring.signed_area2` evaluate on Python ints, not in Fraction arithmetic
+(exact integer evaluation, as in Fortune & Van Wyk, SoCG 1993).  When every
+input coordinate is an int they use it as it is; otherwise `_scaled` brings
 all of them to one common denominator k and they work on the numerators.
 A sign is the sign of one integer expression, with no gcd.  A returned
 coordinate, distance or area is built once, by `_ratio`, as an int when
 integral and as one Fraction otherwise, so every result equals the plain
-Fraction formula's by value and by type.
+Fraction formula's by value and by type.  Proper crossings are read off
+`segment_intersection`'s hits; there is no separate crossing predicate.
 
 Canonical form is linear work.  `Ring.canonical` drops repeated and straight
 vertices in one pass and compares whole rotations only when its least vertex
@@ -49,9 +50,9 @@ scales its cell to ints once and tests its point against the cell's edges
 with its own cross products.
 
 `find_segment_intersections` is the pipeline's one segment-pair sweep: the
-overlay (`arrangement`) cuts its edges at the hits, and `validate_region`
-reads crossings and overlaps off them.  The public `is_visible` lives in
-the oracle.
+overlay (`arrangement`) cuts its edges at the hits and counts h off them,
+and `validate_region` reads crossings and overlaps off them.  The public
+`is_visible` lives in the oracle.
 """
 
 from __future__ import annotations
@@ -223,7 +224,11 @@ def segment_intersection(
     """Exact intersection of two non-degenerate closed segments.
 
     Returns None, a single Pt (includes endpoint touching), or the
-    (Pt, Pt) overlap sub-segment for collinear overlapping input.
+    (Pt, Pt) overlap sub-segment for collinear overlapping input.  The one
+    Pt built anew is a proper crossing, one point interior to both
+    segments; every other Pt is one of the four endpoints.  So the
+    segments cross properly exactly when the hit is a Pt that is no
+    endpoint of either.
     """
     a, b = s
     c, d = t
@@ -273,23 +278,6 @@ def segment_intersection(
     if o4 == 0 and _on_collinear_segment(cx, cy, dx, dy, bx, by):
         return b
     return None
-
-
-def segments_cross_properly(s: tuple[Pt, Pt], t: tuple[Pt, Pt]) -> bool:
-    """True iff the segments intersect in one point interior to both."""
-    (ax, ay), (bx, by) = s
-    (cx, cy), (dx, dy) = t
-    if not (type(ax) is type(ay) is type(bx) is type(by) is type(cx)
-            is type(cy) is type(dx) is type(dy) is int):
-        _, (ax, ay, bx, by, cx, cy, dx, dy) = _scaled(
-            ax, ay, bx, by, cx, cy, dx, dy)
-    rx, ry = bx - ax, by - ay
-    sx, sy = dx - cx, dy - cy
-    o1 = rx * (cy - ay) - ry * (cx - ax)
-    o2 = rx * (dy - ay) - ry * (dx - ax)
-    o3 = sx * (ay - cy) - sy * (ax - cx)
-    o4 = sx * (by - cy) - sy * (bx - cx)
-    return (o1 < 0 < o2 or o2 < 0 < o1) and (o3 < 0 < o4 or o4 < 0 < o3)
 
 
 def squared_distance(p: Pt, seg: tuple[Pt, Pt]) -> Scalar:
@@ -686,11 +674,12 @@ class Faces:
 
 
 def trace_rings(directed: Sequence[tuple[Pt, Pt]]) -> list[Ring]:
-    """The canonical rings of at least 2 vertices that interior-on-the-left
-    directed edges bound, sorted."""
+    """The canonical rings that interior-on-the-left directed edges bound,
+    sorted.  The edges have distinct ends, and a face's least and greatest
+    vertices are never straight, so each ring keeps 2 or more vertices."""
     rings = (Ring(tuple(directed[eid][0] for eid in face)).canonical()
              for face in Faces(directed).all())
-    return sorted((r for r in rings if len(r.pts) >= 2), key=lambda r: r.pts)
+    return sorted(rings, key=lambda r: r.pts)
 
 
 def _ring_encloses(outer: Ring, inner: Ring) -> bool:
@@ -881,7 +870,7 @@ def validate_region(region: Region) -> list[Violation]:
         ri, ei, a, b = edges[i]
         rj, ej, c, d = edges[j]
         if isinstance(hit, Pt):
-            if segments_cross_properly((a, b), (c, d)):
+            if hit not in (a, b, c, d):
                 out.append(Violation(
                     "proper-crossing",
                     f"ring {ri} edge {ei} crosses ring {rj} edge {ej}",

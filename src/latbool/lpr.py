@@ -9,11 +9,13 @@ Line oriented, whitespace separated, `#` comments::
 
 `poly` rings bound filled area (written CCW), `hole` rings holes (written
 CW); nesting is computed from geometry, never declared.  Coordinates are
-integers; `a/b` rationals are legal only in exact-mode output files.
+ASCII decimal integers (`[+-]?[0-9]+`); `a/b` rationals of two such
+integers are legal only in exact-mode output files.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -35,6 +37,16 @@ class LprError(ValueError):
         super().__init__(message + loc)
 
 
+# ASCII digits only: `int` alone also reads `1_0` and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(tok: str) -> int:
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _parse_scalar(tok: str, line: int, col: int,
                   allow_rational: bool) -> Scalar:
     if "/" in tok:
@@ -43,11 +55,11 @@ def _parse_scalar(tok: str, line: int, col: int,
                            line, col)
         num, _, den = tok.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            return Fraction(_parse_int(num), _parse_int(den))
         except (ValueError, ZeroDivisionError):
             raise LprError(f"bad rational {tok!r}", line, col) from None
     try:
-        return int(tok)
+        return _parse_int(tok)
     except ValueError:
         raise LprError(f"bad integer {tok!r}", line, col) from None
 
@@ -80,7 +92,7 @@ def parse_region(text: str, allow_rational: bool = False) -> Region:
             if len(toks) < 2:
                 raise LprError(f"{head} needs a vertex count", ln)
             try:
-                n = int(toks[1])
+                n = _parse_int(toks[1])
             except ValueError:
                 raise LprError(f"bad vertex count {toks[1]!r}", ln) from None
             if n < 2:

@@ -42,7 +42,7 @@ from .exact_core import (
     cancel_reversed_pairs,
     complement_in_universe,
     orientation,
-    segments_cross_properly,
+    segment_intersection,
     squared_distance,
     trace_rings,
 )
@@ -495,7 +495,8 @@ def _removal_topology_ok(rings: list[list[Pt]], ri: int, i: int) -> bool:
                 continue
             if rj == ri and (j, (j + 1) % m) in skip:
                 continue
-            if segments_cross_properly(new_seg, (a, b)):
+            hit = segment_intersection(new_seg, (a, b))
+            if isinstance(hit, Pt) and hit not in (prev, nxt, a, b):
                 return False
     if orientation(prev, r, nxt) == COLLINEAR:
         return True

@@ -7,13 +7,14 @@ whole region (`brute_nvlp`, `brute_nvlp_region`), per-pair vertical
 visibility (`vertically_visible`), the lattice closure L(P) and the snap
 segments against its interior (`lattice_closure`,
 `snap_segment_hits_closure_interior`), sampled Boolean ground truth
-(`brute_boolean`), proper edge crossings (`properly_crossing_pairs`), the
-Hausdorff row rule over all edges (`row_ranges`), and the points of a
-segment intersection, the plain Fraction parameter of a point along a
-segment and the midpoints of a cut segment (`hit_points`, `segment_param`,
-`gap_midpoints`), the interior probe (`interior_sample`), which the
-oracle computes on integers, and one full pass of the face walk over every
-piece (`trace_cycles`), which the pipeline's `Faces` walks on demand.
+(`brute_boolean`), proper edge crossings (`ref_segments_cross_properly`,
+`properly_crossing_pairs`), the Hausdorff row rule over all edges
+(`row_ranges`), and the points of a segment intersection, the plain
+Fraction parameter of a point along a segment and the midpoints of a cut
+segment (`hit_points`, `segment_param`, `gap_midpoints`), the interior
+probe (`interior_sample`), which the oracle computes on integers, and one
+full pass of the face walk over every piece (`trace_cycles`), which the
+pipeline's `Faces` walks on demand.
 
 Everything here is deliberately exhaustive and simple: full lattice
 enumerations and per-candidate scans, classified by the oracle's
@@ -42,7 +43,6 @@ from latbool.exact_core import (
     pt,
     segment_at,
     segment_intersection,
-    segments_cross_properly,
 )
 from latbool.oracle import IntMembership, Witness, _row_ranges, _visible
 
@@ -172,7 +172,7 @@ def vertically_visible(r: Pt, edge: tuple[Pt, Pt], region: Region) -> bool:
         return True
     seg = (r, foot)
     for e in region.edges():
-        if e[0] != e[1] and segments_cross_properly(seg, e):
+        if ref_segments_cross_properly(seg, e):
             return False
     return _visible([seg], region, IntMembership(region))[0]
 
@@ -331,13 +331,26 @@ def brute_boolean(a: Region, b: Region, op: str,
 # brute edge-pair counts
 
 
+def ref_segments_cross_properly(s: tuple[Pt, Pt], t: tuple[Pt, Pt]) -> bool:
+    """Do the segments meet in one point interior to both?  The plain
+    Fraction formula: each segment's ends lie strictly on opposite sides of
+    the other's line.  A degenerate segment crosses nothing."""
+    (a, b), (c, d) = s, t
+
+    def turn(p: Pt, q: Pt, r: Pt) -> Scalar:
+        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+
+    return (turn(a, b, c) * turn(a, b, d) < 0
+            and turn(c, d, a) * turn(c, d, b) < 0)
+
+
 def properly_crossing_pairs(edges1: Sequence[tuple[Pt, Pt]],
                             edges2: Sequence[tuple[Pt, Pt]]) -> int:
     """Pairs crossing at a point interior to both segments."""
     n = 0
     for e1 in edges1:
         for e2 in edges2:
-            if segments_cross_properly(e1, e2):
+            if ref_segments_cross_properly(e1, e2):
                 n += 1
     return n
 

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,39 @@ def test_parse_rejects_rational_input():
         parse_region("region\npoly 3 0 0 5 0 5/2 5/2\nend\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("poly 3 0 0 1_0 0 0 4", "bad integer '1_0'"),
+    ("poly 3 0 0 \u0663 0 0 4", "bad integer '\u0663'"),  # Arabic-Indic 3
+    ("poly 3 0 0 \uff14 0 0 4", "bad integer '\uff14'"),  # fullwidth 4
+    ("poly 3 0 0 4.0 0 0 4", "bad integer '4.0'"),
+    ("poly 3 0 0 ++4 0 0 4", "bad integer '++4'"),
+    ("poly 1_0 0 0 4 0 0 4", "bad vertex count '1_0'"),
+    ("poly \u0663 0 0 4 0 0 4", "bad vertex count '\u0663'"),
+], ids=["underscore", "arabic-indic", "fullwidth", "decimal-point",
+        "two-signs", "count-underscore", "count-arabic-indic"])
+def test_parse_accepts_only_ascii_integers(text, message):
+    with pytest.raises(LprError, match="^" + re.escape(message)):
+        parse_region(f"region\n{text}\nend\n")
+
+
+@pytest.mark.parametrize("tok", ["1_0/2", "5/\u0662", "5/2/1", "5/", "/2",
+                                 "5/0"])
+def test_parse_accepts_only_ascii_rationals(tok):
+    message = re.escape(f"bad rational {tok!r}")
+    with pytest.raises(LprError, match="^" + message):
+        parse_region(f"region\npoly 3 0 0 5 0 {tok} 5\nend\n",
+                     allow_rational=True)
+
+
+def test_parse_signed_ascii_numbers():
+    got = parse_region("region\npoly 3 -1 -2 +4 -2 -1/1 +3\nend\n",
+                       allow_rational=True)
+    assert got == parse_region("region\npoly 3 -1 -2 4 -2 -1 3\nend\n")
+    half = parse_region("region\npoly 3 0 0 5 0 -5/-2 5/2\nend\n",
+                        allow_rational=True)
+    assert Pt(Fraction(5, 2), Fraction(5, 2)) in half.rings[0].pts
+
+
 def test_roundtrip_fixtures(hand_pairs):
     for name, a, b in hand_pairs:
         for r in (a, b):
@@ -59,8 +94,6 @@ def test_roundtrip_fixtures(hand_pairs):
 
 
 def test_roundtrip_rational():
-    from fractions import Fraction
-
     from latbool.exact_core import pt
 
     tri = Region((Ring((Pt(0, 0), Pt(5, 0),
@@ -108,6 +141,23 @@ def test_run_parse_error_exit_1(tmp_path):
     result = CliRunner().invoke(main, ["intersect", a, b, "-o",
                                        str(tmp_path / "o.lpr")])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "intersect", "svg"])
+def test_non_utf8_operand_is_an_input_error(tmp_path, command):
+    bad = tmp_path / "A.lpr"
+    bad.write_bytes(b"region\npoly 3 0 0 5 0 0 5 \xff\nend\n")
+    b = _write(tmp_path, "B.lpr", E2_B)
+    args = {"verify": ["verify", str(bad), b],
+            "intersect": ["intersect", str(bad), b, "-o",
+                          str(tmp_path / "o.lpr")],
+            "svg": ["svg", str(bad), "-o", str(tmp_path / "fig.svg")]}
+    result = CliRunner().invoke(main, args[command])
+    # an uncaught UnicodeDecodeError would also end with exit code 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1, result.output
+    assert f"error: {bad}: " in result.output
+    assert "codec can't decode" in result.output
 
 
 SQUARE = "poly 4 0 0 4 0 4 4 0 4"

@@ -39,7 +39,7 @@ from latbool.fixtures import random_pairs
 from latbool.oracle import IntMembership, is_visible
 from latbool.setops import sandwich
 
-from brute import trace_cycles
+from brute import ref_segments_cross_properly, trace_cycles
 from conftest import (
     CORPUS_SEED,
     FAR,
@@ -106,6 +106,26 @@ def test_segment_intersection_collinear_endpoint():
     assert hit == Pt(2, 1)
     assert segment_intersection((Pt(0, 0), Pt(2, 1)),
                                 (Pt(4, 2), Pt(6, 3))) is None
+
+
+@pytest.mark.parametrize("s, t, crosses", [
+    ((Pt(0, 0), Pt(4, 4)), (Pt(0, 4), Pt(4, 0)), True),
+    ((Pt(0, 0), Pt(1, 1)), (Pt(0, 1), Pt(1, 0)), True),  # at (1/2, 1/2)
+    ((Pt(0, 0), Pt(4, 0)), (Pt(2, 0), Pt(2, 3)), False),
+    ((Pt(0, 0), Pt(2, 2)), (Pt(4, 0), Pt(2, 2)), False),
+    ((Pt(0, 0), Pt(2, 1)), (Pt(4, 2), Pt(2, 1)), False),
+    ((Pt(0, 0), Pt(4, 0)), (Pt(2, 0), Pt(6, 0)), False),
+], ids=["x", "x-rational", "t-junction", "shared-endpoint",
+        "collinear-touch", "collinear-overlap"])
+def test_proper_crossing_is_the_hit_at_no_endpoint(s, t, crosses):
+    # either order, either direction of each segment
+    for u in (s, s[::-1]):
+        for v in (t, t[::-1]):
+            for p, q in ((u, v), (v, u)):
+                hit = segment_intersection(p, q)
+                assert (isinstance(hit, Pt)
+                        and hit not in (*p, *q)) == crosses
+                assert ref_segments_cross_properly(p, q) == crosses
 
 
 def test_segment_at_vertical_segment():

@@ -42,7 +42,6 @@ from latbool.exact_core import (
     pt,
     segment_at,
     segment_intersection,
-    segments_cross_properly,
     squared_distance,
     Violation,
     complement_in_universe,
@@ -74,6 +73,7 @@ from brute import (
     brute_nvlp,
     gap_midpoints,
     hit_points,
+    ref_segments_cross_properly,
     segment_param,
     trace_cycles,
 )
@@ -325,14 +325,6 @@ def ref_segment_intersection(s, t):
     return None
 
 
-def ref_segments_cross_properly(s, t):
-    (a, b), (c, d) = s, t
-    o1, o2 = ref_orientation(a, b, c), ref_orientation(a, b, d)
-    o3, o4 = ref_orientation(c, d, a), ref_orientation(c, d, b)
-    return (o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0 and o1 != o2
-            and o3 != o4)
-
-
 def ref_squared_distance(p, seg):
     a, b = seg
     if a == b:
@@ -544,8 +536,11 @@ def test_kernel_matches_fraction_formulas(kind, data):
                 assert all(type(u) is Fraction for u in got)
     assert _same(_outcome(segment_intersection, s, t),
                  _outcome(ref_segment_intersection, s, t))
-    assert _same(segments_cross_properly(s, t),
-                 ref_segments_cross_properly(s, t))
+    if a != b and c != d:
+        # a proper crossing is the one hit that is no endpoint
+        hit = segment_intersection(s, t)
+        crosses = isinstance(hit, Pt) and hit not in (a, b, c, d)
+        assert crosses == ref_segments_cross_properly(s, t)
     for p in (c, d):
         assert _same(orientation(a, b, p), ref_orientation(a, b, p))
         assert _same(dot(a, b, p), ref_dot(a, b, p))
@@ -904,7 +899,7 @@ def _ref_removal_topology_ok(rings, ri, i):
             a, b = other[j], other[(j + 1) % m]
             if a == b or (rj == ri and (j, (j + 1) % m) in skip):
                 continue
-            if segments_cross_properly((prev, nxt), (a, b)):
+            if ref_segments_cross_properly((prev, nxt), (a, b)):
                 return False
     if orientation(prev, r, nxt) == COLLINEAR:
         return True
@@ -1131,7 +1126,7 @@ def ref_validate_region(region):
         ri, ei, a, b = edges[i]
         for j in range(i + 1, len(edges)):
             rj, ej, c, d = edges[j]
-            if segments_cross_properly((a, b), (c, d)):
+            if ref_segments_cross_properly((a, b), (c, d)):
                 out.append(Violation(
                     "proper-crossing",
                     f"ring {ri} edge {ei} crosses ring {rj} edge {ej}",
